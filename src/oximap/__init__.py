@@ -34,7 +34,7 @@ from .distributions import (
     kl_monte_carlo,
     truncated_normal_sample,
 )
-from .volume import Volume4D, crop_xy, normalize_volume, random_crop_xy
+from .volume import Volume4D, normalize_volume
 from .synthgen import (
     PRIOR_PRESETS,
     NoiseProfile,

@@ -17,12 +17,7 @@ from scipy.ndimage import gaussian_filter
 
 from . import autodiff as ad
 from .distributions import ScaledLogitNormal, forward_transform, kl_analytic
-from .nnet import (
-    SIGMA_IM_FLOOR,
-    EncoderWeights,
-    encoder_forward,
-    prediction_to_distribution,
-)
+from .nnet import EncoderWeights, encoder_forward, prediction_to_distribution
 from .physics import (
     AcquisitionProtocol,
     ForwardModelConfig,
@@ -30,11 +25,10 @@ from .physics import (
     characteristic_time,
     delta_omega,
     normalized_model_signal,
+    r2_prime,
 )
-from .train import PriorMaps, compute_prior_maps
-from .volume import DEFAULT_VOXEL_SIZE_MM, Volume4D
-
-_LOG_2PI = np.log(2.0 * np.pi)
+from .train import PriorMaps, compute_prior_maps, signal_loglik
+from .volume import DEFAULT_VOXEL_SIZE_MM, Volume4D, planes_first
 
 MAP_SOURCES = ("wls", "synth", "vi", "vi+tv")
 
@@ -106,10 +100,6 @@ def _nan_grid(grid) -> np.ndarray:
     return np.full(grid, np.nan)
 
 
-def _planes_first(arr: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(np.moveaxis(arr, 2, 0))
-
-
 def _planes_last(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(arr, 0, 2))
 
@@ -117,7 +107,7 @@ def _planes_last(arr: np.ndarray) -> np.ndarray:
 def _full_grid_distribution(weights: EncoderWeights, vol: Volume4D):
     """Detached posterior over the whole grid, plane-major; returns
     (distribution, log_sigma_im) with arrays shaped (d, h, w, ...)."""
-    x = _planes_first(vol.data)
+    x = planes_first(vol.data)
     pred = encoder_forward(weights, ad.Tensor(x))
     dist = prediction_to_distribution(pred, weights.config.covariance_mode)
     return dist, pred.log_sigma_im.data
@@ -136,12 +126,13 @@ def elbo_map(
     """Per-voxel ELBO in nats (higher = better explained); NaN outside the
     mask.
 
-    Computed detached from the tape: analytic KL against the priors plus
-    the mean over n_samples reparameterized draws of the diagonal-Gaussian
-    signal log-likelihood. Noise draws cover the full grid plane-major, so
-    a generator seeded like the training loss reproduces its exact draws;
-    the masked mean of this map equals minus the analytic-KL training loss
-    on the same inputs.
+    Analytic KL against the priors plus the mean over n_samples
+    reparameterized draws of the diagonal-Gaussian signal log-likelihood,
+    both from the code the training loss runs. Noise draws cover the full
+    grid plane-major, so a generator seeded like the training loss
+    reproduces its exact draws and the masked mean of this map equals minus
+    the training loss on the same inputs. The draws are summed as plain
+    arrays, one at a time, so memory does not grow with n_samples.
     """
     if priors.grid_shape != vol.grid_shape or not np.array_equal(priors.mask, vol.mask):
         raise ValueError("priors are not aligned with the volume grid and mask")
@@ -149,20 +140,18 @@ def elbo_map(
     if not vol.mask.any():
         return out
     dist, log_sigma = _full_grid_distribution(weights, vol)
-    p_dist = ScaledLogitNormal(_planes_first(priors.mu_l), _planes_first(priors.chol_l))
+    p_dist = ScaledLogitNormal(planes_first(priors.mu_l), planes_first(priors.chol_l))
     kl_vox = kl_analytic(dist, p_dist)
 
-    x = _planes_first(vol.data)
-    sigma = np.maximum(np.exp(log_sigma), SIGMA_IM_FLOOR)
-    log_sig = np.log(sigma)
+    x = planes_first(vol.data)
+    loglik = signal_loglik(x, log_sigma)
     plane_grid = x.shape[:3]
     ll_acc = np.zeros(plane_grid)
     for _ in range(n_samples):
         z = rng.standard_normal(plane_grid + (2,))
         y = dist.transform_noise(z)
         s_model = normalized_model_signal(y[..., 0], y[..., 1], proto, constants, fwd_cfg)
-        res = (x - s_model) / sigma
-        ll_acc += (-0.5 * _LOG_2PI - log_sig - 0.5 * res * res).sum(axis=-1)
+        ll_acc += loglik(s_model).data
     elbo_vox = ll_acc / n_samples - kl_vox
     grid_elbo = _planes_last(elbo_vox)
     out[vol.mask] = grid_elbo[vol.mask]
@@ -210,8 +199,7 @@ def infer_maps(weights: EncoderWeights, vol: Volume4D, cfg: InferenceConfig) -> 
     fill(maps.dbv_mc_mean, mc_mean[..., 1])
     fill(maps.oef_std, mc_std[..., 0])
     fill(maps.dbv_std, mc_std[..., 1])
-    r2p = point[..., 1] * delta_omega(point[..., 0], cfg.constants, cfg.protocol.b0)
-    fill(maps.r2p_point, r2p)
+    fill(maps.r2p_point, r2_prime((point[..., 0], point[..., 1]), cfg.constants, cfg.protocol.b0))
 
     prior_net = cfg.prior_weights
     if prior_net is None:
@@ -354,6 +342,11 @@ def paired_tstat(
     bare 3-D array. Maps are optionally smoothed with an in-plane Gaussian
     (FWHM in mm; 0 disables), then t = mean(diff) / (std(diff)/sqrt(n))
     with the 0/0 case defined as 0. Uncorrected.
+
+    Smoothing is normalized convolution (Knutsson & Westin, CVPR 1993):
+    the Gaussian of v * w divided by the Gaussian of w, with w = 1 on finite
+    voxels and 0 elsewhere. The NaNs outside a mask therefore never reach
+    the voxels inside it, and voxels with w = 0 stay NaN.
     """
     if len(maps_a) != len(maps_b):
         raise ValueError("conditions must have the same number of subjects")
@@ -370,8 +363,16 @@ def paired_tstat(
     if smoothing_fwhm_mm > 0:
         sigma_mm = smoothing_fwhm_mm / np.sqrt(8.0 * np.log(2.0))
         sig = (sigma_mm / voxel_size_mm[0], sigma_mm / voxel_size_mm[1], 0.0)
-        arrs_a = [gaussian_filter(a, sigma=sig) for a in arrs_a]
-        arrs_b = [gaussian_filter(b, sigma=sig) for b in arrs_b]
+
+        def smooth(v):
+            w = np.isfinite(v)
+            num = gaussian_filter(np.where(w, v, 0.0), sigma=sig)
+            den = gaussian_filter(w.astype(np.float64), sigma=sig)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(w, num / den, np.nan)
+
+        arrs_a = [smooth(a) for a in arrs_a]
+        arrs_b = [smooth(b) for b in arrs_b]
 
     diff = np.stack(arrs_a, axis=0) - np.stack(arrs_b, axis=0)
     mean = diff.mean(axis=0)

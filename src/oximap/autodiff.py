@@ -34,9 +34,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self):
-        return float(self.data)
-
     # operator sugar -------------------------------------------------
     def __add__(self, other):
         return add(self, other)

@@ -4,8 +4,8 @@ Subcommands: simulate (synthetic dataset + optional phantom volume),
 pretrain (dataset -> weights), finetune (weights + volumes -> adapted
 weights), infer (weights + volume -> maps), wls (volume -> baseline
 maps), stats (maps + region -> table), compare (two map sets -> paired
-t-statistics). Every command is deterministic for a fixed config, seed,
-and thread count; errors exit 1 with a single-line `error: ...` message.
+t-statistics). Every command is deterministic for a fixed config and
+seed; errors exit 1 with a single-line `error: ...` message.
 """
 
 from __future__ import annotations
@@ -40,18 +40,6 @@ MAP_FILES = {
     "dbv_std": "dbv_std.nii",
     "elbo": "elbo.nii",
 }
-
-
-def _limit_threads(n: int | None):
-    if n is None:
-        return
-    os.environ.setdefault("OMP_NUM_THREADS", str(n))
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=n)
-    except ImportError:
-        pass  # plain numpy code stays deterministic either way
 
 
 def _load_run_config(args) -> RunConfig:
@@ -287,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="YAML run configuration")
     common.add_argument("--seed", type=int, help="override the configured RNG seed")
-    common.add_argument("--threads", type=int, help="cap numeric library threads")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -352,7 +339,6 @@ def cli_dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    _limit_threads(getattr(args, "threads", None))
     try:
         return args.func(args)
     except (

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, ndtr, ndtri
 
+from . import autodiff as ad
+
 PARAM_SCALE = np.array([0.8, 0.3])
 PARAM_OFFSET = np.array([0.05, 0.001])
 PARAM_NAMES = ("oef", "dbv")
@@ -128,26 +130,35 @@ def _require_same_box(q: ScaledLogitNormal, p: ScaledLogitNormal):
         raise ValueError("KL requires both distributions to share scale and offset")
 
 
-def kl_analytic(q: ScaledLogitNormal, p: ScaledLogitNormal):
-    """Closed-form KL(q || p); exact because the box transform is shared.
+def kl_cholesky(mu_q, l00, l10, l11, log_l00, log_l11, mu_p, chol_p):
+    """Closed-form KL(q || p) of two bivariate Gaussians, from q's Cholesky entries.
 
-    Grouped as 0.5 * [(m00^2-1-2 log m00) + (m11^2-1-2 log m11) + m10^2 + |w|^2]
-    with M = Lp^-1 Lq and w = Lp^-1 (mu_q - mu_p); each group is clamped at
-    zero so rounding can never produce a negative KL.
+    q has mean mu_q and factor [[l00, 0], [l10, l11]], with the logs of its
+    diagonal passed exactly; p has mean mu_p and factor chol_p. q's inputs
+    may be arrays or tape tensors; the result is a tape tensor. Grouped as
+    0.5 * [(m00^2-1-2 log m00) + (m11^2-1-2 log m11) + m10^2 + |w|^2]
+    with M = Lp^-1 Lq and w = Lp^-1 (mu_q - mu_p); each log group is clamped
+    at zero so rounding can never produce a negative KL.
     """
-    _require_same_box(q, p)
-    a = p.chol[..., 0, 0]
-    b = p.chol[..., 1, 0]
-    cc = p.chol[..., 1, 1]
-    m00 = q.chol[..., 0, 0] / a
-    m10 = (q.chol[..., 1, 0] - b * m00) / cc
-    m11 = q.chol[..., 1, 1] / cc
-    v = q.mu - p.mu
-    w0 = v[..., 0] / a
-    w1 = (v[..., 1] - b * w0) / cc
-    t00 = np.maximum(m00 * m00 - 1.0 - 2.0 * np.log(m00), 0.0)
-    t11 = np.maximum(m11 * m11 - 1.0 - 2.0 * np.log(m11), 0.0)
+    a = chol_p[..., 0, 0]
+    b = chol_p[..., 1, 0]
+    cc = chol_p[..., 1, 1]
+    m00 = l00 / a
+    m10 = (l10 - b * m00) / cc
+    m11 = l11 / cc
+    w0 = (mu_q[..., 0] - mu_p[..., 0]) / a
+    w1 = (mu_q[..., 1] - mu_p[..., 1] - b * w0) / cc
+    t00 = ad.clip_min(m00 * m00 - 1.0 - 2.0 * (log_l00 - np.log(a)), 0.0)
+    t11 = ad.clip_min(m11 * m11 - 1.0 - 2.0 * (log_l11 - np.log(cc)), 0.0)
     return 0.5 * (t00 + t11 + m10 * m10 + w0 * w0 + w1 * w1)
+
+
+def kl_analytic(q: ScaledLogitNormal, p: ScaledLogitNormal):
+    """Closed-form KL(q || p); exact because the box transform is shared."""
+    _require_same_box(q, p)
+    l00 = q.chol[..., 0, 0]
+    l11 = q.chol[..., 1, 1]
+    return kl_cholesky(q.mu, l00, q.chol[..., 1, 0], l11, np.log(l00), np.log(l11), p.mu, p.chol).data
 
 
 def kl_monte_carlo(q: ScaledLogitNormal, p: ScaledLogitNormal, rng: np.random.Generator, n: int):

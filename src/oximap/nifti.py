@@ -20,7 +20,6 @@ MAGIC = b"n+1\x00"
 
 # NIfTI-1 datatype codes
 _DTYPES = {4: np.dtype("<i2"), 16: np.dtype("<f4"), 64: np.dtype("<f8")}
-_BITPIX = {4: 16, 16: 32, 64: 64}
 
 
 class NiftiFormatError(ValueError):

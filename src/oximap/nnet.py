@@ -24,8 +24,6 @@ import numpy as np
 from . import autodiff as ad
 from .distributions import ScaledLogitNormal, inverse_transform
 
-SOFTPLUS_DOC = "hidden nonlinearity: softplus(x) = log(1 + exp(x)), exact smooth rectifier"
-
 # normalized log-ratio signals live in roughly [-0.45, 0.05]; the fixed gain
 # brings them to unit scale so the first hidden layer starts well-conditioned
 # (without it the network underfits badly and posteriors stay prior-wide)

@@ -8,6 +8,10 @@ and an optional intravascular blood compartment complete the model family.
 
 All signal functions broadcast over leading axes of oef/dbv arrays and
 return arrays whose trailing axis runs over the acquisition's tau offsets.
+The model is written once, on the autodiff tape (normalized_model_signal_t
+and the helpers it calls); the plain-array functions run that code on
+constant tensors and return its data, so training and analysis evaluate
+the same arithmetic.
 """
 
 from __future__ import annotations
@@ -271,57 +275,10 @@ def blood_signal(proto: AcquisitionProtocol, c: PhysioConstants) -> np.ndarray:
 
 
 def blood_volume_weight(dbv, proto: AcquisitionProtocol, c: PhysioConstants):
-    """Effective blood signal fraction: steady-state magnetization * spin density * dbv."""
+    """Effective blood signal fraction: steady-state magnetization * spin density * dbv
+    (a number, an array or a tape tensor)."""
     mb = steady_state_magnetization(proto.tr, proto.ti, c.t1_blood)
-    return mb * c.blood_spin_density * np.asarray(dbv, dtype=np.float64)
-
-
-def _params(p):
-    if isinstance(p, TissueParams):
-        return np.float64(p.oef), np.float64(p.dbv)
-    oef, dbv = p
-    return np.asarray(oef, dtype=np.float64), np.asarray(dbv, dtype=np.float64)
-
-
-def tissue_signal_full(p, proto: AcquisitionProtocol, c: PhysioConstants, n_intervals: int = 64):
-    """Tissue compartment under the full static-dephasing model."""
-    oef, dbv = _params(p)
-    dw = delta_omega(oef, c, proto.b0)
-    i_vals = static_dephasing_integral(dw[..., None], proto.tau_array, n_intervals)
-    return np.exp(-c.r2_tissue * proto.te) * np.exp(-dbv[..., None] * i_vals)
-
-
-def _asymptotic_exponent(oef, dbv, proto, c, tc_mode):
-    """Tissue log-attenuation of the two-regime model, relative to the spin echo."""
-    dw = delta_omega(oef, c, proto.b0)
-    taus = proto.tau_array
-    a = dw[..., None] * np.abs(taus)
-    short = -0.3 * dbv[..., None] * a * a
-    long = dbv[..., None] * (1.0 - a)
-    return np.where(a < tc_mode, short, long)
-
-
-def tissue_signal_asymptotic(p, proto: AcquisitionProtocol, c: PhysioConstants, tc_mode: float = 1.5):
-    """Tissue compartment under the two-regime approximation.
-
-    Quadratic log-attenuation for |tau| below the transition time, linear
-    beyond it; |tau| equal to the transition time takes the linear branch.
-    """
-    oef, dbv = _params(p)
-    return np.exp(-c.r2_tissue * proto.te) * np.exp(_asymptotic_exponent(oef, dbv, proto, c, tc_mode))
-
-
-def total_signal(p, proto: AcquisitionProtocol, c: PhysioConstants, cfg: ForwardModelConfig):
-    """Voxel signal of the configured model variant, per tau offset."""
-    oef, dbv = _params(p)
-    if cfg.variant == "full":
-        tissue = tissue_signal_full((oef, dbv), proto, c, cfg.n_intervals)
-    else:
-        tissue = tissue_signal_asymptotic((oef, dbv), proto, c, cfg.tc_mode)
-    if cfg.compartments == 1:
-        return tissue
-    zp = blood_volume_weight(dbv, proto, c)[..., None]
-    return zp * blood_signal(proto, c) + (1.0 - zp) * tissue
+    return float(mb * c.blood_spin_density) * dbv
 
 
 def r2_prime(p, c: PhysioConstants, b0: float):
@@ -348,22 +305,7 @@ def normalize_signal(s, proto: AcquisitionProtocol) -> np.ndarray:
     return np.log(s / s[..., proto.se_index : proto.se_index + 1])
 
 
-def normalized_model_signal(oef, dbv, proto, c, cfg: ForwardModelConfig):
-    """Clean model signal in normalized (spin-echo log-ratio) space."""
-    oef = np.asarray(oef, dtype=np.float64)
-    dbv = np.asarray(dbv, dtype=np.float64)
-    if cfg.compartments == 1:
-        if cfg.variant == "full":
-            dw = delta_omega(oef, c, proto.b0)
-            i_vals = static_dephasing_integral(dw[..., None], proto.tau_array, cfg.n_intervals)
-            return -dbv[..., None] * i_vals
-        return _asymptotic_exponent(oef, dbv, proto, c, cfg.tc_mode)
-    total = total_signal((oef, dbv), proto, c, cfg)
-    log_total = np.log(total)
-    return log_total - log_total[..., proto.se_index : proto.se_index + 1]
-
-
-# differentiable (tape) forward model --------------------------------
+# the signal model, written once on the autodiff tape ------------------
 
 
 def dephasing_integral_t(dw_t: ad.Tensor, proto: AcquisitionProtocol, n_intervals: int) -> ad.Tensor:
@@ -383,6 +325,35 @@ def _expand(t: ad.Tensor) -> ad.Tensor:
     return ad.reshape(t, t.data.shape + (1,))
 
 
+def _tissue_log_t(oef_t, dbv_t, proto: AcquisitionProtocol, c: PhysioConstants, cfg: ForwardModelConfig):
+    """Tissue log-attenuation relative to the spin echo, one value per tau.
+
+    The two-regime variant is quadratic for |tau| below the characteristic
+    time and linear from it on. Its regime assignment is constant on the
+    tape, so its gradient is the almost-everywhere derivative.
+    """
+    # dw takes delta_omega's own value, so the regime boundary is where
+    # characteristic_time(delta_omega(oef)) puts it; d dw / d oef = delta_omega(1)
+    slope = float(delta_omega(1.0, c, proto.b0))
+    dw_t = ad.custom(delta_omega(oef_t.data, c, proto.b0), (oef_t,), lambda g: (g * slope,))
+    dbv_e = _expand(dbv_t)
+    if cfg.variant == "full":
+        return -(dbv_e * dephasing_integral_t(dw_t, proto, cfg.n_intervals))
+    abs_tau = np.abs(proto.tau_array)
+    a_t = _expand(dw_t) * abs_tau
+    short = -0.3 * dbv_e * (a_t * a_t)
+    long = dbv_e * (1.0 - a_t)
+    return ad.where(abs_tau < characteristic_time(dw_t.data[..., None], cfg.tc_mode), short, long)
+
+
+def _total_signal_t(oef_t, dbv_t, proto, c, cfg):
+    tissue = ad.exp(_tissue_log_t(oef_t, dbv_t, proto, c, cfg)) * float(np.exp(-c.r2_tissue * proto.te))
+    if cfg.compartments == 1:
+        return tissue
+    zp = blood_volume_weight(_expand(dbv_t), proto, c)
+    return zp * blood_signal(proto, c) + (1.0 - zp) * tissue
+
+
 def normalized_model_signal_t(
     oef_t: ad.Tensor,
     dbv_t: ad.Tensor,
@@ -390,31 +361,51 @@ def normalized_model_signal_t(
     c: PhysioConstants,
     cfg: ForwardModelConfig,
 ) -> ad.Tensor:
-    """Differentiable twin of normalized_model_signal, for the training losses.
-
-    The two-regime variant treats the regime assignment as constant, so its
-    gradient is the almost-everywhere derivative.
-    """
-    k = delta_omega(1.0, c, proto.b0)
-    taus = proto.tau_array
-    dbv_e = _expand(dbv_t)
-    if cfg.variant == "full":
-        dw_t = ad.mul(oef_t, float(k))
-        i_t = dephasing_integral_t(dw_t, proto, cfg.n_intervals)
-        tissue_log = ad.mul(ad.mul(dbv_e, i_t), -1.0)
-    else:
-        a_abs = ad.mul(_expand(ad.mul(oef_t, float(k))), np.abs(taus))
-        short = ad.mul(ad.mul(dbv_e, ad.mul(a_abs, a_abs)), -0.3)
-        long = ad.mul(dbv_e, ad.sub(1.0, a_abs))
-        tissue_log = ad.where(a_abs.data < cfg.tc_mode, short, long)
+    """Clean model signal in normalized (spin-echo log-ratio) space, on the tape."""
     if cfg.compartments == 1:
-        return tissue_log
-    tissue = ad.mul(ad.exp(tissue_log), float(np.exp(-c.r2_tissue * proto.te)))
-    mb_nb = steady_state_magnetization(proto.tr, proto.ti, c.t1_blood) * c.blood_spin_density
-    zp = ad.mul(dbv_e, float(mb_nb))
-    sb = blood_signal(proto, c)
-    total = ad.add(ad.mul(zp, sb), ad.mul(ad.sub(1.0, zp), tissue))
-    log_total = ad.log(total)
+        # the tissue log-attenuation is already zero at the spin echo
+        return _tissue_log_t(oef_t, dbv_t, proto, c, cfg)
+    log_total = ad.log(_total_signal_t(oef_t, dbv_t, proto, c, cfg))
     se = proto.se_index
-    idx = (Ellipsis, slice(se, se + 1))
-    return ad.sub(log_total, log_total[idx])
+    return log_total - log_total[..., se : se + 1]
+
+
+# plain-array entry points: the tape model on constants ---------------
+
+
+def _evaluate(model_t, oef, dbv, proto, c, cfg) -> np.ndarray:
+    """Run a tape model on constant inputs; the graph is dropped on return."""
+    return model_t(ad.Tensor(oef), ad.Tensor(dbv), proto, c, cfg).data
+
+
+def _params(p):
+    if isinstance(p, TissueParams):
+        return np.float64(p.oef), np.float64(p.dbv)
+    oef, dbv = p
+    return np.asarray(oef, dtype=np.float64), np.asarray(dbv, dtype=np.float64)
+
+
+def tissue_signal_full(p, proto: AcquisitionProtocol, c: PhysioConstants, n_intervals: int = 64):
+    """Tissue compartment under the full static-dephasing model."""
+    cfg = ForwardModelConfig(variant="full", compartments=1, n_intervals=n_intervals)
+    return _evaluate(_total_signal_t, *_params(p), proto, c, cfg)
+
+
+def tissue_signal_asymptotic(p, proto: AcquisitionProtocol, c: PhysioConstants, tc_mode: float = 1.5):
+    """Tissue compartment under the two-regime approximation.
+
+    Quadratic log-attenuation for |tau| below the transition time, linear
+    beyond it; |tau| equal to the transition time takes the linear branch.
+    """
+    cfg = ForwardModelConfig(variant="asymptotic", compartments=1, tc_mode=tc_mode)
+    return _evaluate(_total_signal_t, *_params(p), proto, c, cfg)
+
+
+def total_signal(p, proto: AcquisitionProtocol, c: PhysioConstants, cfg: ForwardModelConfig):
+    """Voxel signal of the configured model variant, per tau offset."""
+    return _evaluate(_total_signal_t, *_params(p), proto, c, cfg)
+
+
+def normalized_model_signal(oef, dbv, proto, c, cfg: ForwardModelConfig):
+    """Clean model signal in normalized (spin-echo log-ratio) space."""
+    return _evaluate(normalized_model_signal_t, oef, dbv, proto, c, cfg)

@@ -90,11 +90,6 @@ PRIOR_PRESETS = {
 }
 
 
-def sample_population(cfg: ParamPriorConfig, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n independent (oef, dbv) draws from the configured population priors."""
-    return cfg.sample(rng, n)
-
-
 @dataclass(frozen=True)
 class NoiseProfile:
     """Per-tau relative noise level and the spin-echo SNR range.

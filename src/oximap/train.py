@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .distributions import PARAM_OFFSET, PARAM_SCALE, inverse_transform
+from .distributions import LOG_2PI, PARAM_OFFSET, PARAM_SCALE, inverse_transform, kl_cholesky
 from .nnet import (
     SIGMA_IM_FLOOR,
     AdamWState,
@@ -42,9 +42,7 @@ from .physics import (
     normalized_model_signal_t,
 )
 from .synthgen import SynthDataset
-from .volume import Volume4D, valid_crop_corners
-
-_LOG_2PI = np.log(2.0 * np.pi)
+from .volume import Volume4D, planes_first, valid_crop_corners
 
 
 @dataclass(frozen=True)
@@ -60,15 +58,13 @@ class TrainingConfig:
     tv_lambda: float = 5.0
     crop_xy: int = 25
     swa_enabled: bool = False
-    kl_mode: str = "analytic"
-    kl_samples: int = 8
     val_fraction: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         if self.stage not in ("pretrain", "finetune"):
             raise ValueError(f"unknown stage {self.stage!r}")
-        for name in ("iterations", "batch_size", "n_samples_elbo", "crop_xy", "kl_samples"):
+        for name in ("iterations", "batch_size", "n_samples_elbo", "crop_xy"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.lr <= 0:
@@ -79,8 +75,6 @@ class TrainingConfig:
             raise ValueError("tv_lambda must be >= 0")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in [0, 1)")
-        if self.kl_mode not in ("analytic", "sampled"):
-            raise ValueError(f"unknown kl_mode {self.kl_mode!r}")
 
     @classmethod
     def pretrain_defaults(cls, **overrides) -> "TrainingConfig":
@@ -158,13 +152,6 @@ class PriorMaps:
     def grid_shape(self):
         return self.mu_l.shape[:3]
 
-    def crop_xy(self, x0: int, y0: int, size: int) -> "PriorMaps":
-        h, w, _ = self.grid_shape
-        if size < 1 or x0 < 0 or y0 < 0 or x0 + size > h or y0 + size > w:
-            raise ValueError(f"crop ({x0}, {y0}, size {size}) exceeds grid ({h}, {w})")
-        sl = (slice(x0, x0 + size), slice(y0, y0 + size))
-        return PriorMaps(self.mu_l[sl], self.chol_l[sl], self.mask[sl])
-
 
 # pretraining ---------------------------------------------------------
 
@@ -195,7 +182,7 @@ def pretrain_loss(pred: VoxelPrediction, truth) -> ad.Tensor:
         w1 = (r1 - p[..., 2] * w0) * ad.exp(-q1)
     else:
         w1 = r1 * ad.exp(-q1)
-    neg_logp = _LOG_2PI + q0 + q1 + 0.5 * (w0 * w0 + w1 * w1) + log_jac
+    neg_logp = LOG_2PI + q0 + q1 + 0.5 * (w0 * w0 + w1 * w1) + log_jac
     return ad.tmean(neg_logp)
 
 
@@ -288,56 +275,19 @@ def compute_prior_maps(theta: EncoderWeights, vol: Volume4D) -> PriorMaps:
 # negative ELBO --------------------------------------------------------
 
 
-def _kl_analytic_t(mu, q0, q1, q2, prior_mu, prior_chol):
-    """Per-voxel analytic KL(q || p) on the tape; priors are constants."""
-    lp00 = prior_chol[..., 0, 0]
-    lp10 = prior_chol[..., 1, 0]
-    lp11 = prior_chol[..., 1, 1]
-    m00 = ad.exp(q0) / lp00
-    m11 = ad.exp(q1) / lp11
-    if q2 is None:
-        m10 = m00 * (-lp10 / lp11)
-    else:
-        m10 = (q2 - lp10 * m00) / lp11
-    d0 = mu[..., 0] - prior_mu[..., 0]
-    d1 = mu[..., 1] - prior_mu[..., 1]
-    w0 = d0 / lp00
-    w1 = (d1 - lp10 * w0) / lp11
-    log_m00 = q0 - np.log(lp00)
-    log_m11 = q1 - np.log(lp11)
-    quad = m00 * m00 + m10 * m10 + m11 * m11 + w0 * w0 + w1 * w1
-    kl = 0.5 * (quad - 2.0) - (log_m00 + log_m11)
-    # rounding may leave a -1e-17 residue at q == p; KL is nonnegative and
-    # flat there, so the clamp changes neither the value nor the gradient
-    return ad.clip_min(kl, 0.0)
+def signal_loglik(x, log_sigma_im):
+    """The per-voxel diagonal-Gaussian log-likelihood of normalized signals x,
+    summed over tau, as a function of the model signal. The noise std is
+    exp(log_sigma_im) floored at SIGMA_IM_FLOOR; it is evaluated once, not
+    per draw. Arrays or tape tensors in, tape tensors out."""
+    sigma = ad.clip_min(ad.exp(log_sigma_im), SIGMA_IM_FLOOR)
+    log_norm = -0.5 * LOG_2PI - ad.log(sigma)
 
+    def loglik(s_model):
+        res = (x - s_model) / sigma
+        return ad.tsum(log_norm - 0.5 * (res * res), axis=-1)
 
-def _kl_sampled_t(mu, q0, q1, q2, prior_mu, prior_chol, z):
-    """Monte-Carlo KL(q || p) from reparameterized logit-space draws.
-
-    The box-transform Jacobians cancel because both densities are evaluated
-    at the same point, so only the Gaussian terms remain; the q term reduces
-    to its entropy because L_q^-1 (beta - mu_q) is the injected noise itself.
-    """
-    lp00 = prior_chol[..., 0, 0]
-    lp10 = prior_chol[..., 1, 0]
-    lp11 = prior_chol[..., 1, 1]
-    logdet_p = np.log(lp00) + np.log(lp11)
-    acc = None
-    for j in range(z.shape[0]):
-        z0 = z[j, ..., 0]
-        z1 = z[j, ..., 1]
-        b0 = mu[..., 0] + ad.exp(q0) * z0
-        b1 = mu[..., 1] + ad.exp(q1) * z1
-        if q2 is not None:
-            b1 = b1 + q2 * z0
-        u0 = (b0 - prior_mu[..., 0]) / lp00
-        u1 = ((b1 - prior_mu[..., 1]) - lp10 * u0) / lp11
-        log_q = -(q0 + q1) - 0.5 * (z0 * z0 + z1 * z1)
-        log_p = -logdet_p - 0.5 * (u0 * u0 + u1 * u1)
-        term = log_q - log_p
-        acc = term if acc is None else acc + term
-    return acc * (1.0 / z.shape[0])
+    return loglik
 
 
 def _elbo_core(psi, x_arr, mask_arr, prior_mu, prior_chol, proto, constants, fwd_cfg, cfg, rng):
@@ -353,32 +303,23 @@ def _elbo_core(psi, x_arr, mask_arr, prior_mu, prior_chol, proto, constants, fwd
     pred = encoder_forward(psi, x_t)
     mu = pred.mu_l
     p = pred.sigma_l_params
-    full = psi.config.covariance_mode == "full"
     q0 = p[..., 0]
     q1 = p[..., 1]
-    q2 = p[..., 2] if full else None
+    l00 = ad.exp(q0)
+    l11 = ad.exp(q1)
+    l10 = p[..., 2] if psi.config.covariance_mode == "full" else 0.0
+    kl_vox = kl_cholesky(mu, l00, l10, l11, q0, q1, prior_mu, prior_chol)
 
-    if cfg.kl_mode == "analytic":
-        kl_vox = _kl_analytic_t(mu, q0, q1, q2, prior_mu, prior_chol)
-    else:
-        z_kl = rng.standard_normal((cfg.kl_samples,) + mask_arr.shape + (2,))
-        kl_vox = _kl_sampled_t(mu, q0, q1, q2, prior_mu, prior_chol, z_kl)
-
-    sigma_im = ad.clip_min(ad.exp(pred.log_sigma_im), SIGMA_IM_FLOOR)
-    log_sigma = ad.log(sigma_im)
+    loglik = signal_loglik(x_t, pred.log_sigma_im)
     ll_acc = None
     for _ in range(cfg.n_samples_elbo):
         z = rng.standard_normal(mask_arr.shape + (2,))
-        b0 = mu[..., 0] + ad.exp(q0) * z[..., 0]
-        b1 = mu[..., 1] + ad.exp(q1) * z[..., 1]
-        if full:
-            b1 = b1 + q2 * z[..., 0]
+        b0 = mu[..., 0] + l00 * z[..., 0]
+        b1 = mu[..., 1] + l10 * z[..., 0] + l11 * z[..., 1]
         oef = PARAM_SCALE[0] * ad.logistic(b0) + PARAM_OFFSET[0]
         dbv = PARAM_SCALE[1] * ad.logistic(b1) + PARAM_OFFSET[1]
         s_model = normalized_model_signal_t(oef, dbv, proto, constants, fwd_cfg)
-        res = (x_t - s_model) / sigma_im
-        per_tau = -0.5 * _LOG_2PI - log_sigma - 0.5 * (res * res)
-        ll_vox = ad.tsum(per_tau, axis=-1)
+        ll_vox = loglik(s_model)
         ll_acc = ll_vox if ll_acc is None else ll_acc + ll_vox
     ll_vox = ll_acc * (1.0 / cfg.n_samples_elbo)
 
@@ -394,11 +335,6 @@ def _elbo_core(psi, x_arr, mask_arr, prior_mu, prior_chol, proto, constants, fwd
         ]
     )
     return loss, kl_mean, ll_mean, mean_maps
-
-
-def _planes_first(arr: np.ndarray) -> np.ndarray:
-    """Move the slice axis of an (h, w, d, ...) grid array to the front."""
-    return np.ascontiguousarray(np.moveaxis(arr, 2, 0))
 
 
 def elbo_loss(
@@ -424,10 +360,10 @@ def elbo_loss(
         raise ValueError("priors are not aligned with the batch grid and mask")
     loss, kl_mean, ll_mean, _ = _elbo_core(
         psi,
-        _planes_first(batch.data),
-        _planes_first(batch.mask),
-        _planes_first(priors.mu_l),
-        _planes_first(priors.chol_l),
+        planes_first(batch.data),
+        planes_first(batch.mask),
+        planes_first(priors.mu_l),
+        planes_first(priors.chol_l),
         proto,
         constants,
         fwd_cfg,
@@ -548,10 +484,10 @@ def run_finetuning(
             raise ValueError(f"volume {k} has no crop position containing a masked voxel")
         planes.append(
             {
-                "x": _planes_first(vol.data),
-                "mask": _planes_first(vol.mask),
-                "mu": _planes_first(priors.mu_l),
-                "chol": _planes_first(priors.chol_l),
+                "x": planes_first(vol.data),
+                "mask": planes_first(vol.mask),
+                "mu": planes_first(priors.mu_l),
+                "chol": planes_first(priors.chol_l),
                 "corners": corners,
             }
         )

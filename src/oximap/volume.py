@@ -1,4 +1,4 @@
-"""4-D volume container (x, y, z, tau) with a brain mask, plus normalization and crops."""
+"""4-D volume container (x, y, z, tau) with a brain mask, plus normalization and crop positions."""
 
 from __future__ import annotations
 
@@ -75,16 +75,9 @@ def normalize_volume(vol: Volume4D, proto: AcquisitionProtocol) -> tuple[Volume4
     return Volume4D(out, keep, vol.voxel_size_mm), dropped
 
 
-def crop_xy(vol: Volume4D, x0: int, y0: int, size: int) -> Volume4D:
-    """In-plane crop of side `size` at corner (x0, y0); all slices retained."""
-    h, w, _ = vol.grid_shape
-    if size < 1 or x0 < 0 or y0 < 0 or x0 + size > h or y0 + size > w:
-        raise ValueError(f"crop ({x0}, {y0}, size {size}) exceeds grid ({h}, {w})")
-    return Volume4D(
-        vol.data[x0 : x0 + size, y0 : y0 + size],
-        vol.mask[x0 : x0 + size, y0 : y0 + size],
-        vol.voxel_size_mm,
-    )
+def planes_first(arr: np.ndarray) -> np.ndarray:
+    """Move the slice axis of an (h, w, d, ...) grid array to the front."""
+    return np.ascontiguousarray(np.moveaxis(arr, 2, 0))
 
 
 def valid_crop_corners(vol: Volume4D, size: int) -> np.ndarray:
@@ -105,11 +98,3 @@ def valid_crop_corners(vol: Volume4D, size: int) -> np.ndarray:
     )
     return np.argwhere(counts > 0)
 
-
-def random_crop_xy(vol: Volume4D, size: int, rng: np.random.Generator) -> Volume4D:
-    """Uniform random in-plane crop among positions containing at least one masked voxel."""
-    valid = valid_crop_corners(vol, size)
-    if valid.size == 0:
-        raise ValueError("no crop position contains a masked voxel")
-    x0, y0 = valid[rng.integers(len(valid))]
-    return crop_xy(vol, int(x0), int(y0), size)

@@ -508,7 +508,7 @@ def _run_pipeline(root, region):
     theta = root / "theta.ckpt"
     rc = cli_dispatch([
         "pretrain", "--config", str(pre_cfg), "--dataset", str(ds),
-        "--out", str(theta), "--metrics", str(root / "pretrain.tsv"), "--threads", "1",
+        "--out", str(theta), "--metrics", str(root / "pretrain.tsv"),
     ])
     assert rc == 0
     ft_cfg = root / "finetune.yaml"
@@ -522,14 +522,14 @@ def _run_pipeline(root, region):
     rc = cli_dispatch([
         "finetune", "--config", str(ft_cfg), "--weights", str(theta),
         "--volume", str(phantom), "--out", str(psi),
-        "--metrics", str(root / "finetune.tsv"), "--threads", "1",
+        "--metrics", str(root / "finetune.tsv"),
     ])
     assert rc == 0
     maps = root / "maps"
     rc = cli_dispatch([
         "infer", "--weights", str(psi), "--prior-weights", str(theta),
         "--volume", str(phantom), "--out-dir", str(maps),
-        "--source", "vi+tv", "--seed", "2", "--config", str(ft_cfg), "--threads", "1",
+        "--source", "vi+tv", "--seed", "2", "--config", str(ft_cfg),
     ])
     assert rc == 0
     wls_dir = root / "wls"

@@ -4,6 +4,8 @@ summaries, and paired t-statistics against scipy."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
@@ -371,6 +373,24 @@ class TestPairedTstat:
         t0 = paired_tstat(a, b, smoothing_fwhm_mm=0.0)
         t6 = paired_tstat(a, b, smoothing_fwhm_mm=6.0)
         assert np.abs(t0 - t6).max() > 0.1
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_smoothing_ignores_values_outside_the_mask(self, seed):
+        # maps are NaN (or otherwise non-finite) outside the mask; smoothing
+        # must neither spread those values inward nor depend on which they are
+        rng = np.random.default_rng(seed)
+        mask = rng.random((14, 14, 2)) < 0.7
+        inside = rng.normal(0.4, 0.05, (2, 3) + mask.shape)
+        junk = np.array([np.nan, np.inf, -np.inf])[rng.integers(0, 3, inside.shape)]
+
+        def conditions(outside):
+            return [[np.where(mask, v, o) for v, o in zip(inside[c], outside[c])] for c in (0, 1)]
+
+        t = paired_tstat(*conditions(np.full(inside.shape, np.nan)))
+        t2 = paired_tstat(*conditions(junk))
+        assert np.all(np.isfinite(t[mask]))
+        assert np.array_equal(t[mask], t2[mask])
+        assert np.all(np.isnan(t[~mask]))
 
     def test_accepts_parammaps_and_selects_parameter(self, rng):
         oef_a = [rng.normal(0.4, 0.02, (2, 2, 1)) for _ in range(2)]

@@ -172,7 +172,7 @@ def pipeline(tmp_path_factory):
     metrics = root / "pretrain.tsv"
     rc = cli_dispatch([
         "pretrain", "--config", str(cfg), "--dataset", str(ds),
-        "--out", str(ckpt), "--metrics", str(metrics), "--threads", "1",
+        "--out", str(ckpt), "--metrics", str(metrics),
     ])
     assert rc == 0
     return {"root": root, "dataset": ds, "phantom": phantom, "ckpt": ckpt,

@@ -26,7 +26,6 @@ from oximap.synthgen import (
     generate_dataset,
     load_dataset,
     make_phantom,
-    sample_population,
     save_dataset,
 )
 
@@ -98,14 +97,14 @@ class TestParamPriorConfig:
     def test_normal_preset_moments_match_truncnorm_oracle(self):
         # asymmetric truncation to the support shifts the mean above the
         # nominal 0.40; the honest reference is the truncated-normal moment
-        draws = sample_population(PRIOR_PRESETS["normal"], np.random.default_rng(11), 100_000)
+        draws = PRIOR_PRESETS["normal"].sample(np.random.default_rng(11), 100_000)
         oef_tn = truncnorm_oracle(0.40, 0.20, 0.05, 0.85)
         dbv_tn = truncnorm_oracle(0.025, 0.02, 0.001, 0.301)
         assert abs(draws[:, 0].mean() - oef_tn.mean()) < 3.5 * oef_tn.std() / np.sqrt(100_000)
         assert abs(draws[:, 1].mean() - dbv_tn.mean()) < 3.5 * dbv_tn.std() / np.sqrt(100_000)
 
     def test_population_ks_against_inverse_cdf_oracle(self):
-        draws = sample_population(PRIOR_PRESETS["normal"], np.random.default_rng(2), 100_000)
+        draws = PRIOR_PRESETS["normal"].sample(np.random.default_rng(2), 100_000)
         assert stats.kstest(draws[:, 0], truncnorm_oracle(0.40, 0.20, 0.05, 0.85).cdf).pvalue > 1e-3
         assert stats.kstest(draws[:, 1], truncnorm_oracle(0.025, 0.02, 0.001, 0.301).cdf).pvalue > 1e-3
 

@@ -1,4 +1,4 @@
-"""Volume container, log-ratio normalization, and crop sampling tests."""
+"""Volume container, log-ratio normalization, and crop-position tests."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,7 @@ from numpy.testing import assert_allclose
 from oximap.volume import (
     DEFAULT_VOXEL_SIZE_MM,
     Volume4D,
-    crop_xy,
     normalize_volume,
-    random_crop_xy,
     valid_crop_corners,
 )
 
@@ -101,20 +99,6 @@ class TestNormalizeVolume:
 
 
 class TestCrops:
-    def test_crop_extracts_block(self):
-        vol = grid_volume(h=6, w=6)
-        sub = crop_xy(vol, 1, 2, 3)
-        assert sub.grid_shape == (3, 3, 3)
-        assert_allclose(sub.data, vol.data[1:4, 2:5])
-        assert np.array_equal(sub.mask, vol.mask[1:4, 2:5])
-        assert sub.voxel_size_mm == vol.voxel_size_mm
-
-    def test_crop_bounds_errors(self):
-        vol = grid_volume(h=4, w=5)
-        for x0, y0, size in [(-1, 0, 2), (0, -1, 2), (3, 0, 2), (0, 4, 2), (0, 0, 0)]:
-            with pytest.raises(ValueError, match="crop"):
-                crop_xy(vol, x0, y0, size)
-
     def test_valid_corners_match_brute_force(self):
         rng = np.random.default_rng(11)
         mask = rng.random((7, 6, 2)) < 0.2
@@ -135,25 +119,3 @@ class TestCrops:
         with pytest.raises(ValueError, match="crop size"):
             valid_crop_corners(vol, 6)
 
-    def test_random_crop_uniform_over_valid_corners(self):
-        # single masked voxel at (2, 3): exactly the 2x2 corners covering it qualify
-        mask = np.zeros((5, 5, 1), dtype=bool)
-        mask[2, 3, 0] = True
-        vol = Volume4D(np.ones((5, 5, 1, 2)), mask)
-        valid = {tuple(c) for c in valid_crop_corners(vol, 2)}
-        assert valid == {(1, 2), (1, 3), (2, 2), (2, 3)}
-        rng = np.random.default_rng(7)
-        counts = {c: 0 for c in valid}
-        n = 4000
-        for _ in range(n):
-            sub = random_crop_xy(vol, 2, rng)
-            # recover the corner by locating the masked voxel inside the crop
-            pos = np.argwhere(sub.mask)[0]
-            counts[(2 - pos[0], 3 - pos[1])] += 1
-        for c in valid:
-            assert abs(counts[c] / n - 0.25) < 0.04
-
-    def test_random_crop_needs_masked_voxel(self):
-        vol = Volume4D(np.ones((4, 4, 1, 2)), np.zeros((4, 4, 1), dtype=bool))
-        with pytest.raises(ValueError, match="masked voxel"):
-            random_crop_xy(vol, 2, np.random.default_rng(0))
