@@ -9,8 +9,23 @@ plain numpy so results are deterministic for a fixed input.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 from scipy.special import expit
+
+_recording = True  # False inside recording_off(): new tensors keep no parents and no vjp
+
+
+@contextmanager
+def recording_off():
+    """Build tensors without recording the graph, so intermediates are freed once unused."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class Tensor:
@@ -23,8 +38,8 @@ class Tensor:
     def __init__(self, data, parents=(), vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self._parents = parents
-        self._vjp = vjp
+        self._parents = parents if _recording else ()
+        self._vjp = vjp if _recording else None
 
     @property
     def shape(self):

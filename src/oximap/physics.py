@@ -11,7 +11,7 @@ return arrays whose trailing axis runs over the acquisition's tau offsets.
 The model is written once, on the autodiff tape (normalized_model_signal_t
 and the helpers it calls); the plain-array functions run that code on
 constant tensors and return its data, so training and analysis evaluate
-the same arithmetic.
+the same arithmetic. I is read from a table built by static_dephasing_integral's rule.
 """
 
 from __future__ import annotations
@@ -125,7 +125,6 @@ class ForwardModelConfig:
     variant: str = "full"
     compartments: int = 2
     tc_mode: float = 1.5
-    n_intervals: int = 64
 
     def __post_init__(self):
         if self.variant not in ("full", "asymptotic"):
@@ -134,8 +133,6 @@ class ForwardModelConfig:
             raise ValueError("compartments must be 1 or 2")
         if self.tc_mode not in (1.5, 1.0):
             raise ValueError("tc_mode must be 1.5 or 1.0")
-        if self.n_intervals < 2 or self.n_intervals % 2:
-            raise ValueError("n_intervals must be an even number >= 2")
 
 
 def delta_omega(oef, c: PhysioConstants, b0: float):
@@ -191,38 +188,19 @@ def _quad_rule(n_intervals: int):
     return u, w[1:-1] * prefactor, w[-1]
 
 
-_CHUNK = 1 << 17
-
-
-def _chunked(fn, a):
-    a = np.asarray(a, dtype=np.float64)
-    flat = a.reshape(-1)
-    out = np.empty_like(flat)
-    for start in range(0, flat.size, _CHUNK):
-        out[start : start + _CHUNK] = fn(flat[start : start + _CHUNK])
-    return out.reshape(a.shape)
-
-
 def _integral_core(a, n_intervals):
     u, cw, w_end = _quad_rule(n_intervals)
-
-    def piece(chunk):
-        args = 1.5 * chunk[:, None] * u[None, :]
-        # v = 1 endpoint: transformed integrand tends to 2 * (3/8) a^2
-        return one_minus_j0(args) @ cw + w_end * 0.75 * chunk * chunk
-
-    return _chunked(piece, a)
+    a = np.asarray(a, dtype=np.float64)
+    args = 1.5 * a.reshape(-1, 1) * u
+    # v = 1 endpoint: transformed integrand tends to 2 * (3/8) a^2
+    return (one_minus_j0(args) @ cw).reshape(a.shape) + w_end * 0.75 * a * a
 
 
 def _integral_core_dda(a, n_intervals):
     u, cw, w_end = _quad_rule(n_intervals)
-    cwu = cw * 1.5 * u
-
-    def piece(chunk):
-        args = 1.5 * chunk[:, None] * u[None, :]
-        return j1(args) @ cwu + w_end * 1.5 * chunk
-
-    return _chunked(piece, a)
+    a = np.asarray(a, dtype=np.float64)
+    args = 1.5 * a.reshape(-1, 1) * u
+    return (j1(args) @ (cw * 1.5 * u)).reshape(a.shape) + w_end * 1.5 * a
 
 
 def static_dephasing_integral(dw, tau, n_intervals: int = 64):
@@ -235,6 +213,51 @@ def static_dephasing_integral(dw, tau, n_intervals: int = 64):
         raise ValueError("n_intervals must be an even number >= 2")
     a = np.asarray(dw, dtype=np.float64) * np.asarray(tau, dtype=np.float64)
     return _integral_core(a, n_intervals)
+
+
+# The forward model reads I from a table: nodes every 1/32 in |a|, cubic Hermite
+# pieces between them. It covers |a| <= 32 and doubles as arguments need, up to 256.
+_NODES_PER_UNIT = 32
+_FIRST_EXTENT, _MAX_EXTENT = 32, 256
+
+
+@lru_cache(maxsize=None)
+def _kernel_table(extent: int) -> np.ndarray:
+    """Hermite coefficients (4, 32 * extent) of I in the offset t in [0, 1] of each node interval.
+
+    I and dI/da at the nodes in (m - 1, m] come from Simpson's rule with 32 (m + 1) panels: its
+    error grows like (a / panels)^4, which this holds near 3e-8. A node's value thus depends on
+    its own a only, never on how far the table reaches.
+    """
+    n = _NODES_PER_UNIT
+    y, d = [np.zeros(1)], [np.zeros(1)]  # I(0) = I'(0) = 0 exactly
+    for m in range(1, extent + 1):
+        a = np.arange(n * (m - 1) + 1, n * m + 1) / n
+        y.append(_integral_core(a, 32 * (m + 1)))
+        d.append(_integral_core_dda(a, 32 * (m + 1)) / n)
+    y, d = np.concatenate(y), np.concatenate(d)
+    step = np.diff(y)
+    return np.stack([y[:-1], d[:-1], 3.0 * step - 2.0 * d[:-1] - d[1:], d[:-1] + d[1:] - 2.0 * step])
+
+
+def _tabulated_integral(a, slope: bool = False):
+    """Tabulated I(|a|), or with slope=True the derivative in |a| of that same interpolant."""
+    x = np.abs(a) * _NODES_PER_UNIT
+    top = np.fmax.reduce(x, axis=None, initial=0.0) / _NODES_PER_UNIT
+    extent = _FIRST_EXTENT
+    while extent < top and extent <= _MAX_EXTENT:
+        extent *= 2
+    if extent > _MAX_EXTENT:
+        raise ValueError(f"|dw * tau| = {top:.6g} lies beyond the dephasing table's range [0, {_MAX_EXTENT}]")
+    coef = _kernel_table(extent)
+    # a NaN argument gets some clipped index and stays NaN through t
+    with np.errstate(invalid="ignore"):
+        k = np.minimum(x, coef.shape[1] - 1).astype(np.intp)
+    t = x - k
+    c0, c1, c2, c3 = (np.take(row, k, mode="clip") for row in coef)
+    if slope:
+        return (c1 + t * (2.0 * c2 + 3.0 * t * c3)) * _NODES_PER_UNIT
+    return c0 + t * (c1 + t * (c2 + t * c3))
 
 
 def mean_square_inhomogeneity(c: PhysioConstants, b0: float):
@@ -308,15 +331,14 @@ def normalize_signal(s, proto: AcquisitionProtocol) -> np.ndarray:
 # the signal model, written once on the autodiff tape ------------------
 
 
-def dephasing_integral_t(dw_t: ad.Tensor, proto: AcquisitionProtocol, n_intervals: int) -> ad.Tensor:
-    """Tape node for I(dw * tau): adjoint integrates J1 with the same Simpson weights."""
+def dephasing_integral_t(dw_t: ad.Tensor, proto: AcquisitionProtocol) -> ad.Tensor:
+    """Tape node for the tabulated I(dw * tau): the adjoint differentiates the same interpolant."""
     taus = proto.tau_array
     a = dw_t.data[..., None] * taus
-    out = _integral_core(a, n_intervals)
+    out = _tabulated_integral(a)
 
     def vjp(g):
-        dda = _integral_core_dda(a, n_intervals)
-        return ((g * dda * taus).sum(axis=-1),)
+        return ((g * _tabulated_integral(a, slope=True) * np.sign(a) * taus).sum(axis=-1),)
 
     return ad.custom(out, (dw_t,), vjp)
 
@@ -338,7 +360,7 @@ def _tissue_log_t(oef_t, dbv_t, proto: AcquisitionProtocol, c: PhysioConstants, 
     dw_t = ad.custom(delta_omega(oef_t.data, c, proto.b0), (oef_t,), lambda g: (g * slope,))
     dbv_e = _expand(dbv_t)
     if cfg.variant == "full":
-        return -(dbv_e * dephasing_integral_t(dw_t, proto, cfg.n_intervals))
+        return -(dbv_e * dephasing_integral_t(dw_t, proto))
     abs_tau = np.abs(proto.tau_array)
     a_t = _expand(dw_t) * abs_tau
     short = -0.3 * dbv_e * (a_t * a_t)
@@ -374,8 +396,10 @@ def normalized_model_signal_t(
 
 
 def _evaluate(model_t, oef, dbv, proto, c, cfg) -> np.ndarray:
-    """Run a tape model on constant inputs; the graph is dropped on return."""
-    return model_t(ad.Tensor(oef), ad.Tensor(dbv), proto, c, cfg).data
+    """Run a tape model on constant inputs with recording off, so each
+    intermediate array is freed as soon as the next op has used it."""
+    with ad.recording_off():
+        return model_t(ad.Tensor(oef), ad.Tensor(dbv), proto, c, cfg).data
 
 
 def _params(p):
@@ -385,9 +409,9 @@ def _params(p):
     return np.asarray(oef, dtype=np.float64), np.asarray(dbv, dtype=np.float64)
 
 
-def tissue_signal_full(p, proto: AcquisitionProtocol, c: PhysioConstants, n_intervals: int = 64):
+def tissue_signal_full(p, proto: AcquisitionProtocol, c: PhysioConstants):
     """Tissue compartment under the full static-dephasing model."""
-    cfg = ForwardModelConfig(variant="full", compartments=1, n_intervals=n_intervals)
+    cfg = ForwardModelConfig(variant="full", compartments=1)
     return _evaluate(_total_signal_t, *_params(p), proto, c, cfg)
 
 

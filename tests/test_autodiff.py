@@ -193,3 +193,17 @@ class TestGraph:
         out = ad.custom(x**3, [t], lambda g: (g * 3.0 * x**2,))
         ad.backward(ad.tsum(out))
         assert_allclose(t.grad, 3.0 * x**2)
+
+    def test_recording_off_same_values_no_graph(self, rng):
+        x = rng.uniform(0.5, 1.5, size=(4, 3))
+
+        def build():
+            t = ad.Tensor(x)
+            return ad.tsum(ad.exp(t) * t + ad.softplus(t) / (1.0 + t * t), axis=-1)
+
+        recorded = build()
+        with ad.recording_off():
+            detached = build()
+        assert detached.data.tobytes() == recorded.data.tobytes()
+        assert detached._parents == () and detached._vjp is None
+        assert build()._parents, "recording must resume after the block"

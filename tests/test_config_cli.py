@@ -90,6 +90,9 @@ class TestRunConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="section 'network'"):
             config_from_dict({"network": {"width": 8, "depth": 3}})
+        # the forward model has no quadrature setting
+        with pytest.raises(ConfigError, match="section 'forward'"):
+            config_from_dict({"forward": {"n_intervals": 64}})
 
     def test_invalid_value_names_section(self):
         with pytest.raises(ConfigError, match="invalid section 'training'"):

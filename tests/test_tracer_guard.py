@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from oximap import analysis, synthgen, train
+from oximap import analysis, physics, synthgen, train
 from oximap.nnet import NetworkConfig, init_weights
 from oximap.physics import AcquisitionProtocol, ForwardModelConfig, PhysioConstants
 from oximap.volume import normalize_volume
@@ -33,10 +33,20 @@ def test_install_wraps_every_name_and_uninstall_restores_it():
         assert getattr(owner, attr) is orig, f"{owner.__name__}.{attr} was not restored"
 
 
-def test_traced_pipeline_reaches_the_wrapped_names():
+def _finetune_setup():
     proto, const, fwd = AcquisitionProtocol(), PhysioConstants(), ForwardModelConfig()
     theta = init_weights(NetworkConfig(n_blocks=1, width=4), proto.n_t, np.random.default_rng(0))
     gated = NetworkConfig(n_blocks=1, width=4, spatial_mode="gated-residual")
+    cfg = train.TrainingConfig.finetune_defaults(
+        iterations=1, batch_size=1, crop_xy=4, n_samples_elbo=1
+    )
+    return proto, const, fwd, theta, gated, cfg
+
+
+def test_traced_pipeline_reaches_the_wrapped_names():
+    proto, const, fwd, theta, gated, cfg = _finetune_setup()
+    # the dephasing table is built once per process; build it under the tracer
+    physics._kernel_table.cache_clear()
     tracer = Tracer()
     tracer.install()
     try:
@@ -44,9 +54,6 @@ def test_traced_pipeline_reaches_the_wrapped_names():
         raw = synthgen.make_phantom((5, 5, 1), (0.4, 0.025), proto, const, fwd, 60.0,
                                     np.random.default_rng(1))
         vol, _ = normalize_volume(raw, proto)
-        cfg = train.TrainingConfig.finetune_defaults(
-            iterations=1, batch_size=1, crop_xy=4, n_samples_elbo=1
-        )
         psi = train.run_finetuning(theta, gated, cfg, [vol], proto, const, fwd)
         analysis.infer_maps(psi, vol, analysis.InferenceConfig(
             forward=fwd, n_std_samples=2, n_elbo_samples=1, prior_weights=theta))
@@ -75,3 +82,22 @@ def test_traced_pipeline_reaches_the_wrapped_names():
     }
     assert expected <= set(tracer.names), expected - set(tracer.names)
     assert rec["physics.forward.voxels"] > 0 and rec["autodiff.nodes"] > 0
+
+
+def test_warm_finetune_step_evaluates_no_bessel_function():
+    # once the table exists, the forward model and its adjoint only read it
+    proto, const, fwd, theta, gated, cfg = _finetune_setup()
+    raw = synthgen.make_phantom((5, 5, 1), (0.4, 0.025), proto, const, fwd, 60.0,
+                                np.random.default_rng(1))
+    vol, _ = normalize_volume(raw, proto)
+    train.run_finetuning(theta, gated, cfg, [vol], proto, const, fwd)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        train.run_finetuning(theta, gated, cfg, [vol], proto, const, fwd)
+        rec = tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert rec["physics.kernel.evals"] == 0
+    assert rec["physics.forward.voxels"] > 0
