@@ -100,17 +100,24 @@ def _nan_grid(grid) -> np.ndarray:
     return np.full(grid, np.nan)
 
 
-def _planes_last(arr: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(np.moveaxis(arr, 0, 2))
-
-
-def _full_grid_distribution(weights: EncoderWeights, vol: Volume4D):
-    """Detached posterior over the whole grid, plane-major; returns
-    (distribution, log_sigma_im) with arrays shaped (d, h, w, ...)."""
-    x = planes_first(vol.data)
-    pred = encoder_forward(weights, ad.Tensor(x))
+def _masked_posterior(weights: EncoderWeights, vol: Volume4D):
+    """Detached posterior at the masked voxels: (distribution, log_sigma_im)
+    with one row per voxel of planes_first(vol.mask), in plane-major order.
+    The encoder runs on the whole grid, since the gated conv reads
+    neighbours."""
+    m = planes_first(vol.mask)
+    pred = encoder_forward(weights, ad.Tensor(planes_first(vol.data)))
     dist = prediction_to_distribution(pred, weights.config.covariance_mode)
-    return dist, pred.log_sigma_im.data
+    return ScaledLogitNormal(dist.mu[m], dist.chol[m]), pred.log_sigma_im.data[m]
+
+
+def _scatter(vals: np.ndarray, vol: Volume4D) -> np.ndarray:
+    """(h, w, d) map holding per-voxel values given in plane-major mask
+    order; NaN outside the mask."""
+    m = planes_first(vol.mask)
+    planes = np.full(m.shape, np.nan)
+    planes[m] = vals
+    return np.ascontiguousarray(np.moveaxis(planes, 0, 2))
 
 
 def elbo_map(
@@ -122,50 +129,51 @@ def elbo_map(
     fwd_cfg: ForwardModelConfig,
     rng: np.random.Generator,
     n_samples: int = 32,
+    *,
+    _posterior=None,
 ) -> np.ndarray:
     """Per-voxel ELBO in nats (higher = better explained); NaN outside the
     mask.
 
     Analytic KL against the priors plus the mean over n_samples
     reparameterized draws of the diagonal-Gaussian signal log-likelihood,
-    both from the code the training loss runs. Noise draws cover the full
-    grid plane-major, so a generator seeded like the training loss
-    reproduces its exact draws and the masked mean of this map equals minus
-    the training loss on the same inputs. The draws are summed as plain
-    arrays, one at a time, so memory does not grow with n_samples.
+    both from the code the training loss runs. Each draw's noise is drawn
+    on the full grid plane-major, but only the masked voxels are evaluated,
+    so a generator seeded like the training loss reproduces its exact draws
+    and the masked mean of this map equals minus the training loss on the
+    same inputs. The draws are summed as plain arrays, one at a time, so
+    memory does not grow with n_samples. `_posterior` passes in the
+    posterior infer_maps has already computed, so the encoder runs once.
     """
     if priors.grid_shape != vol.grid_shape or not np.array_equal(priors.mask, vol.mask):
         raise ValueError("priors are not aligned with the volume grid and mask")
-    out = np.full(vol.grid_shape, np.nan)
     if not vol.mask.any():
-        return out
-    dist, log_sigma = _full_grid_distribution(weights, vol)
-    p_dist = ScaledLogitNormal(planes_first(priors.mu_l), planes_first(priors.chol_l))
+        return np.full(vol.grid_shape, np.nan)
+    dist, log_sigma = _masked_posterior(weights, vol) if _posterior is None else _posterior
+    m = planes_first(vol.mask)
+    p_dist = ScaledLogitNormal(planes_first(priors.mu_l)[m], planes_first(priors.chol_l)[m])
     kl_vox = kl_analytic(dist, p_dist)
 
-    x = planes_first(vol.data)
-    loglik = signal_loglik(x, log_sigma)
-    plane_grid = x.shape[:3]
-    ll_acc = np.zeros(plane_grid)
+    loglik = signal_loglik(planes_first(vol.data)[m], log_sigma)
+    ll_acc = np.zeros(kl_vox.shape)
     for _ in range(n_samples):
-        z = rng.standard_normal(plane_grid + (2,))
+        z = rng.standard_normal(m.shape + (2,))[m]
         y = dist.transform_noise(z)
         s_model = normalized_model_signal(y[..., 0], y[..., 1], proto, constants, fwd_cfg)
         ll_acc += loglik(s_model).data
-    elbo_vox = ll_acc / n_samples - kl_vox
-    grid_elbo = _planes_last(elbo_vox)
-    out[vol.mask] = grid_elbo[vol.mask]
-    return out
+    return _scatter(ll_acc / n_samples - kl_vox, vol)
 
 
 def infer_maps(weights: EncoderWeights, vol: Volume4D, cfg: InferenceConfig) -> ParamMaps:
     """Apply a trained network to a normalized volume.
 
-    Point maps are the transformed logit means; std and mc-mean maps come
-    from cfg.n_std_samples per-voxel posterior draws; R2' is the
-    deterministic map DBV * delta_omega(OEF) of the point estimates; the
-    ELBO map uses priors from cfg.prior_weights (or the network itself
-    when voxelwise and no prior network is given).
+    The encoder runs once, on the whole grid; everything after it runs on
+    the masked voxels only. Point maps are the transformed logit means; std
+    and mc-mean maps come from cfg.n_std_samples posterior draws per masked
+    voxel; R2' is the deterministic map DBV * delta_omega(OEF) of the point
+    estimates; the ELBO map reuses the same posterior, against priors from
+    cfg.prior_weights (or the network itself when voxelwise and no prior
+    network is given).
     """
     grid = vol.grid_shape
     maps = ParamMaps(
@@ -183,23 +191,21 @@ def infer_maps(weights: EncoderWeights, vol: Volume4D, cfg: InferenceConfig) -> 
     if not vol.mask.any():
         return maps
 
-    dist, _ = _full_grid_distribution(weights, vol)
+    dist, log_sigma = _masked_posterior(weights, vol)
     rng = np.random.default_rng(cfg.seed)
     point = forward_transform(dist.mu)
     samples = dist.sample(rng, cfg.n_std_samples)
     mc_mean = samples.mean(axis=0)
     mc_std = samples.std(axis=0, ddof=1)
 
-    def fill(target, planes_arr):
-        target[vol.mask] = _planes_last(planes_arr)[vol.mask]
-
-    fill(maps.oef_point, point[..., 0])
-    fill(maps.dbv_point, point[..., 1])
-    fill(maps.oef_mc_mean, mc_mean[..., 0])
-    fill(maps.dbv_mc_mean, mc_mean[..., 1])
-    fill(maps.oef_std, mc_std[..., 0])
-    fill(maps.dbv_std, mc_std[..., 1])
-    fill(maps.r2p_point, r2_prime((point[..., 0], point[..., 1]), cfg.constants, cfg.protocol.b0))
+    maps.oef_point = _scatter(point[:, 0], vol)
+    maps.dbv_point = _scatter(point[:, 1], vol)
+    maps.oef_mc_mean = _scatter(mc_mean[:, 0], vol)
+    maps.dbv_mc_mean = _scatter(mc_mean[:, 1], vol)
+    maps.oef_std = _scatter(mc_std[:, 0], vol)
+    maps.dbv_std = _scatter(mc_std[:, 1], vol)
+    r2p = r2_prime((point[:, 0], point[:, 1]), cfg.constants, cfg.protocol.b0)
+    maps.r2p_point = _scatter(r2p, vol)
 
     prior_net = cfg.prior_weights
     if prior_net is None:
@@ -216,6 +222,7 @@ def infer_maps(weights: EncoderWeights, vol: Volume4D, cfg: InferenceConfig) -> 
         cfg.forward,
         np.random.default_rng(cfg.seed + 1),
         cfg.n_elbo_samples,
+        _posterior=(dist, log_sigma),
     )
     return maps
 

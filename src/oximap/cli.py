@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import InferenceConfig, ParamMaps, infer_maps, paired_tstat, region_stats, wls_fit
 from .config import ConfigError, RunConfig, load_config
-from .nifti import NiftiFormatError, read_nifti, write_nifti
+from .nifti import NiftiFormatError, read_description, read_nifti, write_nifti
 from .nnet import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .synthgen import (
     DatasetFormatError,
@@ -209,6 +209,11 @@ def _read_maps_dir(path) -> ParamMaps:
     def rd(name):
         return read_nifti(os.path.join(path, MAP_FILES[name]))
 
+    # _write_maps labels each map "<name> (<source>)"
+    oef_path = os.path.join(path, MAP_FILES["oef"])
+    desc = read_description(oef_path)
+    if not (desc.startswith("oef (") and desc.endswith(")")):
+        raise ValueError(f"{oef_path}: header description {desc!r} does not name the map source")
     mask = read_nifti(os.path.join(path, "mask.nii")) > 0.5
     return ParamMaps(
         oef_point=rd("oef"),
@@ -217,7 +222,7 @@ def _read_maps_dir(path) -> ParamMaps:
         oef_std=rd("oef_std"),
         dbv_std=rd("dbv_std"),
         elbo=rd("elbo"),
-        source="vi",
+        source=desc[len("oef (") : -1],
         mask=mask,
     )
 

@@ -117,12 +117,24 @@ class ScaledLogitNormal:
     def transform_noise(self, z):
         """Push given standard-normal noise through the reparameterization."""
         z = np.asarray(z, dtype=np.float64)
-        l00 = self.chol[..., 0, 0]
-        l10 = self.chol[..., 1, 0]
-        l11 = self.chol[..., 1, 1]
-        b0 = self.mu[..., 0] + l00 * z[..., 0]
-        b1 = self.mu[..., 1] + l10 * z[..., 0] + l11 * z[..., 1]
-        return forward_transform(np.stack([b0, b1], axis=-1), self.s, self.o)
+        c = self.chol
+        with ad.recording_off():
+            y0, y1 = reparameterize(
+                self.mu, c[..., 0, 0], c[..., 1, 0], c[..., 1, 1], z, self.s, self.o
+            )
+        return np.stack([y0.data, y1.data], axis=-1)
+
+
+def reparameterize(mu, l00, l10, l11, z, s=PARAM_SCALE, o=PARAM_OFFSET):
+    """The reparameterized draw y = s * logistic(mu + L z) + o, per component.
+
+    L = [[l00, 0], [l10, l11]] and z is standard-normal noise with a
+    trailing axis of 2. mu and the entries of L may be arrays or tape
+    tensors; returns the two box coordinates (oef, dbv) as tape tensors.
+    """
+    b0 = mu[..., 0] + l00 * z[..., 0]
+    b1 = mu[..., 1] + l10 * z[..., 0] + l11 * z[..., 1]
+    return s[..., 0] * ad.logistic(b0) + o[..., 0], s[..., 1] * ad.logistic(b1) + o[..., 1]
 
 
 def _require_same_box(q: ScaledLogitNormal, p: ScaledLogitNormal):

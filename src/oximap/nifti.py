@@ -75,6 +75,23 @@ def write_nifti(vol, path, voxel_size_mm=None, description: str = "") -> None:
         fh.write(np.ascontiguousarray(data, dtype=np.float64).astype("<f4").tobytes(order="F"))
 
 
+def _check_header(raw: bytes, path) -> None:
+    if len(raw) < HEADER_SIZE:
+        raise NiftiFormatError("truncated", f"file is shorter than a NIfTI-1 header: {path}")
+    if raw[344:348] not in (b"n+1\x00", b"ni1\x00"):
+        raise NiftiFormatError("bad-magic", f"not a NIfTI-1 file (magic {raw[344:348]!r}): {path}")
+    if raw[344:348] == b"ni1\x00":
+        raise NiftiFormatError("bad-magic", f"two-file NIfTI (.hdr/.img) is not supported: {path}")
+
+
+def read_description(path) -> str:
+    """The text of a NIfTI-1 file's 80-byte header description (descrip)."""
+    with open(path, "rb") as fh:
+        raw = fh.read(HEADER_SIZE)
+    _check_header(raw, path)
+    return raw[148:228].split(b"\x00", 1)[0].decode("utf-8", errors="replace")
+
+
 def read_nifti(path):
     """Read a single-file uncompressed NIfTI-1 image.
 
@@ -84,12 +101,7 @@ def read_nifti(path):
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < HEADER_SIZE:
-        raise NiftiFormatError("truncated", f"file is shorter than a NIfTI-1 header: {path}")
-    if raw[344:348] not in (b"n+1\x00", b"ni1\x00"):
-        raise NiftiFormatError("bad-magic", f"not a NIfTI-1 file (magic {raw[344:348]!r}): {path}")
-    if raw[344:348] == b"ni1\x00":
-        raise NiftiFormatError("bad-magic", f"two-file NIfTI (.hdr/.img) is not supported: {path}")
+    _check_header(raw, path)
 
     dim = struct.unpack_from("<8h", raw, 40)
     ndim = dim[0]

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .distributions import LOG_2PI, PARAM_OFFSET, PARAM_SCALE, inverse_transform, kl_cholesky
+from .distributions import (
+    LOG_2PI,
+    PARAM_OFFSET,
+    PARAM_SCALE,
+    inverse_transform,
+    kl_cholesky,
+    reparameterize,
+)
 from .nnet import (
     SIGMA_IM_FLOOR,
     AdamWState,
@@ -293,40 +300,41 @@ def signal_loglik(x, log_sigma_im):
 def _elbo_core(psi, x_arr, mask_arr, prior_mu, prior_chol, proto, constants, fwd_cfg, cfg, rng):
     """Negative-ELBO graph on plane-major arrays (planes, h, w, ...).
 
+    The encoder runs on the whole grid, since the gated conv reads
+    neighbours; the KL, the draws, the forward model and the likelihood run
+    on the masked voxels only, gathered on the tape so the gradient is
+    scattered back. Each draw's noise is drawn for the whole grid, as
+    elbo_map draws it, so a generator seeded alike replays the same draws.
+
     Returns (loss, kl_mean, loglik_mean, mean_maps) where mean_maps is the
     tape tensor of transformed posterior means, shape (planes, h, w, 2).
     """
     n_masked = int(mask_arr.sum())
     if n_masked == 0:
         raise ValueError("batch contains no masked voxels")
-    x_t = ad.Tensor(x_arr)
-    pred = encoder_forward(psi, x_t)
+    pred = encoder_forward(psi, ad.Tensor(x_arr))
     mu = pred.mu_l
-    p = pred.sigma_l_params
+    mu_m = mu[mask_arr]
+    p = pred.sigma_l_params[mask_arr]
     q0 = p[..., 0]
     q1 = p[..., 1]
     l00 = ad.exp(q0)
     l11 = ad.exp(q1)
     l10 = p[..., 2] if psi.config.covariance_mode == "full" else 0.0
-    kl_vox = kl_cholesky(mu, l00, l10, l11, q0, q1, prior_mu, prior_chol)
+    kl_vox = kl_cholesky(mu_m, l00, l10, l11, q0, q1, prior_mu[mask_arr], prior_chol[mask_arr])
 
-    loglik = signal_loglik(x_t, pred.log_sigma_im)
+    loglik = signal_loglik(x_arr[mask_arr], pred.log_sigma_im[mask_arr])
     ll_acc = None
     for _ in range(cfg.n_samples_elbo):
-        z = rng.standard_normal(mask_arr.shape + (2,))
-        b0 = mu[..., 0] + l00 * z[..., 0]
-        b1 = mu[..., 1] + l10 * z[..., 0] + l11 * z[..., 1]
-        oef = PARAM_SCALE[0] * ad.logistic(b0) + PARAM_OFFSET[0]
-        dbv = PARAM_SCALE[1] * ad.logistic(b1) + PARAM_OFFSET[1]
-        s_model = normalized_model_signal_t(oef, dbv, proto, constants, fwd_cfg)
-        ll_vox = loglik(s_model)
+        z = rng.standard_normal(mask_arr.shape + (2,))[mask_arr]
+        oef, dbv = reparameterize(mu_m, l00, l10, l11, z)
+        ll_vox = loglik(normalized_model_signal_t(oef, dbv, proto, constants, fwd_cfg))
         ll_acc = ll_vox if ll_acc is None else ll_acc + ll_vox
     ll_vox = ll_acc * (1.0 / cfg.n_samples_elbo)
 
-    mask_f = mask_arr.astype(np.float64)
     inv = 1.0 / n_masked
-    kl_mean = ad.tsum(kl_vox * mask_f) * inv
-    ll_mean = ad.tsum(ll_vox * mask_f) * inv
+    kl_mean = ad.tsum(kl_vox) * inv
+    ll_mean = ad.tsum(ll_vox) * inv
     loss = kl_mean - ll_mean
     mean_maps = ad.stack_last(
         [

@@ -1,10 +1,11 @@
 """Map-making and statistics tests: the per-voxel ELBO map against the
-training loss (dual route), WLS self-inversion on matched data, region
-summaries, and paired t-statistics against scipy."""
+training loss (dual route), masked-only evaluation against a full-grid
+reference, WLS self-inversion on matched data, region summaries, and paired
+t-statistics against scipy."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
@@ -19,11 +20,13 @@ from oximap.analysis import (
     region_stats,
     wls_fit,
 )
-from oximap.distributions import forward_transform
+from oximap.distributions import forward_transform, kl_cholesky, reparameterize
 from oximap.nnet import (
     NetworkConfig,
+    collect_gradients,
     encoder_forward,
     extend_weights,
+    init_weights,
     prediction_to_distribution,
 )
 from oximap.physics import (
@@ -31,9 +34,17 @@ from oximap.physics import (
     ForwardModelConfig,
     PhysioConstants,
     delta_omega,
+    normalized_model_signal_t,
 )
 from oximap.synthgen import PRIOR_PRESETS, NoiseProfile, generate_dataset, make_phantom
-from oximap.train import TrainingConfig, compute_prior_maps, elbo_loss, run_pretraining
+from oximap.train import (
+    TrainingConfig,
+    _elbo_core,
+    compute_prior_maps,
+    elbo_loss,
+    run_pretraining,
+    signal_loglik,
+)
 from oximap.volume import Volume4D, normalize_volume
 
 FWD1 = ForwardModelConfig(variant="asymptotic", compartments=1)
@@ -231,6 +242,83 @@ class TestInferMaps:
                                                                 n_elbo_samples=2))
         assert abs(np.nanmean(maps.oef_point) - 0.4) < 0.07
         assert abs(np.nanmean(maps.dbv_point) - 0.025) < 0.01
+
+
+def full_grid_loss(psi, x, mask, prior_mu, prior_chol, proto, constants, fwd, n_draws, rng):
+    """Reference negative ELBO: every grid voxel goes through the KL, the
+    draws, the forward model and the likelihood, then a 0/1 mask weights the
+    sums. Same generator calls as the training loss."""
+    pred = encoder_forward(psi, ad.Tensor(x))
+    mu, p = pred.mu_l, pred.sigma_l_params
+    q0, q1 = p[..., 0], p[..., 1]
+    l00, l11 = ad.exp(q0), ad.exp(q1)
+    l10 = p[..., 2] if psi.config.covariance_mode == "full" else 0.0
+    kl = kl_cholesky(mu, l00, l10, l11, q0, q1, prior_mu, prior_chol)
+    loglik = signal_loglik(x, pred.log_sigma_im)
+    ll = 0.0
+    for _ in range(n_draws):
+        oef, dbv = reparameterize(mu, l00, l10, l11, rng.standard_normal(mask.shape + (2,)))
+        ll = ll + loglik(normalized_model_signal_t(oef, dbv, proto, constants, fwd))
+    w = mask.astype(np.float64) / mask.sum()
+    return ad.tsum(kl * w) - ad.tsum(ll * (1.0 / n_draws) * w)
+
+
+GRID = (2, 4, 4)  # planes, h, w
+N_VOX = int(np.prod(GRID))
+
+
+class TestMaskedOnlyEvaluation:
+    @settings(max_examples=30)
+    @given(
+        bits=st.lists(st.booleans(), min_size=N_VOX, max_size=N_VOX).filter(any),
+        cov=st.sampled_from(["diagonal", "full"]),
+        spatial=st.sampled_from(["voxelwise", "gated-residual"]),
+    )
+    @example(bits=[False] * 5 + [True] + [False] * (N_VOX - 6), cov="full", spatial="gated-residual")
+    @example(bits=[True] * N_VOX, cov="diagonal", spatial="gated-residual")
+    def test_training_loss_and_gradients_match_full_grid(self, proto_m, constants_m, bits,
+                                                         cov, spatial):
+        mask = np.array(bits).reshape(GRID)
+        rng = np.random.default_rng(sum(bits))
+        psi = init_weights(NetworkConfig(n_blocks=1, width=6, covariance_mode=cov),
+                           proto_m.n_t, rng)
+        if spatial == "gated-residual":
+            psi = extend_weights(psi, rng)
+        x = rng.normal(-0.1, 0.05, GRID + (proto_m.n_t,))
+        prior_mu = rng.normal(0.0, 1.0, GRID + (2,))
+        prior_chol = np.zeros(GRID + (2, 2))
+        prior_chol[..., 0, 0] = np.exp(rng.normal(0.0, 0.3, GRID))
+        prior_chol[..., 1, 0] = rng.normal(0.0, 0.3, GRID)
+        prior_chol[..., 1, 1] = np.exp(rng.normal(0.0, 0.3, GRID))
+        fwd = ForwardModelConfig()
+        cfg = TrainingConfig.finetune_defaults(n_samples_elbo=2)
+
+        ad.zero_grads(psi.tensors.values())
+        loss = _elbo_core(psi, x, mask, prior_mu, prior_chol, proto_m, constants_m, fwd, cfg,
+                          np.random.default_rng(3))[0]
+        grads = collect_gradients(psi, loss)
+        ad.zero_grads(psi.tensors.values())
+        ref = full_grid_loss(psi, x, mask, prior_mu, prior_chol, proto_m, constants_m, fwd, 2,
+                             np.random.default_rng(3))
+        ref_grads = collect_gradients(psi, ref)
+        assert_allclose(loss.data, ref.data, rtol=1e-12)
+        for name, g in ref_grads.items():
+            assert_allclose(grads[name], g, rtol=1e-12, err_msg=name)
+
+    @settings(max_examples=10)
+    @given(seed=st.integers(0, 2**16))
+    def test_maps_ignore_data_outside_the_mask(self, theta16, phantom_vol, seed):
+        rng = np.random.default_rng(seed)
+        mask = rng.random(phantom_vol.grid_shape) < 0.5
+        mask[0, 0, 0] = True
+        other = phantom_vol.data.copy()
+        other[~mask] = rng.normal(-0.2, 0.1, (int((~mask).sum()), other.shape[-1]))
+        cfg = InferenceConfig(forward=FWD1, n_std_samples=8, n_elbo_samples=2, seed=seed)
+        a = infer_maps(theta16, Volume4D(phantom_vol.data, mask), cfg)
+        b = infer_maps(theta16, Volume4D(other, mask), cfg)
+        for name in ("oef_point", "dbv_point", "oef_std", "dbv_std", "elbo"):
+            assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+            assert np.isnan(getattr(a, name)[~mask]).all(), name
 
 
 class TestWlsFit:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from oximap.cli import cli_dispatch
+from oximap.cli import _read_maps_dir, cli_dispatch
 from oximap.config import (
     ConfigError,
     RunConfig,
@@ -262,6 +262,20 @@ class TestCliPipeline:
         elbo = read_nifti(out / "elbo.nii")
         assert np.isnan(elbo).all()  # the baseline carries no ELBO
 
+    def test_maps_dir_reads_back_its_source(self, pipeline):
+        root = pipeline["root"]
+        wls = root / "maps_src_wls"
+        assert cli_dispatch([
+            "wls", "--volume", str(pipeline["phantom"]), "--out-dir", str(wls),
+        ]) == 0
+        assert _read_maps_dir(wls).source == "wls"
+        vi_tv = root / "maps_src_vi_tv"
+        assert cli_dispatch([
+            "infer", "--weights", str(pipeline["ckpt"]), "--volume", str(pipeline["phantom"]),
+            "--out-dir", str(vi_tv), "--source", "vi+tv",
+        ]) == 0
+        assert _read_maps_dir(vi_tv).source == "vi+tv"
+
     def test_stats_table(self, pipeline, capsys):
         maps_dir = pipeline["root"] / "maps_vi"
         region = pipeline["root"] / "region.nii"
@@ -321,6 +335,18 @@ class TestCliErrors:
         ])
         assert rc == 1
         assert "no.yaml" in capsys.readouterr().err
+
+    def test_maps_dir_without_source_label_exits_1(self, tmp_path, pipeline, capsys):
+        maps_dir = tmp_path / "maps"
+        assert cli_dispatch([
+            "wls", "--volume", str(pipeline["phantom"]), "--out-dir", str(maps_dir),
+        ]) == 0
+        write_nifti(read_nifti(maps_dir / "oef.nii"), maps_dir / "oef.nii", description="oef")
+        region = tmp_path / "region.nii"
+        write_nifti(np.ones((8, 8, 2)), region)
+        rc = cli_dispatch(["stats", "--maps-dir", str(maps_dir), "--region", str(region)])
+        assert rc == 1
+        assert "map source" in capsys.readouterr().err
 
     def test_3d_volume_rejected(self, tmp_path, pipeline, capsys):
         vol3 = tmp_path / "vol3.nii"

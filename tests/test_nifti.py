@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oximap.nifti import HEADER_SIZE, MAGIC, VOX_OFFSET, NiftiFormatError, read_nifti, write_nifti
+from oximap.nifti import (
+    HEADER_SIZE,
+    MAGIC,
+    VOX_OFFSET,
+    NiftiFormatError,
+    read_description,
+    read_nifti,
+    write_nifti,
+)
 from oximap.volume import Volume4D
 
 
@@ -99,6 +107,7 @@ class TestRoundTrip:
         write_nifti(np.zeros((2, 2, 2)), tmp_path / "d.nii", description="oef map")
         raw = (tmp_path / "d.nii").read_bytes()
         assert raw[148:155] == b"oef map"
+        assert read_description(tmp_path / "d.nii") == "oef map"
 
     def test_write_rejects_other_ranks(self, tmp_path):
         with pytest.raises(ValueError, match="3-D or 4-D"):

@@ -101,3 +101,43 @@ def test_warm_finetune_step_evaluates_no_bessel_function():
         tracer.uninstall()
     assert rec["physics.kernel.evals"] == 0
     assert rec["physics.forward.voxels"] > 0
+
+
+def _span_count(tracer, name):
+    ix = tracer.names.index(name)
+    return sum(1 for i in tracer.span_name if i == ix)
+
+
+def test_only_masked_voxels_reach_the_forward_model():
+    # the forward model sees masked voxels only, once per draw, and infer_maps
+    # runs the encoder once: the ELBO map reuses its posterior
+    proto, const, fwd, theta, gated, cfg = _finetune_setup()
+    mask = np.zeros((5, 5, 2), bool)
+    mask[1:4, 1:3] = True
+    mask[4, 4, 1] = True
+    raw = synthgen.make_phantom((5, 5, 2), (0.4, 0.025), proto, const, fwd, 60.0,
+                                np.random.default_rng(1), mask)
+    vol, _ = normalize_volume(raw, proto)
+    n_masked = int(mask.sum())
+    whole_plane = train.TrainingConfig.finetune_defaults(
+        iterations=1, batch_size=1, crop_xy=5, n_samples_elbo=3
+    )
+    icfg = analysis.InferenceConfig(forward=fwd, n_std_samples=4, n_elbo_samples=2,
+                                    prior_weights=theta)
+    psi = train.run_finetuning(theta, gated, cfg, [vol], proto, const, fwd)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        train.run_finetuning(theta, gated, whole_plane, [vol], proto, const, fwd)
+        step = tracer.end_op()
+        tracer.begin_op()
+        analysis.infer_maps(psi, vol, icfg)
+        infer = tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert step["physics.forward.voxels"] == n_masked * 3
+    assert infer["physics.forward.voxels"] == n_masked * 2
+    assert _span_count(tracer, "analysis.encoder_forward") == 1
+    assert _span_count(tracer, "analysis.elbo_map") == 1
+    assert _span_count(tracer, "distributions.ScaledLogitNormal.sample") >= 1
