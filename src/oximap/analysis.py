@@ -32,6 +32,16 @@ from .volume import DEFAULT_VOXEL_SIZE_MM, Volume4D, planes_first
 
 MAP_SOURCES = ("wls", "synth", "vi", "vi+tv")
 
+# the per-voxel maps every source fills: map name -> ParamMaps attribute
+MAP_FIELDS = {
+    "oef": "oef_point",
+    "dbv": "dbv_point",
+    "r2p": "r2p_point",
+    "oef_std": "oef_std",
+    "dbv_std": "dbv_std",
+    "elbo": "elbo",
+}
+
 
 @dataclass
 class ParamMaps:
@@ -59,7 +69,7 @@ class ParamMaps:
             raise ValueError(f"unknown source {self.source!r}")
         self.mask = np.asarray(self.mask, dtype=bool)
         grid = self.mask.shape
-        for name in ("oef_point", "dbv_point", "r2p_point", "oef_std", "dbv_std", "elbo"):
+        for name in MAP_FIELDS.values():
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != grid:
                 raise ValueError(f"{name} must match the mask grid {grid}")
@@ -96,8 +106,11 @@ class InferenceConfig:
             raise ValueError(f"unknown source {self.source!r}")
 
 
-def _nan_grid(grid) -> np.ndarray:
-    return np.full(grid, np.nan)
+def _nan_maps(vol: Volume4D, source: str, *optional: str) -> ParamMaps:
+    """All-NaN maps on the volume's grid; the optional fields named are NaN
+    too, the others stay None."""
+    nan = {name: np.full(vol.grid_shape, np.nan) for name in (*MAP_FIELDS.values(), *optional)}
+    return ParamMaps(**nan, source=source, mask=vol.mask.copy())
 
 
 def _masked_posterior(weights: EncoderWeights, vol: Volume4D):
@@ -106,7 +119,8 @@ def _masked_posterior(weights: EncoderWeights, vol: Volume4D):
     The encoder runs on the whole grid, since the gated conv reads
     neighbours."""
     m = planes_first(vol.mask)
-    pred = encoder_forward(weights, ad.Tensor(planes_first(vol.data)))
+    with ad.recording_off():
+        pred = encoder_forward(weights, ad.Tensor(planes_first(vol.data)))
     dist = prediction_to_distribution(pred, weights.config.covariance_mode)
     return ScaledLogitNormal(dist.mu[m], dist.chol[m]), pred.log_sigma_im.data[m]
 
@@ -175,19 +189,7 @@ def infer_maps(weights: EncoderWeights, vol: Volume4D, cfg: InferenceConfig) -> 
     cfg.prior_weights (or the network itself when voxelwise and no prior
     network is given).
     """
-    grid = vol.grid_shape
-    maps = ParamMaps(
-        oef_point=_nan_grid(grid),
-        dbv_point=_nan_grid(grid),
-        r2p_point=_nan_grid(grid),
-        oef_std=_nan_grid(grid),
-        dbv_std=_nan_grid(grid),
-        elbo=_nan_grid(grid),
-        source=cfg.source,
-        mask=vol.mask.copy(),
-        oef_mc_mean=_nan_grid(grid),
-        dbv_mc_mean=_nan_grid(grid),
-    )
+    maps = _nan_maps(vol, cfg.source, "oef_mc_mean", "dbv_mc_mean")
     if not vol.mask.any():
         return maps
 
@@ -257,17 +259,7 @@ def wls_fit(
         )
     tsel = np.abs(taus[sel])
 
-    grid = vol.grid_shape
-    maps = ParamMaps(
-        oef_point=_nan_grid(grid),
-        dbv_point=_nan_grid(grid),
-        r2p_point=_nan_grid(grid),
-        oef_std=_nan_grid(grid),
-        dbv_std=_nan_grid(grid),
-        elbo=_nan_grid(grid),
-        source="wls",
-        mask=vol.mask.copy(),
-    )
+    maps = _nan_maps(vol, "wls")
     if not vol.mask.any():
         return maps
 

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .analysis import InferenceConfig, ParamMaps, infer_maps, paired_tstat, region_stats, wls_fit
+from .analysis import MAP_FIELDS, InferenceConfig, ParamMaps, infer_maps, paired_tstat, region_stats, wls_fit
 from .config import ConfigError, RunConfig, load_config
 from .nifti import NiftiFormatError, read_description, read_nifti, write_nifti
 from .nnet import CheckpointFormatError, load_checkpoint, save_checkpoint
@@ -31,15 +31,6 @@ from .synthgen import (
 )
 from .train import TrainingConfig, run_finetuning, run_pretraining
 from .volume import Volume4D, normalize_volume
-
-MAP_FILES = {
-    "oef": "oef.nii",
-    "dbv": "dbv.nii",
-    "r2p": "r2p.nii",
-    "oef_std": "oef_std.nii",
-    "dbv_std": "dbv_std.nii",
-    "elbo": "elbo.nii",
-}
 
 
 def _load_run_config(args) -> RunConfig:
@@ -165,7 +156,7 @@ def _cmd_infer(args) -> int:
     )
     maps = infer_maps(weights, vol, icfg)
     _write_maps(maps, vol, args.out_dir)
-    print(f"wrote {len(MAP_FILES)} maps + mask to {args.out_dir}")
+    print(f"wrote {len(MAP_FIELDS)} maps + mask to {args.out_dir}")
     return 0
 
 
@@ -176,54 +167,41 @@ def _cmd_wls(args) -> int:
     vol, _ = normalize_volume(raw, cfg.protocol)
     maps = wls_fit(vol, cfg.protocol, cfg.constants, tc_mode=cfg.forward.tc_mode)
     _write_maps(maps, vol, args.out_dir)
-    print(f"wrote {len(MAP_FILES)} maps + mask to {args.out_dir}")
+    print(f"wrote {len(MAP_FIELDS)} maps + mask to {args.out_dir}")
     return 0
+
+
+def _map_path(maps_dir, name) -> str:
+    return os.path.join(maps_dir, f"{name}.nii")
 
 
 def _write_maps(maps: ParamMaps, vol: Volume4D, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    fields = {
-        "oef": maps.oef_point,
-        "dbv": maps.dbv_point,
-        "r2p": maps.r2p_point,
-        "oef_std": maps.oef_std,
-        "dbv_std": maps.dbv_std,
-        "elbo": maps.elbo,
-    }
-    for name, arr in fields.items():
+    for name, attr in MAP_FIELDS.items():
         write_nifti(
-            arr,
-            os.path.join(out_dir, MAP_FILES[name]),
+            getattr(maps, attr),
+            _map_path(out_dir, name),
             voxel_size_mm=vol.voxel_size_mm,
             description=f"{name} ({maps.source})",
         )
     write_nifti(
         maps.mask.astype(np.float64),
-        os.path.join(out_dir, "mask.nii"),
+        _map_path(out_dir, "mask"),
         voxel_size_mm=vol.voxel_size_mm,
         description="mask",
     )
 
 
 def _read_maps_dir(path) -> ParamMaps:
-    def rd(name):
-        return read_nifti(os.path.join(path, MAP_FILES[name]))
-
     # _write_maps labels each map "<name> (<source>)"
-    oef_path = os.path.join(path, MAP_FILES["oef"])
+    oef_path = _map_path(path, "oef")
     desc = read_description(oef_path)
     if not (desc.startswith("oef (") and desc.endswith(")")):
         raise ValueError(f"{oef_path}: header description {desc!r} does not name the map source")
-    mask = read_nifti(os.path.join(path, "mask.nii")) > 0.5
     return ParamMaps(
-        oef_point=rd("oef"),
-        dbv_point=rd("dbv"),
-        r2p_point=rd("r2p"),
-        oef_std=rd("oef_std"),
-        dbv_std=rd("dbv_std"),
-        elbo=rd("elbo"),
+        **{attr: read_nifti(_map_path(path, name)) for name, attr in MAP_FIELDS.items()},
         source=desc[len("oef (") : -1],
-        mask=mask,
+        mask=read_nifti(_map_path(path, "mask")) > 0.5,
     )
 
 

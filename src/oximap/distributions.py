@@ -1,22 +1,27 @@
 """Scaled logit-normal distribution over (oef, dbv) and its KL machinery.
 
 A 2-d Gaussian with mean mu and lower-triangular Cholesky factor L lives in
-logit space; pushing samples through f(beta) = scale * logistic(beta) + offset
-confines them to the open box (offset, offset + scale). The density follows
-by the change of variables, whose exact log-Jacobian is
-  -sum_i log(scale_i * yhat_i * (1 - yhat_i)),   yhat = (y - offset) / scale.
+logit space; the box map f(beta) = PARAM_SCALE * logistic(beta) + PARAM_OFFSET
+confines it to the fixed open box (0.05, 0.85) x (0.001, 0.301). The density
+follows by the change of variables, whose exact log-Jacobian is
+  -sum_i log(PARAM_SCALE_i * yhat_i * (1 - yhat_i)),   yhat = (y - PARAM_OFFSET) / PARAM_SCALE.
 
-Because two such distributions that share scale and offset differ only by
-their Gaussian bases, their KL divergence equals the Gaussian KL, which is
-available in closed form; a Monte Carlo estimate is kept as a cross-check.
+Two such distributions share the box, so their KL divergence equals the
+Gaussian KL of their bases, which is available in closed form; a Monte
+Carlo estimate is kept as a cross-check.
+
+The box map, the reparameterized draw, the log-density, the Cholesky
+read-out of the encoder's covariance head and the KL each have one body
+that takes arrays or tape tensors: training runs them on the tape, analysis
+under ad.recording_off().
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, ndtr, ndtri
+from scipy.special import ndtr, ndtri
 
 from . import autodiff as ad
 
@@ -27,27 +32,71 @@ PARAM_NAMES = ("oef", "dbv")
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def forward_transform(beta, s=None, o=None):
-    """Map logit-space coordinates into the open parameter box: s * logistic(beta) + o."""
-    s = PARAM_SCALE if s is None else np.asarray(s, dtype=np.float64)
-    o = PARAM_OFFSET if o is None else np.asarray(o, dtype=np.float64)
-    return s * expit(np.asarray(beta, dtype=np.float64)) + o
+def to_box(beta):
+    """The box map PARAM_SCALE * logistic(beta) + PARAM_OFFSET over a
+    trailing (oef, dbv) axis; an array or tape tensor in, a tape tensor out."""
+    return PARAM_SCALE * ad.logistic(beta) + PARAM_OFFSET
 
 
-def inverse_transform(y, s=None, o=None):
+def forward_transform(beta):
+    """Map logit-space coordinates into the open parameter box (arrays)."""
+    with ad.recording_off():
+        return to_box(np.asarray(beta, dtype=np.float64)).data
+
+
+def inverse_transform(y):
     """Logits of box coordinates; raises if any component leaves the open box."""
-    s = PARAM_SCALE if s is None else np.asarray(s, dtype=np.float64)
-    o = PARAM_OFFSET if o is None else np.asarray(o, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    yhat = (y - o) / s
+    yhat = (y - PARAM_OFFSET) / PARAM_SCALE
     bad = np.nonzero(~((yhat > 0.0) & (yhat < 1.0)))
     if bad[0].size:
         first = tuple(int(b[0]) for b in bad)
-        comp = first[-1] if y.ndim else 0
-        name = PARAM_NAMES[comp] if len(s.shape) and s.shape[-1] == 2 and comp < 2 else f"component {comp}"
-        lo, hi = np.broadcast_to(o, y.shape)[first], (np.broadcast_to(o, y.shape) + np.broadcast_to(s, y.shape))[first]
-        raise ValueError(f"{name} value {y[first]} outside the open support ({lo}, {hi})")
+        k = first[-1]
+        lo, hi = PARAM_OFFSET[k], PARAM_OFFSET[k] + PARAM_SCALE[k]
+        value = np.broadcast_to(y, yhat.shape)[first]
+        raise ValueError(f"{PARAM_NAMES[k]} value {value} outside the open support ({lo}, {hi})")
     return np.log(yhat) - np.log1p(-yhat)
+
+
+def cholesky_entries(p):
+    """Read the Cholesky factor L = [[l00, 0], [l10, l11]] out of the
+    encoder's covariance layout p = (log l00, log l11[, l10]) on a trailing
+    axis; a width of 2 means a diagonal factor (l10 = 0).
+
+    p may be an array or a tape tensor. Returns (l00, l10, l11, log l00,
+    log l11); the logs are the entries of p itself, so they stay exact.
+    """
+    log_l00 = p[..., 0]
+    log_l11 = p[..., 1]
+    l00 = ad.exp(log_l00)
+    l11 = ad.exp(log_l11)
+    l10 = p[..., 2] if p.shape[-1] == 3 else 0.0
+    return l00, l10, l11, log_l00, log_l11
+
+
+def neg_log_density(mu, p, y):
+    """Exact -log q(y) at box coordinates y (..., 2) of the scaled
+    logit-normal with logit mean mu and Cholesky factor p in the layout of
+    cholesky_entries; broadcasts over leading axes.
+
+    mu and p may be arrays or tape tensors; the result is a tape tensor.
+    Raises if y leaves the open box.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    beta = inverse_transform(y)
+    yhat = (y - PARAM_OFFSET) / PARAM_SCALE
+    log_jac = np.log(PARAM_SCALE * yhat * (1.0 - yhat)).sum(axis=-1)
+
+    q0 = p[..., 0]
+    q1 = p[..., 1]
+    r0 = ad.as_tensor(beta[..., 0]) - mu[..., 0]
+    r1 = ad.as_tensor(beta[..., 1]) - mu[..., 1]
+    w0 = r0 * ad.exp(-q0)
+    if p.shape[-1] == 3:
+        w1 = (r1 - p[..., 2] * w0) * ad.exp(-q1)
+    else:
+        w1 = r1 * ad.exp(-q1)
+    return LOG_2PI + q0 + q1 + 0.5 * (w0 * w0 + w1 * w1) + log_jac
 
 
 def _check_chol(chol):
@@ -67,46 +116,19 @@ class ScaledLogitNormal:
 
     mu: np.ndarray
     chol: np.ndarray
-    s: np.ndarray = field(default_factory=lambda: PARAM_SCALE.copy())
-    o: np.ndarray = field(default_factory=lambda: PARAM_OFFSET.copy())
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=np.float64)
         if self.mu.shape[-1] != 2:
             raise ValueError("mu must have trailing length 2")
         self.chol = _check_chol(self.chol)
-        self.s = np.asarray(self.s, dtype=np.float64)
-        self.o = np.asarray(self.o, dtype=np.float64)
-        if np.any(self.s <= 0):
-            raise ValueError("scale must be positive")
-
-    @classmethod
-    def diagonal(cls, mu, sigma, s=None, o=None):
-        sigma = np.asarray(sigma, dtype=np.float64)
-        chol = np.zeros(sigma.shape[:-1] + (2, 2))
-        chol[..., 0, 0] = sigma[..., 0]
-        chol[..., 1, 1] = sigma[..., 1]
-        kw = {}
-        if s is not None:
-            kw["s"] = s
-        if o is not None:
-            kw["o"] = o
-        return cls(mu, chol, **kw)
 
     def log_prob(self, y):
         """Exact log-density at box coordinates y (broadcast over leading axes)."""
-        y = np.asarray(y, dtype=np.float64)
-        beta = inverse_transform(y, self.s, self.o)
-        yhat = (y - self.o) / self.s
-        r = beta - self.mu
-        l00 = self.chol[..., 0, 0]
-        l10 = self.chol[..., 1, 0]
-        l11 = self.chol[..., 1, 1]
-        w0 = r[..., 0] / l00
-        w1 = (r[..., 1] - l10 * w0) / l11
-        log_det = np.log(l00) + np.log(l11)
-        log_jac = np.log(self.s * yhat * (1.0 - yhat)).sum(axis=-1)
-        return -LOG_2PI - log_det - 0.5 * (w0 * w0 + w1 * w1) - log_jac
+        c = self.chol
+        p = np.stack([np.log(c[..., 0, 0]), np.log(c[..., 1, 1]), c[..., 1, 0]], axis=-1)
+        with ad.recording_off():
+            return -neg_log_density(self.mu, p, y).data
 
     def sample(self, rng: np.random.Generator, n: int | None = None):
         """Reparameterized draws f(mu + L z), z standard normal."""
@@ -119,14 +141,12 @@ class ScaledLogitNormal:
         z = np.asarray(z, dtype=np.float64)
         c = self.chol
         with ad.recording_off():
-            y0, y1 = reparameterize(
-                self.mu, c[..., 0, 0], c[..., 1, 0], c[..., 1, 1], z, self.s, self.o
-            )
+            y0, y1 = reparameterize(self.mu, c[..., 0, 0], c[..., 1, 0], c[..., 1, 1], z)
         return np.stack([y0.data, y1.data], axis=-1)
 
 
-def reparameterize(mu, l00, l10, l11, z, s=PARAM_SCALE, o=PARAM_OFFSET):
-    """The reparameterized draw y = s * logistic(mu + L z) + o, per component.
+def reparameterize(mu, l00, l10, l11, z):
+    """The reparameterized draw y = to_box(mu + L z), per component.
 
     L = [[l00, 0], [l10, l11]] and z is standard-normal noise with a
     trailing axis of 2. mu and the entries of L may be arrays or tape
@@ -134,12 +154,12 @@ def reparameterize(mu, l00, l10, l11, z, s=PARAM_SCALE, o=PARAM_OFFSET):
     """
     b0 = mu[..., 0] + l00 * z[..., 0]
     b1 = mu[..., 1] + l10 * z[..., 0] + l11 * z[..., 1]
-    return s[..., 0] * ad.logistic(b0) + o[..., 0], s[..., 1] * ad.logistic(b1) + o[..., 1]
-
-
-def _require_same_box(q: ScaledLogitNormal, p: ScaledLogitNormal):
-    if not (np.array_equal(q.s, p.s) and np.array_equal(q.o, p.o)):
-        raise ValueError("KL requires both distributions to share scale and offset")
+    # the box map per component: stacking b0 and b1 for to_box would copy
+    # every draw once more and add two tape nodes per training draw
+    return (
+        PARAM_SCALE[0] * ad.logistic(b0) + PARAM_OFFSET[0],
+        PARAM_SCALE[1] * ad.logistic(b1) + PARAM_OFFSET[1],
+    )
 
 
 def kl_cholesky(mu_q, l00, l10, l11, log_l00, log_l11, mu_p, chol_p):
@@ -167,7 +187,6 @@ def kl_cholesky(mu_q, l00, l10, l11, log_l00, log_l11, mu_p, chol_p):
 
 def kl_analytic(q: ScaledLogitNormal, p: ScaledLogitNormal):
     """Closed-form KL(q || p); exact because the box transform is shared."""
-    _require_same_box(q, p)
     l00 = q.chol[..., 0, 0]
     l11 = q.chol[..., 1, 1]
     return kl_cholesky(q.mu, l00, q.chol[..., 1, 0], l11, np.log(l00), np.log(l11), p.mu, p.chol).data
@@ -175,7 +194,6 @@ def kl_analytic(q: ScaledLogitNormal, p: ScaledLogitNormal):
 
 def kl_monte_carlo(q: ScaledLogitNormal, p: ScaledLogitNormal, rng: np.random.Generator, n: int):
     """Sample estimate mean[log q(y) - log p(y)] over n draws from q."""
-    _require_same_box(q, p)
     y = q.sample(rng, n)
     return np.mean(q.log_prob(y) - p.log_prob(y), axis=0)
 

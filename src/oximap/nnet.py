@@ -17,12 +17,12 @@ the voxelwise one (g = logistic(gate_offset)).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .distributions import ScaledLogitNormal, inverse_transform
+from .distributions import ScaledLogitNormal, cholesky_entries, inverse_transform
 
 # normalized log-ratio signals live in roughly [-0.45, 0.05]; the fixed gain
 # brings them to unit scale so the first hidden layer starts well-conditioned
@@ -191,15 +191,18 @@ def encoder_forward(weights: EncoderWeights, x: ad.Tensor, cfg: NetworkConfig | 
 
 
 def prediction_to_distribution(pred: VoxelPrediction, covariance_mode: str) -> ScaledLogitNormal:
-    """Detach a prediction into a (batched) ScaledLogitNormal."""
-    mu = pred.mu_l.data
+    """Detach a prediction into a (batched) ScaledLogitNormal; raises if
+    covariance_mode does not match the width of the covariance head."""
     p = pred.sigma_l_params.data
-    chol = np.zeros(mu.shape[:-1] + (2, 2))
-    chol[..., 0, 0] = np.exp(p[..., 0])
-    chol[..., 1, 1] = np.exp(p[..., 1])
-    if covariance_mode == "full":
-        chol[..., 1, 0] = p[..., 2]
-    return ScaledLogitNormal(mu, chol)
+    if NetworkConfig(covariance_mode=covariance_mode).n_cov_params != p.shape[-1]:
+        raise ValueError(f"covariance_mode {covariance_mode!r} does not match {p.shape[-1]} covariance parameters")
+    with ad.recording_off():
+        l00, l10, l11, _, _ = cholesky_entries(p)
+    chol = np.zeros(p.shape[:-1] + (2, 2))
+    chol[..., 0, 0] = l00.data
+    chol[..., 1, 0] = l10
+    chol[..., 1, 1] = l11.data
+    return ScaledLogitNormal(pred.mu_l.data, chol)
 
 
 def collect_gradients(weights: EncoderWeights, loss: ad.Tensor) -> dict[str, np.ndarray]:

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .distributions import (
-    LOG_2PI,
-    PARAM_OFFSET,
-    PARAM_SCALE,
-    inverse_transform,
-    kl_cholesky,
-    reparameterize,
-)
+from .distributions import LOG_2PI, cholesky_entries, kl_cholesky, neg_log_density, reparameterize, to_box
 from .nnet import (
     SIGMA_IM_FLOOR,
     AdamWState,
@@ -170,33 +163,15 @@ def pretrain_loss(pred: VoxelPrediction, truth) -> ad.Tensor:
     leading shape; values must lie strictly inside the parameter box.
     """
     if isinstance(truth, TissueParams):
-        y = np.array([truth.oef, truth.dbv])
-    else:
-        y = np.asarray(truth, dtype=np.float64)
-    beta = inverse_transform(y)
-    yhat = (y - PARAM_OFFSET) / PARAM_SCALE
-    log_jac = np.log(PARAM_SCALE * yhat * (1.0 - yhat)).sum(axis=-1)
-
-    mu = pred.mu_l
-    p = pred.sigma_l_params
-    full = p.data.shape[-1] == 3
-    q0 = p[..., 0]
-    q1 = p[..., 1]
-    r0 = ad.as_tensor(beta[..., 0]) - mu[..., 0]
-    r1 = ad.as_tensor(beta[..., 1]) - mu[..., 1]
-    w0 = r0 * ad.exp(-q0)
-    if full:
-        w1 = (r1 - p[..., 2] * w0) * ad.exp(-q1)
-    else:
-        w1 = r1 * ad.exp(-q1)
-    neg_logp = LOG_2PI + q0 + q1 + 0.5 * (w0 * w0 + w1 * w1) + log_jac
-    return ad.tmean(neg_logp)
+        truth = np.array([truth.oef, truth.dbv])
+    return ad.tmean(neg_log_density(pred.mu_l, pred.sigma_l_params, truth))
 
 
 def evaluate_pretrain_loss(weights: EncoderWeights, signals: np.ndarray, truths: np.ndarray) -> float:
     """Detached mean pretraining loss of a weight set on given rows."""
-    pred = encoder_forward(weights, ad.Tensor(np.asarray(signals, dtype=np.float64)))
-    return float(pretrain_loss(pred, truths).data)
+    with ad.recording_off():
+        pred = encoder_forward(weights, ad.Tensor(np.asarray(signals, dtype=np.float64)))
+        return float(pretrain_loss(pred, truths).data)
 
 
 def run_pretraining(
@@ -272,7 +247,8 @@ def compute_prior_maps(theta: EncoderWeights, vol: Volume4D) -> PriorMaps:
     chol_full[..., 1, 1] = 1.0
     rows = vol.masked_signals()
     if rows.shape[0]:
-        pred = encoder_forward(theta, ad.Tensor(rows))
+        with ad.recording_off():
+            pred = encoder_forward(theta, ad.Tensor(rows))
         dist = prediction_to_distribution(pred, theta.config.covariance_mode)
         mu_full[vol.mask] = dist.mu
         chol_full[vol.mask] = dist.chol
@@ -313,15 +289,9 @@ def _elbo_core(psi, x_arr, mask_arr, prior_mu, prior_chol, proto, constants, fwd
     if n_masked == 0:
         raise ValueError("batch contains no masked voxels")
     pred = encoder_forward(psi, ad.Tensor(x_arr))
-    mu = pred.mu_l
-    mu_m = mu[mask_arr]
-    p = pred.sigma_l_params[mask_arr]
-    q0 = p[..., 0]
-    q1 = p[..., 1]
-    l00 = ad.exp(q0)
-    l11 = ad.exp(q1)
-    l10 = p[..., 2] if psi.config.covariance_mode == "full" else 0.0
-    kl_vox = kl_cholesky(mu_m, l00, l10, l11, q0, q1, prior_mu[mask_arr], prior_chol[mask_arr])
+    mu_m = pred.mu_l[mask_arr]
+    l00, l10, l11, log_l00, log_l11 = cholesky_entries(pred.sigma_l_params[mask_arr])
+    kl_vox = kl_cholesky(mu_m, l00, l10, l11, log_l00, log_l11, prior_mu[mask_arr], prior_chol[mask_arr])
 
     loglik = signal_loglik(x_arr[mask_arr], pred.log_sigma_im[mask_arr])
     ll_acc = None
@@ -336,13 +306,7 @@ def _elbo_core(psi, x_arr, mask_arr, prior_mu, prior_chol, proto, constants, fwd
     kl_mean = ad.tsum(kl_vox) * inv
     ll_mean = ad.tsum(ll_vox) * inv
     loss = kl_mean - ll_mean
-    mean_maps = ad.stack_last(
-        [
-            PARAM_SCALE[0] * ad.logistic(mu[..., 0]) + PARAM_OFFSET[0],
-            PARAM_SCALE[1] * ad.logistic(mu[..., 1]) + PARAM_OFFSET[1],
-        ]
-    )
-    return loss, kl_mean, ll_mean, mean_maps
+    return loss, kl_mean, ll_mean, to_box(pred.mu_l)
 
 
 def elbo_loss(
@@ -471,15 +435,7 @@ def run_finetuning(
 
     if net_cfg.spatial_mode == "gated-residual":
         psi = extend_weights(theta, rng)
-        cfg_spatial = NetworkConfig(
-            n_blocks=net_cfg.n_blocks,
-            width=net_cfg.width,
-            spatial_mode="gated-residual",
-            covariance_mode=net_cfg.covariance_mode,
-            gate_offset=net_cfg.gate_offset,
-            gate_scope=net_cfg.gate_scope,
-        )
-        psi = EncoderWeights(cfg_spatial, psi.n_t, psi.tensors)
+        psi = EncoderWeights(net_cfg, psi.n_t, psi.tensors)
     else:
         psi = theta.copy()
 

@@ -1,7 +1,8 @@
 """Map-making and statistics tests: the per-voxel ELBO map against the
 training loss (dual route), masked-only evaluation against a full-grid
-reference, WLS self-inversion on matched data, region summaries, and paired
-t-statistics against scipy."""
+reference, encoder passes that only read values keeping no tape, WLS
+self-inversion on matched data, region summaries, and paired t-statistics
+against scipy."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from oximap import analysis, train
 from oximap import autodiff as ad
 from oximap.analysis import (
     InferenceConfig,
@@ -42,6 +44,7 @@ from oximap.train import (
     _elbo_core,
     compute_prior_maps,
     elbo_loss,
+    evaluate_pretrain_loss,
     run_pretraining,
     signal_loglik,
 )
@@ -319,6 +322,37 @@ class TestMaskedOnlyEvaluation:
         for name in ("oef_point", "dbv_point", "oef_std", "dbv_std", "elbo"):
             assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
             assert np.isnan(getattr(a, name)[~mask]).all(), name
+
+
+class TestDetachedEncoderPasses:
+    def test_value_only_passes_keep_no_tape(self, theta16, phantom_vol, monkeypatch):
+        # prior maps, the pretraining loss evaluation and the inference
+        # posterior only read the encoder's values: its outputs keep no graph
+        preds = []
+
+        def record(module):
+            original = module.encoder_forward
+
+            def wrapped(*args, **kwargs):
+                pred = original(*args, **kwargs)
+                preds.append((module.__name__, pred))
+                return pred
+
+            monkeypatch.setattr(module, "encoder_forward", wrapped)
+
+        record(train)
+        record(analysis)
+        compute_prior_maps(theta16, phantom_vol)
+        rows = phantom_vol.masked_signals()
+        evaluate_pretrain_loss(theta16, rows, np.tile([0.4, 0.025], (rows.shape[0], 1)))
+        psi = extend_weights(theta16, np.random.default_rng(0))
+        infer_maps(psi, phantom_vol, InferenceConfig(forward=FWD1, n_std_samples=2,
+                                                     n_elbo_samples=1, prior_weights=theta16))
+        names = [name for name, _ in preds]
+        assert names.count("oximap.train") == 3 and names.count("oximap.analysis") == 1
+        for name, pred in preds:
+            for t in (pred.mu_l, pred.sigma_l_params, pred.log_sigma_im):
+                assert t._parents == (), name
 
 
 class TestWlsFit:

@@ -72,11 +72,6 @@ class TestTransforms:
         with pytest.raises(ValueError, match="oef"):
             inverse_transform(np.array([0.9, 0.1]))
 
-    def test_custom_box(self):
-        s = np.array([1.0, 1.0])
-        o = np.array([0.0, 0.0])
-        assert_allclose(forward_transform(np.zeros(2), s, o), [0.5, 0.5])
-
 
 class TestScaledLogitNormal:
     def test_validation(self):
@@ -137,10 +132,6 @@ class TestScaledLogitNormal:
         chi2 = np.sum((obs - exp) ** 2 / exp)
         assert chi2 < stats.chi2.ppf(0.999, len(obs) - 1)
 
-    def test_diagonal_constructor(self):
-        d = ScaledLogitNormal.diagonal(np.zeros(2), np.array([0.5, 0.7]))
-        assert d.chol[0, 0] == 0.5 and d.chol[1, 1] == 0.7 and d.chol[1, 0] == 0.0
-
     def test_batched_log_prob_shape(self, rng):
         mu = rng.normal(size=(4, 2))
         chol = np.tile(np.eye(2), (4, 1, 1))
@@ -178,14 +169,6 @@ class TestKL:
             q = ScaledLogitNormal(mu * 1e-6, lq)
             p = ScaledLogitNormal(np.zeros(2), np.eye(2))
             assert kl_analytic(q, p) >= 0.0
-
-    def test_box_mismatch_rejected(self):
-        q = ScaledLogitNormal(np.zeros(2), np.eye(2))
-        p = ScaledLogitNormal(np.zeros(2), np.eye(2), s=np.array([1.0, 1.0]))
-        with pytest.raises(ValueError, match="scale and offset"):
-            kl_analytic(q, p)
-        with pytest.raises(ValueError, match="scale and offset"):
-            kl_monte_carlo(q, p, np.random.default_rng(0), 10)
 
     def test_batched(self, rng):
         mu_q = rng.normal(size=(5, 2))

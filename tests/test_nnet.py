@@ -222,6 +222,16 @@ class TestPredictionToDistribution:
         dist = prediction_to_distribution(pred, "full")
         assert_allclose(dist.chol[..., 1, 0], pred.sigma_l_params.data[..., 2])
 
+    def test_mode_must_match_the_covariance_head(self, rng):
+        # a diagonal read-out of a full prediction would drop l10 silently
+        x = rng.normal(-0.1, 0.05, (3, N_T))
+        pred_full = encoder_forward(small_net(cov="full"), ad.Tensor(x))
+        pred_diag = encoder_forward(small_net(), ad.Tensor(x))
+        with pytest.raises(ValueError, match="covariance"):
+            prediction_to_distribution(pred_full, "diagonal")
+        with pytest.raises(ValueError, match="covariance"):
+            prediction_to_distribution(pred_diag, "full")
+
 
 class TestGradients:
     def test_zero_adjoint_gives_zero_gradients(self, rng):
