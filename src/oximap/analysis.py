@@ -125,11 +125,11 @@ def _masked_posterior(weights: EncoderWeights, vol: Volume4D):
     return ScaledLogitNormal(dist.mu[m], dist.chol[m]), pred.log_sigma_im.data[m]
 
 
-def _scatter(vals: np.ndarray, vol: Volume4D) -> np.ndarray:
-    """(h, w, d) map holding per-voxel values given in plane-major mask
-    order; NaN outside the mask."""
+def _scatter(vals: np.ndarray, vol: Volume4D, fill=np.nan) -> np.ndarray:
+    """(h, w, d, ...) array holding per-voxel values given in plane-major
+    mask order; `fill` (NaN by default) outside the mask."""
     m = planes_first(vol.mask)
-    planes = np.full(m.shape, np.nan)
+    planes = np.full(m.shape + vals.shape[1:], fill)
     planes[m] = vals
     return np.ascontiguousarray(np.moveaxis(planes, 0, 2))
 
@@ -186,8 +186,9 @@ def infer_maps(weights: EncoderWeights, vol: Volume4D, cfg: InferenceConfig) -> 
     and mc-mean maps come from cfg.n_std_samples posterior draws per masked
     voxel; R2' is the deterministic map DBV * delta_omega(OEF) of the point
     estimates; the ELBO map reuses the same posterior, against priors from
-    cfg.prior_weights (or the network itself when voxelwise and no prior
-    network is given).
+    cfg.prior_weights. A voxelwise network with no prior network given is
+    its own prior, so its posterior serves as the priors too and the
+    encoder still runs once.
     """
     maps = _nan_maps(vol, cfg.source, "oef_mc_mean", "dbv_mc_mean")
     if not vol.mask.any():
@@ -209,12 +210,13 @@ def infer_maps(weights: EncoderWeights, vol: Volume4D, cfg: InferenceConfig) -> 
     r2p = r2_prime((point[:, 0], point[:, 1]), cfg.constants, cfg.protocol.b0)
     maps.r2p_point = _scatter(r2p, vol)
 
-    prior_net = cfg.prior_weights
-    if prior_net is None:
-        if weights.config.spatial_mode != "voxelwise":
-            raise ValueError("a gated-residual network needs prior_weights for the ELBO map")
-        prior_net = weights
-    priors = compute_prior_maps(prior_net, vol)
+    if cfg.prior_weights is not None:
+        priors = compute_prior_maps(cfg.prior_weights, vol)
+    elif weights.config.spatial_mode != "voxelwise":
+        raise ValueError("a gated-residual network needs prior_weights for the ELBO map")
+    else:
+        # a voxelwise network is its own prior: the posterior already computed
+        priors = PriorMaps(_scatter(dist.mu, vol, 0.0), _scatter(dist.chol, vol, np.eye(2)), vol.mask)
     maps.elbo = elbo_map(
         weights,
         vol,

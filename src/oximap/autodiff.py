@@ -220,11 +220,33 @@ def logistic(a):
     return Tensor(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
+def softplus_parts(x, slope=True):
+    """softplus(x) = log(1 + exp(x)) of a float array, and its slope logistic(x).
+
+    The value is max(x, 0) + log1p(exp(-|x|)), so large |x| never
+    overflows; the slope reuses the same exp(-|x|). The slope is None when
+    not asked for or with recording off.
+    """
+    # in place, in the output array: a value-only pass allocates nothing else
+    out = np.abs(x, out=np.empty_like(x))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    s = None
+    if slope and _recording:
+        s = np.maximum(out, x >= 0.0)  # 1 where x >= 0, else exp(x)
+        s /= 1.0 + out
+    np.log1p(out, out=out)
+    np.add(out, x, out=out, where=x > 0.0)
+    return out, s
+
+
 def softplus(a):
-    """log(1 + exp(x)), evaluated as logaddexp(0, x) so large x never overflows."""
+    """log(1 + exp(x)); see softplus_parts. The vjp rebuilds the slope from
+    the output, logistic(x) = -expm1(-softplus(x)), so the tape holds no
+    second array per node."""
     a = as_tensor(a)
-    out = np.logaddexp(0.0, a.data)
-    return Tensor(out, (a,), lambda g: (g * expit(a.data),))
+    out, _ = softplus_parts(a.data, slope=False)
+    return Tensor(out, (a,), lambda g: (g * -np.expm1(-out),))
 
 
 def clip_min(a, floor):

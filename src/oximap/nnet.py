@@ -8,10 +8,19 @@ scale. Hidden blocks are 1-voxel (pointwise) affine layers with a softplus
 nonlinearity; the spatial extension adds a gated, linear 3x3x1 in-plane
 convolution path to every block:
 
-    out = softplus(W x + b) + g * conv3x3x1(x),   g = logistic(gate(x) + gate_offset)
+    out = softplus(W x + b) + g * conv3x3x1(x)
+
+The gate g depends on NetworkConfig.gate_scope. With `voxelwise` it is
+logistic(gate(x) + gate_offset) per voxel, gate(x) being a linear 3x3x1
+read-out of the same neighbourhood. With `scalar` (the default) there is one
+gate per call, logistic(mean(gate(x)) + gate_offset), the mean taken over
+every voxel of the input: all crops and planes of a batch, and every voxel
+of the grid, in or out of the mask. A voxel's output then depends on the
+batch it is evaluated with and on the field of view.
 
 Gate parameters start at zero, so a freshly extended network stays close to
-the voxelwise one (g = logistic(gate_offset)).
+the voxelwise one (g = logistic(gate_offset)). Each gated block is one tape
+node with a hand-written vector-Jacobian product (_gated_block).
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from . import autodiff as ad
 from .distributions import ScaledLogitNormal, cholesky_entries, inverse_transform
@@ -148,14 +158,77 @@ def extend_weights(theta: EncoderWeights, rng: np.random.Generator) -> EncoderWe
     return EncoderWeights(cfg, theta.n_t, {k: ad.Tensor(v) for k, v in t.items()})
 
 
-def _neighborhood(x: ad.Tensor) -> ad.Tensor:
-    """Stack the 9 in-plane 3x3 neighbors along channels: (B, h, w, C) -> (B, h, w, 9C)."""
-    b, h, w, _ = x.data.shape
-    padded = ad.pad_xy(x, 1)
-    shifts = [
-        padded[:, i : i + h, j : j + w, :] for i in range(3) for j in range(3)
-    ]
-    return ad.concat(shifts, axis=-1)
+def _tap_windows(h: int, w: int):
+    """The nine in-plane taps of a 3x3 neighbourhood, in the row order of
+    conv.w and gate.w (tap k = 3 * (dx + 1) + (dy + 1)): per tap, the
+    (out, src) index pairs with out[:, x, y] reading src[:, x + dx, y + dy]
+    wherever both lie on the grid (zero padding elsewhere)."""
+
+    def span(d, n):
+        return slice(max(0, -d), n - max(0, d)), slice(max(0, d), n - max(0, -d))
+
+    taps = []
+    for dx in (-1, 0, 1):
+        ox, sx = span(dx, h)
+        for dy in (-1, 0, 1):
+            oy, sy = span(dy, w)
+            taps.append(((slice(None), ox, oy), (slice(None), sx, sy)))
+    return taps
+
+
+def _gated_block(h: ad.Tensor, t: dict, b: int, cfg: NetworkConfig) -> ad.Tensor:
+    """One gated-residual block as a single tape node:
+    softplus(h W + b) + g * conv3x3x1(h), on (B, h, w, C) input.
+
+    The conv and gate weights of each tap sit side by side in one (C, F + 1)
+    matrix, so the nine shifted window products accumulate the conv output
+    and the gate pre-activation (last column) together; no zero-padded copy
+    and no (..., 9C) neighbourhood array is formed, forward or backward.
+    """
+    params = [t[f"block{b}.{n}"] for n in ("w", "b", "conv.w", "gate.w", "gate.b")]
+    w, bias, conv_w, gate_w, gate_b = (p.data for p in params)
+    x = h.data
+    n_c, n_f = w.shape
+    taps = _tap_windows(*x.shape[1:3])
+    tap_w = np.concatenate([conv_w, gate_w], axis=1)
+
+    base, slope = ad.softplus_parts(x @ w + bias)
+    acc = x @ tap_w[4 * n_c : 5 * n_c]  # the centre tap covers the whole grid
+    for k, (out_ix, src_ix) in enumerate(taps):
+        if k != 4:
+            acc[out_ix] += x[src_ix] @ tap_w[k * n_c : (k + 1) * n_c]
+    conv = acc[..., :n_f]
+    gate_pre = acc[..., n_f] + gate_b[0]
+    if cfg.gate_scope == "scalar":
+        gate_pre = gate_pre.mean()
+    g = expit(gate_pre + cfg.gate_offset)
+    g_col = g if cfg.gate_scope == "scalar" else g[..., None]
+    out = base + g_col * conv
+    if slope is None:
+        return ad.Tensor(out)
+
+    def vjp(grad):
+        d_pre = grad * slope
+        d_g = np.einsum("...f,...f->...", grad, conv)
+        if cfg.gate_scope == "scalar":
+            d_g = d_g.sum() / d_g.size  # the mean spreads one gate's gradient evenly
+        d_acc = np.empty(acc.shape)
+        np.multiply(grad, g_col, out=d_acc[..., :n_f])
+        d_acc[..., n_f] = d_g * (g * (1.0 - g))
+        # contiguous transposed weights keep the products on the fast BLAS path
+        dx = d_pre @ np.ascontiguousarray(w.T)
+        d_tap_w = np.empty_like(tap_w)
+        for k, (out_ix, src_ix) in enumerate(taps):
+            rows = slice(k * n_c, (k + 1) * n_c)
+            d_win = d_acc[out_ix]
+            dx[src_ix] += d_win @ np.ascontiguousarray(tap_w[rows].T)
+            d_tap_w[rows] = np.ascontiguousarray(x[src_ix]).reshape(-1, n_c).T @ d_win.reshape(-1, n_f + 1)
+        d_w = x.reshape(-1, n_c).T @ d_pre.reshape(-1, n_f)
+        d_b = d_pre.reshape(-1, n_f).sum(axis=0)
+        d_gate_b = np.array([d_acc[..., n_f].sum()])
+        return dx, d_w, d_b, d_tap_w[:, :n_f], d_tap_w[:, n_f:], d_gate_b
+
+    return ad.custom(out, (h, *params), vjp)
 
 
 def encoder_forward(weights: EncoderWeights, x: ad.Tensor, cfg: NetworkConfig | None = None) -> VoxelPrediction:
@@ -173,14 +246,7 @@ def encoder_forward(weights: EncoderWeights, x: ad.Tensor, cfg: NetworkConfig | 
         if x.data.ndim != 4:
             raise ValueError("gated-residual mode needs (batch, h, w, channels) input")
         for b in range(cfg.n_blocks):
-            base = ad.softplus(ad.matmul(h, t[f"block{b}.w"]) + t[f"block{b}.b"])
-            neigh = _neighborhood(h)
-            conv = ad.matmul(neigh, t[f"block{b}.conv.w"])
-            gate_pre = ad.matmul(neigh, t[f"block{b}.gate.w"]) + t[f"block{b}.gate.b"]
-            if cfg.gate_scope == "scalar":
-                gate_pre = ad.tmean(gate_pre)
-            g = ad.logistic(gate_pre + cfg.gate_offset)
-            h = base + g * conv
+            h = _gated_block(h, t, b, cfg)
     else:
         for b in range(cfg.n_blocks):
             h = ad.softplus(ad.matmul(h, t[f"block{b}.w"]) + t[f"block{b}.b"])

@@ -355,6 +355,34 @@ class TestDetachedEncoderPasses:
                 assert t._parents == (), name
 
 
+    def test_voxelwise_network_without_priors_runs_the_encoder_once(
+        self, theta16, phantom_vol, proto_m, constants_m, monkeypatch
+    ):
+        # a voxelwise network is its own prior: the ELBO map reuses the
+        # posterior, and the maps equal those of the explicit prior-map pass
+        mask = phantom_vol.mask.copy()
+        mask[:3, :, 0] = False
+        mask[7, 9, 1] = False
+        vol = Volume4D(phantom_vol.data, mask)
+        cfg = InferenceConfig(forward=FWD1, n_std_samples=4, n_elbo_samples=3, seed=4)
+        calls = []
+        for module in (train, analysis):
+            original = module.encoder_forward
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "encoder_forward", counted)
+        maps = infer_maps(theta16, vol, cfg)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        explicit = elbo_map(theta16, vol, compute_prior_maps(theta16, vol), proto_m,
+                            constants_m, FWD1, np.random.default_rng(cfg.seed + 1), 3)
+        assert np.array_equal(np.isnan(maps.elbo), ~mask)
+        assert_allclose(maps.elbo[mask], explicit[mask], rtol=0, atol=1e-12)
+
+
 class TestWlsFit:
     def test_inverts_matched_clean_data_exactly(self, proto_m, constants_m):
         ph = make_phantom((6, 6, 1), (0.4, 0.03), proto_m, constants_m, FWD1, None, None)

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from oximap import autodiff as ad
+from oximap import train
 from oximap.distributions import inverse_transform
 from oximap.nnet import (
     CHECKPOINT_MAGIC,
@@ -24,7 +27,10 @@ from oximap.nnet import (
     save_checkpoint,
     swa_update,
 )
-from oximap.train import pretrain_loss
+from oximap.physics import AcquisitionProtocol, ForwardModelConfig, PhysioConstants
+from oximap.synthgen import make_phantom
+from oximap.train import TrainingConfig, pretrain_loss
+from oximap.volume import normalize_volume
 
 N_T = 11
 
@@ -39,6 +45,34 @@ def small_net(spatial="voxelwise", cov="diagonal", seed=0, width=8, n_blocks=2):
 
 def numpy_softplus(x):
     return np.logaddexp(0.0, x)
+
+
+def _neighborhood(x):
+    """Stack the 9 in-plane 3x3 neighbours along channels: (B, h, w, C) -> (B, h, w, 9C)."""
+    _, h, w, _ = x.data.shape
+    padded = ad.pad_xy(x, 1)
+    return ad.concat([padded[:, i : i + h, j : j + w, :] for i in range(3) for j in range(3)], axis=-1)
+
+
+def composed_encoder_forward(weights, x):
+    """The gated-residual encoder written with the generic tape ops, one op
+    per step of the block formula: the oracle of the fused block."""
+    cfg, t = weights.config, weights.tensors
+    h = x * INPUT_GAIN
+    for b in range(cfg.n_blocks):
+        base = ad.softplus(ad.matmul(h, t[f"block{b}.w"]) + t[f"block{b}.b"])
+        neigh = _neighborhood(h)
+        conv = ad.matmul(neigh, t[f"block{b}.conv.w"])
+        gate_pre = ad.matmul(neigh, t[f"block{b}.gate.w"]) + t[f"block{b}.gate.b"]
+        if cfg.gate_scope == "scalar":
+            gate_pre = ad.tmean(gate_pre)
+        g = ad.logistic(gate_pre + cfg.gate_offset)
+        h = base + g * conv
+    return (
+        ad.matmul(h, t["mu.w"]) + t["mu.b"],
+        ad.matmul(h, t["cov.w"]) + t["cov.b"],
+        ad.matmul(h, t["noise.w"]) + t["noise.b"],
+    )
 
 
 class TestNetworkConfig:
@@ -201,6 +235,107 @@ class TestEncoderForward:
         g3 = 1.0 / (1.0 + np.exp(3.0))
         assert_allclose(g3, 0.04742587317756678, rtol=1e-12)
         assert_allclose(d3, (g3 / 0.5) * d0, rtol=1e-9, atol=1e-15)
+
+
+class TestFusedGatedBlock:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scope=st.sampled_from(["scalar", "voxelwise"]),
+        cov=st.sampled_from(["diagonal", "full"]),
+        n_blocks=st.integers(1, 2),
+        batch=st.integers(1, 3),
+        h=st.integers(1, 5),
+        w=st.integers(1, 5),
+        seed=st.integers(0, 2**31),
+    )
+    @example(scope="scalar", cov="diagonal", n_blocks=2, batch=1, h=1, w=1, seed=0)
+    @example(scope="voxelwise", cov="full", n_blocks=2, batch=2, h=2, w=1, seed=1)
+    @example(scope="scalar", cov="full", n_blocks=1, batch=3, h=1, w=2, seed=2)
+    def test_matches_the_composed_oracle(self, scope, cov, n_blocks, batch, h, w, seed):
+        # values, the input gradient and every weight gradient, to 1e-12 of
+        # each tensor's largest entry, with random non-zero gate weights
+        rng = np.random.default_rng(seed)
+        base = NetworkConfig(n_blocks=n_blocks, width=7, covariance_mode=cov,
+                             gate_offset=float(rng.uniform(-3.0, 1.0)), gate_scope=scope)
+        net = extend_weights(init_weights(base, N_T, rng), rng)
+        for b in range(n_blocks):
+            gate_w = net.tensors[f"block{b}.gate.w"].data
+            gate_w[:] = rng.normal(0.0, 0.3, gate_w.shape)
+            net.tensors[f"block{b}.gate.b"].data[:] = rng.normal(0.0, 0.5, 1)
+        x = rng.normal(-0.1, 0.05, (batch, h, w, N_T))
+        cotangents = [rng.normal(size=(batch, h, w, n)) for n in (2, base.n_cov_params, N_T)]
+
+        def run(forward):
+            ad.zero_grads(net.tensors.values())
+            x_t = ad.Tensor(x)
+            outs = forward(x_t)
+            loss = sum(ad.tsum(o * c) for o, c in zip(outs, cotangents))
+            ad.backward(loss)
+            grads = {k: t.grad.copy() for k, t in net.tensors.items()}
+            return [o.data for o in outs], x_t.grad, grads
+
+        def pred_tuple(x_t):
+            pred = encoder_forward(net, x_t)
+            return pred.mu_l, pred.sigma_l_params, pred.log_sigma_im
+
+        fused = run(pred_tuple)
+        oracle = run(lambda x_t: composed_encoder_forward(net, x_t))
+
+        def close(a, b, what):
+            assert a.shape == b.shape, what
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), what
+
+        for k, (a, b) in enumerate(zip(fused[0], oracle[0])):
+            close(a, b, f"output {k}")
+        close(fused[1], oracle[1], "input gradient")
+        for name, g in oracle[2].items():
+            close(fused[2][name], g, name)
+
+    def test_one_tape_node_per_block_and_no_neighbourhood_arrays(self, monkeypatch):
+        # the loss of a fine-tune step records each gated block as one node,
+        # and nothing on its tape holds a 9C-channel or zero-padded array
+        proto, const = AcquisitionProtocol(), PhysioConstants()
+        fwd = ForwardModelConfig()
+        width, crop = 8, 6
+        mask = np.ones((9, 10, 2), bool)
+        mask[0, :4, 1] = False
+        raw = make_phantom(mask.shape, (0.4, 0.025), proto, const, fwd, 60.0,
+                           np.random.default_rng(3), mask)
+        vol, _ = normalize_volume(raw, proto)
+        theta = init_weights(NetworkConfig(width=width), proto.n_t, np.random.default_rng(4))
+        gated = NetworkConfig(width=width, spatial_mode="gated-residual")
+        cfg = TrainingConfig.finetune_defaults(iterations=1, batch_size=2, crop_xy=crop,
+                                               n_samples_elbo=2)
+        seen = []
+
+        def grab(weights, loss):
+            seen.append((weights, loss))
+            return collect_gradients(weights, loss)
+
+        monkeypatch.setattr(train, "collect_gradients", grab)
+        train.run_finetuning(theta, gated, cfg, [vol], proto, const, fwd)
+        (psi, loss), = seen
+
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        for b in range(gated.n_blocks):
+            params = [psi.tensors[f"block{b}.{n}"] for n in ("w", "b", "conv.w", "gate.w", "gate.b")]
+            users = [n for n in nodes.values() if any(p is params[2] for p in n._parents)]
+            assert len(users) == 1
+            assert all(p is q for p, q in zip(users[0]._parents[1:], params, strict=True))
+        wide = {9 * proto.n_t, 9 * width}
+        padded = (crop + 2, crop + 2)
+        for node in nodes.values():
+            cells = node._vjp.__closure__ or () if node._vjp is not None else ()
+            held = [node.data] + [c.cell_contents for c in cells]
+            for a in held:
+                if isinstance(a, np.ndarray) and a.ndim:
+                    assert a.shape[-1] not in wide, a.shape
+                    assert a.ndim < 3 or a.shape[1:3] != padded, a.shape
 
 
 class TestPredictionToDistribution:
