@@ -20,8 +20,6 @@ from .physics import (
     r2_prime,
     static_dephasing_integral,
     steady_state_magnetization,
-    tissue_signal_asymptotic,
-    tissue_signal_full,
     total_signal,
 )
 from .distributions import (

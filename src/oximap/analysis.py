@@ -292,12 +292,7 @@ def wls_fit(
 
 # statistics -----------------------------------------------------------
 
-_STAT_FIELDS = {
-    "oef": "oef_point",
-    "dbv": "dbv_point",
-    "r2p": "r2p_point",
-    "elbo": "elbo",
-}
+_STAT_FIELDS = {name: attr for name, attr in MAP_FIELDS.items() if not name.endswith("_std")}
 
 
 def region_stats(maps: ParamMaps, region_mask: np.ndarray) -> dict:

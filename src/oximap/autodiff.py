@@ -111,7 +111,11 @@ def _unbroadcast(grad, shape):
 
 
 def backward(out, seed=None):
-    """Accumulate gradients of `out` into every reachable parent's .grad."""
+    """Accumulate gradients of `out` into every reachable leaf's .grad.
+
+    A node with a vjp drops its .grad once the vjp has consumed it, so the
+    gradients of interior nodes are freed as the pass runs; leaves keep theirs.
+    """
     topo = []
     visited = set()
     stack = [(out, False)]
@@ -135,6 +139,7 @@ def backward(out, seed=None):
         if node._vjp is None or node.grad is None:
             continue
         grads = node._vjp(node.grad)
+        node.grad = None
         for parent, g in zip(node._parents, grads):
             if g is None:
                 continue

@@ -87,8 +87,8 @@ def _cmd_simulate(args) -> int:
     save_dataset(dataset, args.out)
     print(f"wrote {dataset.n} rows to {args.out}")
     if args.phantom:
-        shape = _parse_ints(args.phantom_shape, 3, "--phantom-shape")
-        oef, dbv = _parse_floats(args.phantom_params, 2, "--phantom-params")
+        shape = _parse_list(args.phantom_shape, 3, "--phantom-shape", int)
+        oef, dbv = _parse_list(args.phantom_params, 2, "--phantom-params", float)
         phantom = make_phantom(
             tuple(shape),
             (oef, dbv),
@@ -236,18 +236,11 @@ def _cmd_compare(args) -> int:
 # argument plumbing ----------------------------------------------------
 
 
-def _parse_ints(text, n, flag):
+def _parse_list(text, n, flag, kind):
     parts = text.split(",")
     if len(parts) != n:
         raise ValueError(f"{flag} needs {n} comma-separated values, got {text!r}")
-    return [int(p) for p in parts]
-
-
-def _parse_floats(text, n, flag):
-    parts = text.split(",")
-    if len(parts) != n:
-        raise ValueError(f"{flag} needs {n} comma-separated values, got {text!r}")
-    return [float(p) for p in parts]
+    return [kind(p) for p in parts]
 
 
 def build_parser() -> argparse.ArgumentParser:

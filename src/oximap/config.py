@@ -3,9 +3,9 @@ constants, forward model, network, training stage, population prior, and
 file locations.
 
 Parsing is strict — unknown sections or keys are errors — and
-serialize(parse(text)) preserves every field, so sweep scripts can edit
-configs mechanically.  Sections may be partial: keys left out keep their
-defaults (for 'training', the defaults of the declared stage).
+serialize(parse(text)) preserves every field.  Sections may be partial:
+keys left out keep their defaults (for 'training', the defaults of the
+declared stage).
 """
 
 from __future__ import annotations

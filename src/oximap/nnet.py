@@ -26,7 +26,7 @@ node with a hand-written vector-Jacobian product (_gated_block).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -139,14 +139,7 @@ def extend_weights(theta: EncoderWeights, rng: np.random.Generator) -> EncoderWe
     """Copy a voxelwise network and add gated-residual conv/gate parameters."""
     if theta.config.spatial_mode != "voxelwise":
         raise ValueError("can only extend a voxelwise network")
-    cfg = NetworkConfig(
-        n_blocks=theta.config.n_blocks,
-        width=theta.config.width,
-        spatial_mode="gated-residual",
-        covariance_mode=theta.config.covariance_mode,
-        gate_offset=theta.config.gate_offset,
-        gate_scope=theta.config.gate_scope,
-    )
+    cfg = replace(theta.config, spatial_mode="gated-residual")
     t = {k: w.data.copy() for k, w in theta.tensors.items()}
     c_in = theta.n_t
     for b in range(cfg.n_blocks):

@@ -313,8 +313,10 @@ def r2_prime(p, c: PhysioConstants, b0: float):
 def normalize_signal(s, proto: AcquisitionProtocol) -> np.ndarray:
     """Log signal relative to the spin echo: log(s_i / s_se).
 
-    Raises on any non-positive sample, identifying the offending tau index,
-    since such a voxel cannot be log-normalized.
+    The one spin-echo log-ratio of signal arrays: normalize_volume and the
+    synthetic-data generator call it on the rows they keep. Raises on any
+    non-positive sample, identifying the offending tau index, since such a
+    voxel cannot be log-normalized.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.shape[-1] != proto.n_t:
@@ -407,22 +409,6 @@ def _params(p):
         return np.float64(p.oef), np.float64(p.dbv)
     oef, dbv = p
     return np.asarray(oef, dtype=np.float64), np.asarray(dbv, dtype=np.float64)
-
-
-def tissue_signal_full(p, proto: AcquisitionProtocol, c: PhysioConstants):
-    """Tissue compartment under the full static-dephasing model."""
-    cfg = ForwardModelConfig(variant="full", compartments=1)
-    return _evaluate(_total_signal_t, *_params(p), proto, c, cfg)
-
-
-def tissue_signal_asymptotic(p, proto: AcquisitionProtocol, c: PhysioConstants, tc_mode: float = 1.5):
-    """Tissue compartment under the two-regime approximation.
-
-    Quadratic log-attenuation for |tau| below the transition time, linear
-    beyond it; |tau| equal to the transition time takes the linear branch.
-    """
-    cfg = ForwardModelConfig(variant="asymptotic", compartments=1, tc_mode=tc_mode)
-    return _evaluate(_total_signal_t, *_params(p), proto, c, cfg)
 
 
 def total_signal(p, proto: AcquisitionProtocol, c: PhysioConstants, cfg: ForwardModelConfig):

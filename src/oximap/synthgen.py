@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import PARAM_NAMES, PARAM_OFFSET, PARAM_SCALE, truncated_normal_sample
-from .physics import AcquisitionProtocol, ForwardModelConfig, PhysioConstants, total_signal
+from .physics import AcquisitionProtocol, ForwardModelConfig, PhysioConstants, normalize_signal, total_signal
 from .volume import Volume4D
 
 # generation proceeds in fixed-size lanes, each with its own spawned RNG
@@ -191,8 +191,7 @@ def _generate_lane(
         noisy = add_noise(clean, s, prof, proto, rng)
         good = np.all(noisy > 0, axis=-1)
         idx = pending[good]
-        rows = noisy[good]
-        signals[idx] = np.log(rows / rows[:, proto.se_index : proto.se_index + 1])
+        signals[idx] = normalize_signal(noisy[good], proto)
         truths[idx] = t[good]
         snrs[idx] = s[good]
         rejected += int((~good).sum())

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .physics import AcquisitionProtocol
+from .physics import AcquisitionProtocol, normalize_signal
 
 DEFAULT_VOXEL_SIZE_MM = (2.3, 2.3, 7.5)
 
@@ -70,8 +70,7 @@ def normalize_volume(vol: Volume4D, proto: AcquisitionProtocol) -> tuple[Volume4
     keep = vol.mask & positive
     dropped = int(vol.mask.sum() - keep.sum())
     out = np.zeros_like(vol.data)
-    rows = vol.data[keep]
-    out[keep] = np.log(rows / rows[:, proto.se_index : proto.se_index + 1])
+    out[keep] = normalize_signal(vol.data[keep], proto)
     return Volume4D(out, keep, vol.voxel_size_mm), dropped
 
 

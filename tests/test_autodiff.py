@@ -180,6 +180,23 @@ class TestGraph:
         ad.backward(out, seed=seed)
         assert_allclose(t.grad, 2.0 * seed)
 
+    def test_backward_frees_interior_grads(self, rng):
+        x = rng.uniform(0.5, 1.5, size=(3, 2))
+        t, w = ad.Tensor(x.copy()), ad.Tensor(rng.normal(size=(2, 4)))
+        h = ad.exp(t) * t
+        out = ad.tsum(ad.matmul(h + h, w))
+        nodes, stack = {}, [out]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        ad.backward(out)
+        interior = [n for n in nodes.values() if n._vjp is not None]
+        assert len(interior) == 5 and all(n.grad is None for n in interior)
+        assert t.grad is not None and w.grad is not None
+        assert_allclose(t.grad, 2.0 * (np.exp(x) * (1.0 + x)) * w.data.sum(axis=1), rtol=1e-12)
+
     def test_zero_grads_resets(self, rng):
         t = ad.Tensor(np.ones(3))
         out = ad.tsum(t * 4.0)

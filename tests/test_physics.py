@@ -29,8 +29,6 @@ from oximap.physics import (
     r2_prime,
     static_dephasing_integral,
     steady_state_magnetization,
-    tissue_signal_asymptotic,
-    tissue_signal_full,
     total_signal,
 )
 
@@ -226,29 +224,34 @@ class TestBloodCompartment:
             blood_signal(proto, constants)
 
 
+# the tissue compartment alone, under each tissue model
+FULL_1C = ForwardModelConfig(variant="full", compartments=1)
+ASYM_1C = ForwardModelConfig(variant="asymptotic", compartments=1)
+
+
 class TestTissueAndTotal:
     def test_zero_dbv_is_flat(self, proto, constants):
-        s = tissue_signal_full((0.4, 0.0), proto, constants)
+        s = total_signal((0.4, 0.0), proto, constants, FULL_1C)
         assert_allclose(s, np.exp(-constants.r2_tissue * proto.te), rtol=1e-14)
 
     def test_zero_oef_is_flat(self, proto, constants):
-        s = tissue_signal_full((0.0, 0.05), proto, constants)
+        s = total_signal((0.0, 0.05), proto, constants, FULL_1C)
         assert_allclose(s, np.exp(-constants.r2_tissue * proto.te), rtol=1e-14)
 
     def test_spin_echo_value(self, proto, constants):
-        s = tissue_signal_full((0.4, 0.025), proto, constants)
+        s = total_signal((0.4, 0.025), proto, constants, FULL_1C)
         assert_allclose(s[proto.se_index], np.exp(-constants.r2_tissue * proto.te), rtol=1e-14)
 
     def test_decreasing_in_dbv(self, proto, constants):
-        lo = tissue_signal_full((0.4, 0.02), proto, constants)
-        hi = tissue_signal_full((0.4, 0.05), proto, constants)
+        lo = total_signal((0.4, 0.02), proto, constants, FULL_1C)
+        hi = total_signal((0.4, 0.05), proto, constants, FULL_1C)
         off_se = np.arange(proto.n_t) != proto.se_index
         assert np.all(hi[off_se] < lo[off_se])
 
     def test_asymptotic_branches_by_hand(self, proto, constants):
         oef, dbv = 0.4, 0.03
         dw = delta_omega(oef, constants, 3.0)
-        s = tissue_signal_asymptotic((oef, dbv), proto, constants)
+        s = total_signal((oef, dbv), proto, constants, ASYM_1C)
         base = np.exp(-constants.r2_tissue * proto.te)
         a_short = dw * 0.008  # below the transition
         assert_allclose(s[3], base * np.exp(-0.3 * dbv * a_short**2), rtol=1e-12)
@@ -259,7 +262,7 @@ class TestTissueAndTotal:
         dw = delta_omega(0.4, constants, 3.0)
         tc = 1.5 / dw
         p = AcquisitionProtocol(tau=(0.0, tc), se_index=0)
-        s = tissue_signal_asymptotic((0.4, 0.03), p, constants)
+        s = total_signal((0.4, 0.03), p, constants, ASYM_1C)
         base = np.exp(-constants.r2_tissue * p.te)
         assert_allclose(s[1], base * np.exp(0.03 * (1.0 - 1.5)), rtol=1e-12)
 
@@ -272,11 +275,10 @@ class TestTissueAndTotal:
         tc = float(characteristic_time(dw))
         p = AcquisitionProtocol(tau=(0.0, tc), se_index=0)
         linear = dbv * (1.0 - dw * tc)
-        s = tissue_signal_asymptotic((oef, dbv), p, constants)
+        s = total_signal((oef, dbv), p, constants, ASYM_1C)
         assert_allclose(np.log(s[1] / s[0]), linear, rtol=1e-9)
-        cfg = ForwardModelConfig(variant="asymptotic", compartments=1)
         out = normalized_model_signal_t(
-            ad.Tensor(np.array([oef])), ad.Tensor(np.array([dbv])), p, constants, cfg
+            ad.Tensor(np.array([oef])), ad.Tensor(np.array([dbv])), p, constants, ASYM_1C
         )
         assert_allclose(out.data[0, 1], linear, rtol=1e-9)
 
@@ -285,8 +287,8 @@ class TestTissueAndTotal:
         p = AcquisitionProtocol(tau=tuple(taus), se_index=2)
         for oef in (0.2, 0.4, 0.6):
             for dbv in (0.01, 0.03, 0.05):
-                full = np.log(tissue_signal_full((oef, dbv), p, constants))
-                asym = np.log(tissue_signal_asymptotic((oef, dbv), p, constants))
+                full = np.log(total_signal((oef, dbv), p, constants, FULL_1C))
+                asym = np.log(total_signal((oef, dbv), p, constants, ASYM_1C))
                 assert np.max(np.abs(full - asym)) < 1e-3
 
     def test_long_tau_slope_matches_linear_rate(self, proto, constants):
@@ -300,17 +302,15 @@ class TestTissueAndTotal:
             assert abs(slope - (-dbv * dw)) / (dbv * dw) < 0.03
 
     def test_total_one_compartment_is_tissue(self, proto, constants):
-        cfg = ForwardModelConfig(variant="full", compartments=1)
-        assert_allclose(
-            total_signal((0.4, 0.025), proto, constants, cfg),
-            tissue_signal_full((0.4, 0.025), proto, constants),
-            rtol=1e-14,
-        )
+        dw = delta_omega(0.4, constants, 3.0)
+        base = np.exp(-constants.r2_tissue * proto.te)
+        tissue = base * np.exp(-0.025 * _tabulated_integral(dw * proto.tau_array))
+        assert_allclose(total_signal((0.4, 0.025), proto, constants, FULL_1C), tissue, rtol=1e-14)
 
     def test_total_two_compartment_is_convex_mix(self, proto, constants):
         cfg = ForwardModelConfig(variant="full", compartments=2)
         tot = total_signal((0.4, 0.025), proto, constants, cfg)
-        tis = tissue_signal_full((0.4, 0.025), proto, constants)
+        tis = total_signal((0.4, 0.025), proto, constants, FULL_1C)
         blo = blood_signal(proto, constants)
         lo = np.minimum(tis, blo)
         hi = np.maximum(tis, blo)
@@ -330,7 +330,7 @@ class TestTissueAndTotal:
 
 class TestNormalization:
     def test_zero_at_spin_echo_and_scale_invariance(self, proto, constants):
-        s = tissue_signal_full((0.4, 0.025), proto, constants)
+        s = total_signal((0.4, 0.025), proto, constants, FULL_1C)
         n1 = normalize_signal(s, proto)
         n2 = normalize_signal(100.0 * s, proto)
         assert n1[proto.se_index] == 0.0
