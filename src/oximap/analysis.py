@@ -3,9 +3,8 @@ WLS baseline fits, per-voxel ELBO maps, region summaries, and paired
 voxelwise t-statistics.
 
 The learned point estimate is the transformed logit-space mean f(mu_l),
-i.e. the distribution median; Monte-Carlo means and standard deviations
-are derived from per-voxel samples. All per-voxel quantities are NaN
-outside the mask.
+i.e. the distribution median; standard deviations are derived from
+per-voxel samples. All per-voxel quantities are NaN outside the mask.
 """
 
 from __future__ import annotations
@@ -32,6 +31,10 @@ from .volume import DEFAULT_VOXEL_SIZE_MM, Volume4D, planes_first
 
 MAP_SOURCES = ("wls", "synth", "vi", "vi+tv")
 
+# wls_fit fits the long-tau regime of this OEF and flags OEF above WLS_MAX_OEF
+WLS_CUTOFF_OEF = 0.4
+WLS_MAX_OEF = 1.0
+
 # the per-voxel maps every source fills: map name -> ParamMaps attribute
 MAP_FIELDS = {
     "oef": "oef_point",
@@ -48,8 +51,7 @@ class ParamMaps:
     """Per-voxel parameter maps on an (h, w, d) grid; NaN outside the mask.
 
     Point maps are medians (f of the logit mean) for learned sources and
-    direct fit values for WLS; mc-mean maps hold the Monte-Carlo posterior
-    means when available. `elbo` is in nats, higher meaning better
+    direct fit values for WLS. `elbo` is in nats, higher meaning better
     explained; WLS carries no ELBO (all NaN).
     """
 
@@ -61,8 +63,6 @@ class ParamMaps:
     elbo: np.ndarray
     source: str
     mask: np.ndarray
-    oef_mc_mean: np.ndarray | None = None
-    dbv_mc_mean: np.ndarray | None = None
 
     def __post_init__(self):
         if self.source not in MAP_SOURCES:
@@ -106,10 +106,9 @@ class InferenceConfig:
             raise ValueError(f"unknown source {self.source!r}")
 
 
-def _nan_maps(vol: Volume4D, source: str, *optional: str) -> ParamMaps:
-    """All-NaN maps on the volume's grid; the optional fields named are NaN
-    too, the others stay None."""
-    nan = {name: np.full(vol.grid_shape, np.nan) for name in (*MAP_FIELDS.values(), *optional)}
+def _nan_maps(vol: Volume4D, source: str) -> ParamMaps:
+    """All-NaN maps on the volume's grid."""
+    nan = {name: np.full(vol.grid_shape, np.nan) for name in MAP_FIELDS.values()}
     return ParamMaps(**nan, source=source, mask=vol.mask.copy())
 
 
@@ -183,28 +182,24 @@ def infer_maps(weights: EncoderWeights, vol: Volume4D, cfg: InferenceConfig) -> 
 
     The encoder runs once, on the whole grid; everything after it runs on
     the masked voxels only. Point maps are the transformed logit means; std
-    and mc-mean maps come from cfg.n_std_samples posterior draws per masked
-    voxel; R2' is the deterministic map DBV * delta_omega(OEF) of the point
+    maps come from cfg.n_std_samples posterior draws per masked voxel; R2'
+    is the deterministic map DBV * delta_omega(OEF) of the point
     estimates; the ELBO map reuses the same posterior, against priors from
     cfg.prior_weights. A voxelwise network with no prior network given is
     its own prior, so its posterior serves as the priors too and the
     encoder still runs once.
     """
-    maps = _nan_maps(vol, cfg.source, "oef_mc_mean", "dbv_mc_mean")
+    maps = _nan_maps(vol, cfg.source)
     if not vol.mask.any():
         return maps
 
     dist, log_sigma = _masked_posterior(weights, vol)
     rng = np.random.default_rng(cfg.seed)
     point = forward_transform(dist.mu)
-    samples = dist.sample(rng, cfg.n_std_samples)
-    mc_mean = samples.mean(axis=0)
-    mc_std = samples.std(axis=0, ddof=1)
+    mc_std = dist.sample(rng, cfg.n_std_samples).std(axis=0, ddof=1)
 
     maps.oef_point = _scatter(point[:, 0], vol)
     maps.dbv_point = _scatter(point[:, 1], vol)
-    maps.oef_mc_mean = _scatter(mc_mean[:, 0], vol)
-    maps.dbv_mc_mean = _scatter(mc_mean[:, 1], vol)
     maps.oef_std = _scatter(mc_std[:, 0], vol)
     maps.dbv_std = _scatter(mc_std[:, 1], vol)
     r2p = r2_prime((point[:, 0], point[:, 1]), cfg.constants, cfg.protocol.b0)
@@ -239,20 +234,17 @@ def wls_fit(
     proto: AcquisitionProtocol,
     constants: PhysioConstants,
     tc_mode: float = 1.5,
-    nominal_oef: float = 0.4,
-    max_oef: float = 1.0,
 ) -> ParamMaps:
     """Weighted least-squares baseline on normalized log-ratio signals.
 
     Per voxel, regress the normalized signal on |tau| over the long-tau
-    regime (|tau| >= the characteristic time at nominal_oef), with weights
+    regime (|tau| >= the characteristic time at WLS_CUTOFF_OEF), with weights
     proportional to the squared raw signal exp(2 s*): the intercept is the
     DBV estimate zeta, the slope is -R2', and OEF = R2' / (zeta *
-    delta_omega(1)). Voxels with zeta <= 0 or OEF outside (0, max_oef]
+    delta_omega(1)). Voxels with zeta <= 0 or OEF outside (0, WLS_MAX_OEF]
     get NaN OEF (flagged, so they drop out of statistics).
     """
-    dw_nominal = delta_omega(nominal_oef, constants, proto.b0)
-    tc = characteristic_time(dw_nominal, tc_mode)
+    tc = characteristic_time(delta_omega(WLS_CUTOFF_OEF, constants, proto.b0), tc_mode)
     taus = proto.tau_array
     sel = np.abs(taus) >= tc
     if sel.sum() < 3:
@@ -279,7 +271,7 @@ def wls_fit(
     zeta = my - slope * mx
     with np.errstate(divide="ignore", invalid="ignore"):
         oef = r2p / (zeta * delta_omega(1.0, constants, proto.b0))
-    bad = ~(zeta > 0) | ~(oef > 0) | (oef > max_oef) | ~np.isfinite(oef)
+    bad = ~(zeta > 0) | ~(oef > 0) | (oef > WLS_MAX_OEF) | ~np.isfinite(oef)
     oef = np.where(bad, np.nan, oef)
 
     maps.oef_point[vol.mask] = oef
@@ -319,24 +311,17 @@ def region_stats(maps: ParamMaps, region_mask: np.ndarray) -> dict:
     return out
 
 
-def _extract_map(m, parameter: str) -> np.ndarray:
-    if isinstance(m, ParamMaps):
-        return getattr(m, _STAT_FIELDS[parameter])
-    return np.asarray(m, dtype=np.float64)
-
-
 def paired_tstat(
     maps_a,
     maps_b,
     smoothing_fwhm_mm: float = 6.0,
-    parameter: str = "oef",
     voxel_size_mm=DEFAULT_VOXEL_SIZE_MM,
 ) -> np.ndarray:
     """Voxelwise paired t-statistic between two co-registered conditions.
 
-    Each list entry is a ParamMaps (the chosen parameter map is used) or a
-    bare 3-D array. Maps are optionally smoothed with an in-plane Gaussian
-    (FWHM in mm; 0 disables), then t = mean(diff) / (std(diff)/sqrt(n))
+    Each list entry is one subject's 3-D map. Maps are optionally smoothed
+    with an in-plane Gaussian (FWHM in mm, converted to voxels with
+    voxel_size_mm; 0 disables), then t = mean(diff) / (std(diff)/sqrt(n))
     with the 0/0 case defined as 0. Uncorrected.
 
     Smoothing is normalized convolution (Knutsson & Westin, CVPR 1993):
@@ -349,8 +334,8 @@ def paired_tstat(
     n = len(maps_a)
     if n < 2:
         raise ValueError("paired t-test needs at least 2 subjects")
-    arrs_a = [_extract_map(m, parameter) for m in maps_a]
-    arrs_b = [_extract_map(m, parameter) for m in maps_b]
+    arrs_a = [np.asarray(m, dtype=np.float64) for m in maps_a]
+    arrs_b = [np.asarray(m, dtype=np.float64) for m in maps_b]
     grid = arrs_a[0].shape
     for arr in arrs_a + arrs_b:
         if arr.shape != grid:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import MAP_FIELDS, InferenceConfig, ParamMaps, infer_maps, paired_tstat, region_stats, wls_fit
 from .config import ConfigError, RunConfig, load_config
-from .nifti import NiftiFormatError, read_description, read_nifti, write_nifti
+from .nifti import NiftiFormatError, read_description, read_nifti, read_voxel_size, write_nifti
 from .nnet import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .synthgen import (
     DatasetFormatError,
@@ -50,7 +50,10 @@ def _training_for_stage(cfg: RunConfig, stage: str, seed) -> TrainingConfig:
     return tr
 
 
-def _read_masked_volume(vol_path, mask_path) -> Volume4D:
+def _read_volume(vol_path, mask_path, cfg: RunConfig) -> Volume4D:
+    """Read a raw 4-D volume and its optional 3-D mask, check it against the
+    protocol and normalize it. Voxels with a non-positive sample are dropped
+    from the mask, and their count is reported on stderr."""
     vol = read_nifti(vol_path)
     if not isinstance(vol, Volume4D):
         raise ValueError(f"{vol_path} is 3-D; a 4-D multi-tau volume is required")
@@ -63,14 +66,14 @@ def _read_masked_volume(vol_path, mask_path) -> Volume4D:
                 f"mask grid {mask.shape} does not match volume grid {vol.grid_shape}"
             )
         vol = Volume4D(vol.data, (mask > 0.5) & vol.mask, vol.voxel_size_mm)
-    return vol
-
-
-def _check_protocol(vol: Volume4D, cfg: RunConfig, path):
     if vol.n_t != cfg.protocol.n_t:
         raise ValueError(
-            f"{path} has {vol.n_t} tau samples but the protocol defines {cfg.protocol.n_t}"
+            f"{vol_path} has {vol.n_t} tau samples but the protocol defines {cfg.protocol.n_t}"
         )
+    vol, dropped = normalize_volume(vol, cfg.protocol)
+    if dropped:
+        print(f"dropped {dropped} non-positive voxels from {vol_path}", file=sys.stderr)
+    return vol
 
 
 # subcommand implementations -------------------------------------------
@@ -120,14 +123,7 @@ def _cmd_finetune(args) -> int:
     masks = args.mask or []
     if masks and len(masks) != len(args.volume):
         raise ValueError("--mask must be given once per --volume (or not at all)")
-    vols = []
-    for i, vp in enumerate(args.volume):
-        raw = _read_masked_volume(vp, masks[i] if masks else None)
-        _check_protocol(raw, cfg, vp)
-        vol, dropped = normalize_volume(raw, cfg.protocol)
-        if dropped:
-            print(f"dropped {dropped} non-positive voxels from {vp}", file=sys.stderr)
-        vols.append(vol)
+    vols = [_read_volume(vp, masks[i] if masks else None, cfg) for i, vp in enumerate(args.volume)]
     net_cfg = cfg.network
     psi = run_finetuning(
         theta, net_cfg, tr, vols, cfg.protocol, cfg.constants, cfg.forward,
@@ -142,9 +138,7 @@ def _cmd_infer(args) -> int:
     cfg = _load_run_config(args)
     weights = load_checkpoint(args.weights)
     prior_weights = load_checkpoint(args.prior_weights) if args.prior_weights else None
-    raw = _read_masked_volume(args.volume, args.mask)
-    _check_protocol(raw, cfg, args.volume)
-    vol, _ = normalize_volume(raw, cfg.protocol)
+    vol = _read_volume(args.volume, args.mask, cfg)
     seed = args.seed if args.seed is not None else 0
     icfg = InferenceConfig(
         protocol=cfg.protocol,
@@ -162,9 +156,7 @@ def _cmd_infer(args) -> int:
 
 def _cmd_wls(args) -> int:
     cfg = _load_run_config(args)
-    raw = _read_masked_volume(args.volume, args.mask)
-    _check_protocol(raw, cfg, args.volume)
-    vol, _ = normalize_volume(raw, cfg.protocol)
+    vol = _read_volume(args.volume, args.mask, cfg)
     maps = wls_fit(vol, cfg.protocol, cfg.constants, tc_mode=cfg.forward.tc_mode)
     _write_maps(maps, vol, args.out_dir)
     print(f"wrote {len(MAP_FIELDS)} maps + mask to {args.out_dir}")
@@ -225,10 +217,14 @@ def _cmd_stats(args) -> int:
 def _cmd_compare(args) -> int:
     if len(args.a) != len(args.b):
         raise ValueError("--a and --b need the same number of map files")
+    sizes = {read_voxel_size(p) for p in args.a + args.b}
+    if len(sizes) > 1:
+        raise ValueError(f"--a and --b maps have different voxel sizes: {sorted(sizes)}")
+    (voxel_size,) = sizes
     maps_a = [read_nifti(p) for p in args.a]
     maps_b = [read_nifti(p) for p in args.b]
-    t = paired_tstat(maps_a, maps_b, smoothing_fwhm_mm=args.fwhm)
-    write_nifti(t, args.out, description="paired t-statistic")
+    t = paired_tstat(maps_a, maps_b, smoothing_fwhm_mm=args.fwhm, voxel_size_mm=voxel_size)
+    write_nifti(t, args.out, voxel_size_mm=voxel_size, description="paired t-statistic")
     print(f"wrote t-statistic map to {args.out}")
     return 0
 

@@ -84,12 +84,27 @@ def _check_header(raw: bytes, path) -> None:
         raise NiftiFormatError("bad-magic", f"two-file NIfTI (.hdr/.img) is not supported: {path}")
 
 
-def read_description(path) -> str:
-    """The text of a NIfTI-1 file's 80-byte header description (descrip)."""
+def _read_header(path) -> bytes:
     with open(path, "rb") as fh:
         raw = fh.read(HEADER_SIZE)
     _check_header(raw, path)
+    return raw
+
+
+def _voxel_size(raw: bytes) -> tuple[float, float, float]:
+    """pixdim[1:4] of a NIfTI-1 header: the voxel size in mm."""
+    return tuple(float(p) for p in struct.unpack_from("<3f", raw, 80))
+
+
+def read_description(path) -> str:
+    """The text of a NIfTI-1 file's 80-byte header description (descrip)."""
+    raw = _read_header(path)
     return raw[148:228].split(b"\x00", 1)[0].decode("utf-8", errors="replace")
+
+
+def read_voxel_size(path) -> tuple[float, float, float]:
+    """The voxel size in mm (pixdim[1:4]) from a NIfTI-1 file's header."""
+    return _voxel_size(_read_header(path))
 
 
 def read_nifti(path):
@@ -115,7 +130,6 @@ def read_nifti(path):
         raise NiftiFormatError(
             "bad-datatype", f"unsupported NIfTI datatype code {datatype} (need 4, 16, or 64)"
         )
-    pixdim = struct.unpack_from("<8f", raw, 76)
     (vox_offset,) = struct.unpack_from("<f", raw, 108)
     (slope,) = struct.unpack_from("<f", raw, 112)
     (inter,) = struct.unpack_from("<f", raw, 116)
@@ -135,7 +149,6 @@ def read_nifti(path):
 
     if ndim == 3:
         return data
-    sizes = tuple(float(p) for p in pixdim[1:4])
     mask = np.all(np.isfinite(data), axis=-1)
     safe = np.where(np.isfinite(data), data, 0.0)
-    return Volume4D(safe, mask, sizes)
+    return Volume4D(safe, mask, _voxel_size(raw))

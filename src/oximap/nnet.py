@@ -46,6 +46,13 @@ _INIT_LOG_NOISE = np.log(0.01)
 
 SIGMA_IM_FLOOR = 1e-4
 
+# AdamW moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# lr_schedule decays linearly to base / LR_FINAL_FACTOR
+LR_FINAL_FACTOR = 100.0
+
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -224,13 +231,13 @@ def _gated_block(h: ad.Tensor, t: dict, b: int, cfg: NetworkConfig) -> ad.Tensor
     return ad.custom(out, (h, *params), vjp)
 
 
-def encoder_forward(weights: EncoderWeights, x: ad.Tensor, cfg: NetworkConfig | None = None) -> VoxelPrediction:
+def encoder_forward(weights: EncoderWeights, x: ad.Tensor) -> VoxelPrediction:
     """Forward pass; x has channels (the voxel's n_t samples) on the trailing axis.
 
     Voxelwise mode accepts any leading shape; gated-residual mode requires
     (B, h, w, n_t) so the in-plane convolution is defined.
     """
-    cfg = weights.config if cfg is None else cfg
+    cfg = weights.config
     if x.data.shape[-1] != weights.n_t:
         raise ValueError(f"input has {x.data.shape[-1]} channels, network expects {weights.n_t}")
     t = weights.tensors
@@ -265,7 +272,12 @@ def prediction_to_distribution(pred: VoxelPrediction, covariance_mode: str) -> S
 
 
 def collect_gradients(weights: EncoderWeights, loss: ad.Tensor) -> dict[str, np.ndarray]:
-    """Run backward from a scalar loss and return finite per-tensor gradients."""
+    """Run backward from a scalar loss and return finite per-tensor gradients.
+
+    The weights' gradients from any earlier backward are cleared first, so
+    each call returns this loss's gradient alone.
+    """
+    ad.zero_grads(weights.tensors.values())
     ad.backward(loss)
     grads = {}
     for name, t in weights.tensors.items():
@@ -301,9 +313,6 @@ def adamw_step(
     grads: dict[str, np.ndarray],
     lr: float,
     weight_decay: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     """One AdamW update in place: bias-corrected moments, decoupled decay.
 
@@ -311,15 +320,15 @@ def adamw_step(
     never through the gradient.
     """
     state.step += 1
-    bc1 = 1.0 - beta1**state.step
-    bc2 = 1.0 - beta2**state.step
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
     for name, t in weights.tensors.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m += (1.0 - beta1) * (g - m)
-        v += (1.0 - beta2) * (g * g - v)
-        t.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps) + lr * weight_decay * t.data
+        m += (1.0 - ADAM_BETA1) * (g - m)
+        v += (1.0 - ADAM_BETA2) * (g * g - v)
+        t.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS) + lr * weight_decay * t.data
 
 
 def swa_update(avg: dict[str, np.ndarray], current: EncoderWeights, k: int) -> None:
@@ -330,12 +339,12 @@ def swa_update(avg: dict[str, np.ndarray], current: EncoderWeights, k: int) -> N
         avg[name] += (t.data - avg[name]) / k
 
 
-def lr_schedule(step: int, total_steps: int, base: float, final_factor: float = 100.0) -> float:
-    """Linear decay from base at step 0 to base/final_factor at total_steps."""
+def lr_schedule(step: int, total_steps: int, base: float) -> float:
+    """Linear decay from base at step 0 to base / LR_FINAL_FACTOR at total_steps."""
     if not 0 <= step <= total_steps:
         raise ValueError("step must lie in [0, total_steps]")
     frac = step / total_steps if total_steps else 1.0
-    return base * (1.0 - frac) + (base / final_factor) * frac
+    return base * (1.0 - frac) + (base / LR_FINAL_FACTOR) * frac
 
 
 # checkpoint container -------------------------------------------------

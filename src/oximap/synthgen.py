@@ -14,6 +14,8 @@ from .volume import Volume4D
 # generation proceeds in fixed-size lanes, each with its own spawned RNG
 # stream, so results are reproducible regardless of how lanes are scheduled
 LANE_SIZE = 4096
+# a lane redraws its rejected rows at most this many times
+LANE_ATTEMPTS = 64
 
 
 class DatasetFormatError(ValueError):
@@ -92,42 +94,21 @@ PRIOR_PRESETS = {
 
 @dataclass(frozen=True)
 class NoiseProfile:
-    """Per-tau relative noise level and the spin-echo SNR range.
+    """The range of spin-echo SNRs; every tau is as noisy as the spin echo."""
 
-    rel_sigma is normalized so the spin-echo channel is 1; None means a flat
-    profile (every tau as noisy as the spin echo).
-    """
-
-    rel_sigma: tuple[float, ...] | None = None
     snr_low: float = 50.0
     snr_high: float = 120.0
 
     def __post_init__(self):
         if not (0 < self.snr_low <= self.snr_high):
             raise ValueError("need 0 < snr_low <= snr_high")
-        if self.rel_sigma is not None:
-            arr = tuple(float(v) for v in self.rel_sigma)
-            if any(v < 0 for v in arr):
-                raise ValueError("rel_sigma must be non-negative")
-            object.__setattr__(self, "rel_sigma", arr)
-
-    def sigma_vector(self, proto: AcquisitionProtocol) -> np.ndarray:
-        if self.rel_sigma is None:
-            return np.ones(proto.n_t)
-        if len(self.rel_sigma) != proto.n_t:
-            raise ValueError(
-                f"rel_sigma has {len(self.rel_sigma)} entries, protocol has {proto.n_t}"
-            )
-        arr = np.asarray(self.rel_sigma, dtype=np.float64)
-        if arr[proto.se_index] != 1.0:
-            raise ValueError("rel_sigma at the spin-echo index must be 1")
-        return arr
 
 
 def add_noise(clean, snr, prof: NoiseProfile, proto: AcquisitionProtocol, rng: np.random.Generator):
-    """Additive Gaussian noise with per-tau std = clean_se / snr * rel_sigma.
+    """Additive Gaussian noise with std = clean_se / snr on every tau.
 
     Broadcasts over leading axes of `clean` (trailing axis = tau) and `snr`.
+    `prof` is not read: the noise level is set by `snr` alone.
     """
     clean = np.asarray(clean, dtype=np.float64)
     snr = np.asarray(snr, dtype=np.float64)
@@ -136,7 +117,7 @@ def add_noise(clean, snr, prof: NoiseProfile, proto: AcquisitionProtocol, rng: n
     se = clean[..., proto.se_index : proto.se_index + 1]
     if np.any(se <= 0):
         raise ValueError("clean spin-echo signal must be positive")
-    sigma = se / snr[..., None] * prof.sigma_vector(proto)
+    sigma = se / snr[..., None]
     return clean + rng.standard_normal(clean.shape) * sigma
 
 
@@ -174,7 +155,6 @@ def _generate_lane(
     fwd_cfg: ForwardModelConfig,
     prof: NoiseProfile,
     rng: np.random.Generator,
-    max_attempts: int = 64,
 ):
     """One lane: draw, synthesize, noise, normalize; redraw rejected rows in place."""
     signals = np.empty((n, proto.n_t))
@@ -182,7 +162,7 @@ def _generate_lane(
     snrs = np.empty(n)
     pending = np.arange(n)
     rejected = 0
-    for _ in range(max_attempts):
+    for _ in range(LANE_ATTEMPTS):
         if pending.size == 0:
             break
         t = param_cfg.sample(rng, pending.size)

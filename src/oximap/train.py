@@ -2,8 +2,8 @@
 amortized variational fine-tuning on masked image volumes.
 
 Pretraining maximizes the predicted-distribution log-density of known
-synthetic truths (AdamW, optional stochastic weight averaging over the
-second half). Fine-tuning minimizes a Monte-Carlo negative ELBO — KL of
+synthetic truths (AdamW, stochastic weight averaging over the second
+half). Fine-tuning minimizes a Monte-Carlo negative ELBO — KL of
 the predicted posterior against per-voxel priors from the frozen
 pretrained network, minus the expected diagonal-Gaussian log-likelihood
 of the normalized signals under the biophysical forward model — plus a
@@ -44,6 +44,9 @@ from .physics import (
 from .synthgen import SynthDataset
 from .volume import Volume4D, planes_first, valid_crop_corners
 
+# share of the synthetic rows pretraining holds out as a validation split
+VAL_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -57,8 +60,6 @@ class TrainingConfig:
     n_samples_elbo: int = 4
     tv_lambda: float = 5.0
     crop_xy: int = 25
-    swa_enabled: bool = False
-    val_fraction: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -73,12 +74,10 @@ class TrainingConfig:
             raise ValueError("weight_decay must be >= 0")
         if self.tv_lambda < 0:
             raise ValueError("tv_lambda must be >= 0")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ValueError("val_fraction must lie in [0, 1)")
 
     @classmethod
     def pretrain_defaults(cls, **overrides) -> "TrainingConfig":
-        base = dict(stage="pretrain", iterations=1400, batch_size=512, lr=2e-3, swa_enabled=True)
+        base = dict(stage="pretrain", iterations=1400, batch_size=512, lr=2e-3)
         base.update(overrides)
         return cls(**base)
 
@@ -180,8 +179,8 @@ def run_pretraining(
     dataset: SynthDataset,
     metrics_path=None,
 ) -> EncoderWeights:
-    """Supervised pretraining on a synthetic dataset; returns the trained
-    (SWA-averaged when enabled) voxelwise network.
+    """Supervised pretraining on a synthetic dataset; returns the voxelwise
+    network averaged (SWA) over the second half of the iterations.
 
     The returned weights are initialized from the first draws of
     default_rng(train_cfg.seed), so the starting network is reproducible
@@ -196,14 +195,11 @@ def run_pretraining(
     theta = init_weights(net_cfg, n_t, rng)
     opt = AdamWState.for_weights(theta)
 
+    # the first n_val rows of the permutation are the held-out validation split;
+    # VAL_FRACTION < 0.5, so at least one row is left to train on
     perm = rng.permutation(dataset.n)
-    n_val = int(round(train_cfg.val_fraction * dataset.n))
-    val_rows = perm[:n_val]
+    n_val = int(round(VAL_FRACTION * dataset.n))
     train_rows = perm[n_val:]
-    if train_rows.size == 0:
-        train_rows = perm
-    if val_rows.size == 0:
-        val_rows = train_rows
 
     swa_avg = {k: np.zeros_like(t.data) for k, t in theta.tensors.items()}
     swa_count = 0
@@ -215,18 +211,15 @@ def run_pretraining(
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
                 raise RuntimeError(f"non-finite loss at iteration {i}")
-            ad.zero_grads(loss)
             grads = collect_gradients(theta, loss)
             adamw_step(theta, opt, grads, train_cfg.lr, train_cfg.weight_decay)
-            if train_cfg.swa_enabled and (i + 1) > train_cfg.iterations // 2:
+            if (i + 1) > train_cfg.iterations // 2:
                 swa_count += 1
                 swa_update(swa_avg, theta, swa_count)
             log.write(i, loss_val, lr=train_cfg.lr)
 
-    if train_cfg.swa_enabled and swa_count > 0:
-        theta = EncoderWeights(
-            net_cfg, n_t, {k: ad.Tensor(v.copy()) for k, v in swa_avg.items()}
-        )
+    # iterations >= 1, so the second half holds at least the last step
+    theta = EncoderWeights(net_cfg, n_t, {k: ad.Tensor(v) for k, v in swa_avg.items()})
     # fail loudly if training left the weights unusable
     if not all(np.all(np.isfinite(t.data)) for t in theta.tensors.values()):
         raise RuntimeError("non-finite weights after pretraining")
@@ -490,7 +483,6 @@ def run_finetuning(
                     f"training diverged at iteration {i}: loss {loss_val:.6g} "
                     f"grew more than 10x above the initial {initial_loss:.6g}"
                 )
-            ad.zero_grads(loss)
             grads = collect_gradients(psi, loss)
             lr_i = lr_schedule(i, train_cfg.iterations, train_cfg.lr)
             wd_i = lr_schedule(i, train_cfg.iterations, train_cfg.weight_decay)

@@ -210,9 +210,6 @@ class TestInferMaps:
         assert (maps.oef_std[mask] > 0).all()
         assert (maps.dbv_std[mask] > 0).all()
         assert np.isfinite(maps.elbo[mask]).all()
-        # Monte-Carlo means track, but do not equal, the median point maps
-        diff = np.abs(maps.oef_mc_mean[mask] - maps.oef_point[mask])
-        assert 0.0 < diff.mean() < 0.1
 
     def test_seed_determinism(self, theta16, phantom_vol):
         cfg = InferenceConfig(forward=FWD1, n_std_samples=16, n_elbo_samples=2, seed=9)
@@ -397,7 +394,7 @@ class TestWlsFit:
         assert maps.source == "wls"
         assert np.isnan(maps.elbo[mask]).all()
 
-    def test_exact_above_nominal_oef_too(self, proto_m, constants_m):
+    def test_exact_above_cutoff_oef_too(self, proto_m, constants_m):
         # truth above the nominal cutoff OEF shortens the transition time, so
         # every selected tau still lies in the linear regime
         ph = make_phantom((2, 2, 1), (0.55, 0.04), proto_m, constants_m, FWD1, None, None)
@@ -433,7 +430,7 @@ class TestWlsFit:
         # a very steep decay implies OEF far above 1 at a tiny intercept
         row = 0.001 - 3.0 * np.abs(proto_m.tau_array)
         data = np.tile(row, (1, 1, 1, 1))
-        maps = wls_fit(Volume4D(data), proto_m, constants_m, max_oef=1.0)
+        maps = wls_fit(Volume4D(data), proto_m, constants_m)
         assert np.isnan(maps.oef_point[0, 0, 0])
 
     def test_empty_mask(self, proto_m, constants_m):
@@ -541,15 +538,6 @@ class TestPairedTstat:
         assert np.all(np.isfinite(t[mask]))
         assert np.array_equal(t[mask], t2[mask])
         assert np.all(np.isnan(t[~mask]))
-
-    def test_accepts_parammaps_and_selects_parameter(self, rng):
-        oef_a = [rng.normal(0.4, 0.02, (2, 2, 1)) for _ in range(2)]
-        dbv_a = [rng.normal(0.03, 0.002, (2, 2, 1)) for _ in range(2)]
-        maps_a = [tiny_maps(o, d) for o, d in zip(oef_a, dbv_a)]
-        arrs_b = [np.full((2, 2, 1), 0.025) for _ in range(2)]
-        t = paired_tstat(maps_a, arrs_b, smoothing_fwhm_mm=0.0, parameter="dbv")
-        ref = paired_tstat(dbv_a, arrs_b, smoothing_fwhm_mm=0.0)
-        assert_allclose(t, ref, rtol=0, atol=0)
 
     def test_errors(self, rng):
         a = [rng.normal(size=(2, 2, 1)) for _ in range(2)]

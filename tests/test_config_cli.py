@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from oximap.analysis import paired_tstat
 from oximap.cli import _read_maps_dir, cli_dispatch
 from oximap.config import (
     ConfigError,
@@ -17,7 +18,7 @@ from oximap.config import (
     load_config,
     save_config,
 )
-from oximap.nifti import read_nifti, write_nifti
+from oximap.nifti import read_nifti, read_voxel_size, write_nifti
 from oximap.nnet import load_checkpoint
 from oximap.physics import AcquisitionProtocol
 from oximap.synthgen import PRIOR_PRESETS, load_dataset
@@ -66,13 +67,11 @@ class TestRunConfig:
         pre = config_from_dict({"training": {"iterations": 9, "batch_size": 4, "seed": 3}})
         assert pre.training.stage == "pretrain"
         assert pre.training.lr == 2e-3
-        assert pre.training.swa_enabled is True
         assert pre.training.iterations == 9
 
         fin = config_from_dict({"training": {"stage": "finetune", "crop_xy": 6}})
         assert fin.training.lr == 5e-3
         assert fin.training.batch_size == 38
-        assert fin.training.swa_enabled is False
         assert fin.training.crop_xy == 6
 
         with pytest.raises(ConfigError, match="invalid section 'training'"):
@@ -93,6 +92,10 @@ class TestRunConfig:
         # the forward model has no quadrature setting
         with pytest.raises(ConfigError, match="section 'forward'"):
             config_from_dict({"forward": {"n_intervals": 64}})
+        # SWA and the validation split are fixed parts of pretraining
+        for key, value in (("swa_enabled", True), ("val_fraction", 0.1)):
+            with pytest.raises(ConfigError, match=f"section 'training': {key}"):
+                config_from_dict({"training": {"stage": "pretrain", key: value}})
 
     def test_invalid_value_names_section(self):
         with pytest.raises(ConfigError, match="invalid section 'training'"):
@@ -312,6 +315,39 @@ class TestCliPipeline:
         assert t.shape == (8, 8, 2)
         assert np.all(t == 0.0)
 
+    def test_compare_smooths_with_the_maps_voxel_size(self, tmp_path):
+        rng = np.random.default_rng(3)
+        paths = {"a": [], "b": []}
+        for tag, mean in (("a", 0.40), ("b", 0.38)):
+            for i in range(3):
+                path = tmp_path / f"{tag}{i}.nii"
+                write_nifti(rng.normal(mean, 0.02, (6, 6, 2)), path, voxel_size_mm=(1.0, 1.0, 1.0))
+                paths[tag].append(str(path))
+        out = tmp_path / "t.nii"
+        rc = cli_dispatch(["compare", "--a", *paths["a"], "--b", *paths["b"], "--out", str(out)])
+        assert rc == 0
+        maps_a = [read_nifti(p) for p in paths["a"]]
+        maps_b = [read_nifti(p) for p in paths["b"]]
+        ref = paired_tstat(maps_a, maps_b, voxel_size_mm=(1, 1, 1))
+        assert np.array_equal(read_nifti(out), ref.astype(np.float32))
+        assert not np.allclose(ref, paired_tstat(maps_a, maps_b))
+        assert read_voxel_size(out) == (1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("command", ["infer", "wls"])
+    def test_dropped_voxels_reported(self, pipeline, tmp_path, capsys, command):
+        data = read_nifti(pipeline["phantom"]).data.copy()
+        data[2, 3, 1, 4] = -1.0
+        vol = tmp_path / "neg.nii"
+        write_nifti(Volume4D(data), vol)
+        out = tmp_path / "maps"
+        argv = [command, "--volume", str(vol), "--out-dir", str(out)]
+        if command == "infer":
+            argv += ["--weights", str(pipeline["ckpt"])]
+        assert cli_dispatch(argv) == 0
+        assert f"dropped 1 non-positive voxels from {vol}" in capsys.readouterr().err
+        mask = read_nifti(out / "mask.nii") > 0.5
+        assert not mask[2, 3, 1] and mask.sum() == mask.size - 1
+
 
 class TestCliErrors:
     def test_missing_required_argument_exits_2(self):
@@ -397,6 +433,17 @@ class TestCliErrors:
         ])
         assert rc == 1
         assert "same number" in capsys.readouterr().err
+
+    def test_compare_voxel_size_mismatch(self, tmp_path, capsys):
+        fine, coarse = str(tmp_path / "fine.nii"), str(tmp_path / "coarse.nii")
+        write_nifti(np.zeros((4, 4, 1)), fine, voxel_size_mm=(1.0, 1.0, 1.0))
+        write_nifti(np.zeros((4, 4, 1)), coarse)
+        rc = cli_dispatch([
+            "compare", "--a", fine, fine, "--b", coarse, coarse,
+            "--out", str(tmp_path / "t.nii"),
+        ])
+        assert rc == 1
+        assert "voxel sizes" in capsys.readouterr().err
 
     def test_bad_phantom_shape_exits_1(self, tmp_path, capsys):
         rc = cli_dispatch([

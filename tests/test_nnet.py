@@ -197,12 +197,12 @@ class TestEncoderForward:
             gate_offset=-1e9,
             gate_scope=w.config.gate_scope,
         )
-        gated = encoder_forward(w, ad.Tensor(x), shut)
+        gated = encoder_forward(EncoderWeights(shut, w.n_t, w.tensors), ad.Tensor(x))
         voxelwise = NetworkConfig(
             n_blocks=w.config.n_blocks, width=w.config.width,
             covariance_mode=w.config.covariance_mode,
         )
-        plain = encoder_forward(w, ad.Tensor(x.reshape(-1, N_T)), voxelwise)
+        plain = encoder_forward(EncoderWeights(voxelwise, w.n_t, w.tensors), ad.Tensor(x.reshape(-1, N_T)))
         assert_allclose(gated.mu_l.data.reshape(-1, 2), plain.mu_l.data, rtol=0, atol=1e-300)
 
     def test_fresh_extension_stays_near_voxelwise(self, rng):
@@ -227,7 +227,7 @@ class TestEncoderForward:
                 covariance_mode=w.config.covariance_mode, gate_offset=offset,
                 gate_scope=w.config.gate_scope,
             )
-            return encoder_forward(w, ad.Tensor(x), cfg).mu_l.data
+            return encoder_forward(EncoderWeights(cfg, w.n_t, w.tensors), ad.Tensor(x)).mu_l.data
 
         mlp = mu_at(-1e9)
         d3 = mu_at(-3.0) - mlp
@@ -377,6 +377,19 @@ class TestGradients:
         ad.backward(total, seed=0.0)
         for name, t in w.tensors.items():
             assert np.all(t.grad == 0.0), name
+
+    def test_each_call_returns_its_own_gradient(self, rng):
+        # a second loss over the same weights must not add in the gradient
+        # the first backward left on them
+        w = small_net()
+        x = rng.normal(-0.1, 0.05, (4, N_T))
+        first = collect_gradients(w, ad.tsum(encoder_forward(w, ad.Tensor(x)).mu_l))
+        second = collect_gradients(w, ad.tsum(encoder_forward(w, ad.Tensor(x)).log_sigma_im))
+        fresh = w.copy()
+        ref = collect_gradients(fresh, ad.tsum(encoder_forward(fresh, ad.Tensor(x)).log_sigma_im))
+        assert np.all(first["mu.b"] == len(x))  # one per row of the summed mu_l
+        for name in w.tensors:
+            assert np.array_equal(second[name], ref[name]), name
 
     def test_nonfinite_gradient_names_tensor(self, rng):
         w = small_net()

@@ -115,18 +115,6 @@ class TestNoiseProfile:
             NoiseProfile(snr_low=0.0, snr_high=10.0)
         with pytest.raises(ValueError, match="snr"):
             NoiseProfile(snr_low=50.0, snr_high=20.0)
-        with pytest.raises(ValueError, match="non-negative"):
-            NoiseProfile(rel_sigma=(1.0, -0.1, 1.0))
-
-    def test_sigma_vector(self, proto):
-        assert_allclose(NoiseProfile().sigma_vector(proto), np.ones(proto.n_t))
-        rel = tuple(1.0 if i == proto.se_index else 0.5 for i in range(proto.n_t))
-        assert_allclose(NoiseProfile(rel_sigma=rel).sigma_vector(proto), rel)
-        with pytest.raises(ValueError, match="entries"):
-            NoiseProfile(rel_sigma=(1.0, 1.0)).sigma_vector(proto)
-        bad = tuple(0.5 for _ in range(proto.n_t))
-        with pytest.raises(ValueError, match="spin-echo"):
-            NoiseProfile(rel_sigma=bad).sigma_vector(proto)
 
 
 class TestAddNoise:
@@ -142,15 +130,6 @@ class TestAddNoise:
                         np.random.default_rng(5))
         rel_std = ((out - clean) / clean[proto.se_index]).std(axis=0)
         assert_allclose(rel_std, 0.01, rtol=0.02)
-
-    def test_zero_rel_sigma_channel_noiseless(self, proto, constants):
-        clean = total_signal((0.4, 0.025), proto, constants, ForwardModelConfig())
-        rel = [1.0] * proto.n_t
-        rel[0] = 0.0
-        out = add_noise(clean, 80.0, NoiseProfile(rel_sigma=tuple(rel)), proto,
-                        np.random.default_rng(1))
-        assert out[0] == clean[0]
-        assert out[1] != clean[1]
 
     def test_log_se_noise_is_inverse_snr(self, proto, constants):
         # first-order: log(noisy_se / clean_se) has std 1/snr

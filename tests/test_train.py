@@ -119,10 +119,9 @@ class TestTrainingConfig:
     def test_stage_defaults(self):
         p = TrainingConfig.pretrain_defaults()
         assert (p.stage, p.iterations, p.batch_size, p.lr) == ("pretrain", 1400, 512, 2e-3)
-        assert p.swa_enabled and p.weight_decay == 2e-4
+        assert p.weight_decay == 2e-4
         f = TrainingConfig.finetune_defaults()
         assert (f.stage, f.iterations, f.batch_size, f.lr) == ("finetune", 4000, 38, 5e-3)
-        assert not f.swa_enabled
         assert f.n_samples_elbo == 4 and f.tv_lambda == 5.0 and f.crop_xy == 25
 
     def test_overrides(self):
@@ -140,8 +139,6 @@ class TestTrainingConfig:
             TrainingConfig.pretrain_defaults(weight_decay=-1e-4)
         with pytest.raises(ValueError, match="tv_lambda"):
             TrainingConfig.finetune_defaults(tv_lambda=-0.5)
-        with pytest.raises(ValueError, match="val_fraction"):
-            TrainingConfig.pretrain_defaults(val_fraction=1.0)
 
 
 class TestMetricsLog:
@@ -262,8 +259,7 @@ class TestRunPretraining:
         # which must equal init_weights under the same fresh generator
         cfg = NetworkConfig(n_blocks=1, width=8)
         tc = TrainingConfig.pretrain_defaults(
-            iterations=1, batch_size=4, lr=1e-300, weight_decay=0.0,
-            swa_enabled=False, seed=13,
+            iterations=1, batch_size=4, lr=1e-300, weight_decay=0.0, seed=13,
         )
         theta = run_pretraining(cfg, tc, noisy_dataset)
         ref = init_weights(cfg, 11, np.random.default_rng(13))
