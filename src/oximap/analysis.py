@@ -3,8 +3,9 @@ WLS baseline fits, per-voxel ELBO maps, region summaries, and paired
 voxelwise t-statistics.
 
 The learned point estimate is the transformed logit-space mean f(mu_l),
-i.e. the distribution median; standard deviations are derived from
-per-voxel samples. All per-voxel quantities are NaN outside the mask.
+i.e. the distribution median; standard deviations are the exact marginal
+standard deviations of each voxel's posterior, from a fixed quadrature with
+no draws. All per-voxel quantities are NaN outside the mask.
 """
 
 from __future__ import annotations
@@ -91,19 +92,51 @@ class InferenceConfig:
     protocol: AcquisitionProtocol = field(default_factory=AcquisitionProtocol)
     constants: PhysioConstants = field(default_factory=PhysioConstants)
     forward: ForwardModelConfig = field(default_factory=ForwardModelConfig)
-    n_std_samples: int = 256
     n_elbo_samples: int = 32
     seed: int = 0
     source: str = "vi"
     prior_weights: EncoderWeights | None = None
 
     def __post_init__(self):
-        if self.n_std_samples < 2:
-            raise ValueError("n_std_samples must be >= 2")
         if self.n_elbo_samples < 1:
             raise ValueError("n_elbo_samples must be >= 1")
         if self.source not in MAP_SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
+
+
+# marginal_std's rule: trapezoid nodes z = k/8, |k| <= 64, with normalised
+# standard-normal weights, applied to STD_BLOCK voxels at a time
+_STD_NODES = np.arange(-64, 65) / 8.0
+_STD_WEIGHTS = np.exp(-0.5 * _STD_NODES**2)
+_STD_WEIGHTS /= _STD_WEIGHTS.sum()
+STD_BLOCK = 4096
+
+
+def marginal_std(dist: ScaledLogitNormal) -> np.ndarray:
+    """Exact marginal standard deviations (..., 2) of (oef, dbv) under dist.
+
+    Each marginal is a one-dimensional scaled logit-normal: oef = f(mu0 +
+    l00 z) and dbv = f(mu1 + hypot(l10, l11) z) with z standard normal. A
+    trapezoid rule in z with step 1/8 on |z| <= 8 gives the mean, then the
+    centred second moment, with no draws; it converges geometrically for
+    these smooth integrands (relative error below 1e-6 for logit means in
+    [-8, 8] and logit stds up to 8). The voxels are taken STD_BLOCK at a
+    time, so the working memory does not grow with their number.
+    """
+    c = dist.chol
+    mu = dist.mu.reshape(-1, 2)
+    scale = np.stack([c[..., 0, 0], np.hypot(c[..., 1, 0], c[..., 1, 1])], axis=-1).reshape(-1, 2)
+    out = np.empty_like(mu)
+    for b in range(0, mu.shape[0], STD_BLOCK):
+        blk = slice(b, b + STD_BLOCK)
+        # (voxel, component, node): the nodes run along contiguous rows, so
+        # the weighted sums are matrix-vector products
+        beta = mu[blk, :, None] + scale[blk, :, None] * _STD_NODES
+        y = forward_transform(beta.swapaxes(1, 2)).swapaxes(1, 2)
+        y -= (y @ _STD_WEIGHTS)[..., None]
+        y *= y
+        out[blk] = np.sqrt(y @ _STD_WEIGHTS)
+    return out.reshape(dist.mu.shape)
 
 
 def _nan_maps(vol: Volume4D, source: str) -> ParamMaps:
@@ -182,8 +215,8 @@ def infer_maps(weights: EncoderWeights, vol: Volume4D, cfg: InferenceConfig) -> 
 
     The encoder runs once, on the whole grid; everything after it runs on
     the masked voxels only. Point maps are the transformed logit means; std
-    maps come from cfg.n_std_samples posterior draws per masked voxel; R2'
-    is the deterministic map DBV * delta_omega(OEF) of the point
+    maps are the exact marginal posterior stds of marginal_std, with no
+    draws; R2' is the deterministic map DBV * delta_omega(OEF) of the point
     estimates; the ELBO map reuses the same posterior, against priors from
     cfg.prior_weights. A voxelwise network with no prior network given is
     its own prior, so its posterior serves as the priors too and the
@@ -194,14 +227,13 @@ def infer_maps(weights: EncoderWeights, vol: Volume4D, cfg: InferenceConfig) -> 
         return maps
 
     dist, log_sigma = _masked_posterior(weights, vol)
-    rng = np.random.default_rng(cfg.seed)
     point = forward_transform(dist.mu)
-    mc_std = dist.sample(rng, cfg.n_std_samples).std(axis=0, ddof=1)
+    std = marginal_std(dist)
 
     maps.oef_point = _scatter(point[:, 0], vol)
     maps.dbv_point = _scatter(point[:, 1], vol)
-    maps.oef_std = _scatter(mc_std[:, 0], vol)
-    maps.dbv_std = _scatter(mc_std[:, 1], vol)
+    maps.oef_std = _scatter(std[:, 0], vol)
+    maps.dbv_std = _scatter(std[:, 1], vol)
     r2p = r2_prime((point[:, 0], point[:, 1]), cfg.constants, cfg.protocol.b0)
     maps.r2p_point = _scatter(r2p, vol)
 

@@ -50,6 +50,14 @@ def _training_for_stage(cfg: RunConfig, stage: str, seed) -> TrainingConfig:
     return tr
 
 
+def _read_map(path) -> np.ndarray:
+    """Read a 3-D map or mask; a 4-D file is rejected, naming it."""
+    img = read_nifti(path)
+    if isinstance(img, Volume4D):
+        raise ValueError(f"{path} is 4-D; a 3-D image is required")
+    return img
+
+
 def _read_volume(vol_path, mask_path, cfg: RunConfig) -> Volume4D:
     """Read a raw 4-D volume and its optional 3-D mask, check it against the
     protocol and normalize it. Voxels with a non-positive sample are dropped
@@ -58,9 +66,7 @@ def _read_volume(vol_path, mask_path, cfg: RunConfig) -> Volume4D:
     if not isinstance(vol, Volume4D):
         raise ValueError(f"{vol_path} is 3-D; a 4-D multi-tau volume is required")
     if mask_path is not None:
-        mask = read_nifti(mask_path)
-        if isinstance(mask, Volume4D):
-            raise ValueError(f"{mask_path} is 4-D; the mask must be a 3-D image")
+        mask = _read_map(mask_path)
         if mask.shape != vol.grid_shape:
             raise ValueError(
                 f"mask grid {mask.shape} does not match volume grid {vol.grid_shape}"
@@ -191,15 +197,15 @@ def _read_maps_dir(path) -> ParamMaps:
     if not (desc.startswith("oef (") and desc.endswith(")")):
         raise ValueError(f"{oef_path}: header description {desc!r} does not name the map source")
     return ParamMaps(
-        **{attr: read_nifti(_map_path(path, name)) for name, attr in MAP_FIELDS.items()},
+        **{attr: _read_map(_map_path(path, name)) for name, attr in MAP_FIELDS.items()},
         source=desc[len("oef (") : -1],
-        mask=read_nifti(_map_path(path, "mask")) > 0.5,
+        mask=_read_map(_map_path(path, "mask")) > 0.5,
     )
 
 
 def _cmd_stats(args) -> int:
     maps = _read_maps_dir(args.maps_dir)
-    region = read_nifti(args.region) > 0.5
+    region = _read_map(args.region) > 0.5
     table = region_stats(maps, region)
     lines = ["parameter\tmean\tstd\tn"]
     for name, (mean, std, n) in table.items():
@@ -221,8 +227,8 @@ def _cmd_compare(args) -> int:
     if len(sizes) > 1:
         raise ValueError(f"--a and --b maps have different voxel sizes: {sorted(sizes)}")
     (voxel_size,) = sizes
-    maps_a = [read_nifti(p) for p in args.a]
-    maps_b = [read_nifti(p) for p in args.b]
+    maps_a = [_read_map(p) for p in args.a]
+    maps_b = [_read_map(p) for p in args.b]
     t = paired_tstat(maps_a, maps_b, smoothing_fwhm_mm=args.fwhm, voxel_size_mm=voxel_size)
     write_nifti(t, args.out, voxel_size_mm=voxel_size, description="paired t-statistic")
     print(f"wrote t-statistic map to {args.out}")

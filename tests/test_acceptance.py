@@ -472,7 +472,7 @@ def test_10_artifact_detection():
     maps = infer_maps(
         _shared("theta_N"),
         noisy,
-        InferenceConfig(forward=FULL2, n_std_samples=64, n_elbo_samples=16, seed=5),
+        InferenceConfig(forward=FULL2, n_elbo_samples=16, seed=5),
     )
     clean = volA.mask & ~art
     e_c = maps.elbo[clean]

@@ -4,12 +4,17 @@ reference, encoder passes that only read values keeping no tape, WLS
 self-inversion on matched data, region summaries, and paired t-statistics
 against scipy."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
+from scipy.integrate import IntegrationWarning, quad
+from scipy.special import expit
 
 from oximap import analysis, train
 from oximap import autodiff as ad
@@ -18,11 +23,19 @@ from oximap.analysis import (
     ParamMaps,
     elbo_map,
     infer_maps,
+    marginal_std,
     paired_tstat,
     region_stats,
     wls_fit,
 )
-from oximap.distributions import forward_transform, kl_cholesky, reparameterize
+from oximap.distributions import (
+    PARAM_OFFSET,
+    PARAM_SCALE,
+    ScaledLogitNormal,
+    forward_transform,
+    kl_cholesky,
+    reparameterize,
+)
 from oximap.nnet import (
     NetworkConfig,
     collect_gradients,
@@ -120,8 +133,6 @@ class TestParamMaps:
             )
 
     def test_inference_config_validation(self):
-        with pytest.raises(ValueError, match="n_std_samples"):
-            InferenceConfig(n_std_samples=1)
         with pytest.raises(ValueError, match="n_elbo_samples"):
             InferenceConfig(n_elbo_samples=0)
         with pytest.raises(ValueError, match="source"):
@@ -191,7 +202,7 @@ class TestElboMap:
 class TestInferMaps:
     def test_point_maps_transform_the_logit_mean(self, theta16, phantom_vol, constants_m,
                                                  proto_m):
-        cfg = InferenceConfig(forward=FWD1, n_std_samples=16, n_elbo_samples=2)
+        cfg = InferenceConfig(forward=FWD1, n_elbo_samples=2)
         maps = infer_maps(theta16, phantom_vol, cfg)
         x = np.moveaxis(phantom_vol.data, 2, 0)
         pred = encoder_forward(theta16, ad.Tensor(x))
@@ -204,15 +215,18 @@ class TestInferMaps:
         assert_allclose(maps.r2p_point[mask], r2p[mask], rtol=1e-12)
 
     def test_std_and_mc_maps(self, theta16, phantom_vol):
-        cfg = InferenceConfig(forward=FWD1, n_std_samples=64, n_elbo_samples=2)
+        cfg = InferenceConfig(forward=FWD1, n_elbo_samples=2)
         maps = infer_maps(theta16, phantom_vol, cfg)
         mask = phantom_vol.mask
         assert (maps.oef_std[mask] > 0).all()
         assert (maps.dbv_std[mask] > 0).all()
         assert np.isfinite(maps.elbo[mask]).all()
+        std = marginal_std(analysis._masked_posterior(theta16, phantom_vol)[0])
+        assert np.array_equal(maps.oef_std, analysis._scatter(std[:, 0], phantom_vol), equal_nan=True)
+        assert np.array_equal(maps.dbv_std, analysis._scatter(std[:, 1], phantom_vol), equal_nan=True)
 
     def test_seed_determinism(self, theta16, phantom_vol):
-        cfg = InferenceConfig(forward=FWD1, n_std_samples=16, n_elbo_samples=2, seed=9)
+        cfg = InferenceConfig(forward=FWD1, n_elbo_samples=2, seed=9)
         a = infer_maps(theta16, phantom_vol, cfg)
         b = infer_maps(theta16, phantom_vol, cfg)
         assert a.oef_std[phantom_vol.mask].tobytes() == b.oef_std[phantom_vol.mask].tobytes()
@@ -227,10 +241,10 @@ class TestInferMaps:
 
     def test_gated_network_needs_prior_weights(self, theta16, phantom_vol):
         psi = extend_weights(theta16, np.random.default_rng(0))
-        cfg = InferenceConfig(forward=FWD1, n_std_samples=16, n_elbo_samples=2)
+        cfg = InferenceConfig(forward=FWD1, n_elbo_samples=2)
         with pytest.raises(ValueError, match="prior_weights"):
             infer_maps(psi, phantom_vol, cfg)
-        ok = InferenceConfig(forward=FWD1, n_std_samples=16, n_elbo_samples=2,
+        ok = InferenceConfig(forward=FWD1, n_elbo_samples=2,
                              prior_weights=theta16, source="vi+tv")
         maps = infer_maps(psi, phantom_vol, ok)
         assert maps.source == "vi+tv"
@@ -238,10 +252,77 @@ class TestInferMaps:
 
     def test_recovers_phantom_truth(self, theta16, phantom_vol):
         maps = infer_maps(theta16, phantom_vol, InferenceConfig(forward=FWD1,
-                                                                n_std_samples=16,
                                                                 n_elbo_samples=2))
         assert abs(np.nanmean(maps.oef_point) - 0.4) < 0.07
         assert abs(np.nanmean(maps.dbv_point) - 0.025) < 0.01
+
+
+def quad_std(mu, s, k):
+    """Std of PARAM_SCALE[k] * logistic(mu + s z) + PARAM_OFFSET[k], z standard
+    normal, by adaptive quadrature: the mean, then the centred second moment."""
+    def f(z):
+        return PARAM_SCALE[k] * expit(mu + s * z) + PARAM_OFFSET[k]
+
+    def pdf(z):
+        return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    kw = dict(epsabs=0.0, epsrel=1e-12, limit=200)
+    mean = quad(lambda z: f(z) * pdf(z), -np.inf, np.inf, **kw)[0]
+    var = quad(lambda z: (f(z) - mean) ** 2 * pdf(z), -np.inf, np.inf, **kw)[0]
+    return np.sqrt(var)
+
+
+class TestMarginalStd:
+    @pytest.mark.filterwarnings("ignore", category=IntegrationWarning)
+    def test_matches_adaptive_quadrature(self):
+        # logit means in [-8, 8], logit stds in [1e-3, 8]; the dbv scale is
+        # split over l10 and l11, so the full-covariance path is exercised
+        mu, s = (g.ravel() for g in np.meshgrid(np.linspace(-8, 8, 9), np.geomspace(1e-3, 8, 9)))
+        chol = np.zeros(s.shape + (2, 2))
+        chol[:, 0, 0] = s
+        chol[:, 1, 0] = 0.6 * s
+        chol[:, 1, 1] = 0.8 * s
+        got = marginal_std(ScaledLogitNormal(np.stack([mu, -mu], axis=-1), chol))
+        ref = np.array([[quad_std(m, v, 0), quad_std(-m, v, 1)] for m, v in zip(mu, s)])
+        assert_allclose(got, ref, rtol=1e-6, atol=0)
+
+    @settings(max_examples=25)
+    @given(
+        mu=st.tuples(st.floats(-4, 4), st.floats(-4, 4)),
+        l00=st.floats(0.02, 3.0),
+        l10=st.floats(-3.0, 3.0),
+        l11=st.floats(0.02, 3.0),
+        angle=st.floats(0.05, 1.5),
+    )
+    def test_agrees_with_draws_and_reads_dbv_through_hypot(self, mu, l00, l10, l11, angle):
+        dist = ScaledLogitNormal(mu, [[l00, 0.0], [l10, l11]])
+        std = marginal_std(dist)
+        h = np.hypot(l10, l11)
+        turned = ScaledLogitNormal(mu, [[l00, 0.0], [h * np.cos(angle), h * np.sin(angle)]])
+        assert_allclose(marginal_std(turned), std, rtol=1e-12)
+        n = 40_000
+        y = dist.sample(np.random.default_rng(0), n)
+        c = y - y.mean(axis=0)
+        var = (c * c).mean(axis=0)
+        # standard error of a sample std: sqrt(m4 - var^2) / (2 std sqrt(n))
+        se = np.sqrt(((c**4).mean(axis=0) - var**2) / n) / (2.0 * np.sqrt(var))
+        assert np.all(np.abs(y.std(axis=0, ddof=1) - std) <= 5.0 * se), (std, se)
+
+    def test_memory_does_not_grow_with_the_voxel_count(self):
+        def peak(n):
+            chol = np.zeros((n, 2, 2))
+            chol[:, 0, 0] = chol[:, 1, 1] = 0.5
+            dist = ScaledLogitNormal(np.random.default_rng(0).normal(0.0, 1.0, (n, 2)), chol)
+            tracemalloc.start()
+            try:
+                marginal_std(dist)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # only the (n, 2) scales and result grow with n, by 32 bytes a voxel
+        small, large = peak(2 * analysis.STD_BLOCK), peak(8 * analysis.STD_BLOCK)
+        assert large < 1.1 * small, (small, large)
 
 
 def full_grid_loss(psi, x, mask, prior_mu, prior_chol, proto, constants, fwd, n_draws, rng):
@@ -313,7 +394,7 @@ class TestMaskedOnlyEvaluation:
         mask[0, 0, 0] = True
         other = phantom_vol.data.copy()
         other[~mask] = rng.normal(-0.2, 0.1, (int((~mask).sum()), other.shape[-1]))
-        cfg = InferenceConfig(forward=FWD1, n_std_samples=8, n_elbo_samples=2, seed=seed)
+        cfg = InferenceConfig(forward=FWD1, n_elbo_samples=2, seed=seed)
         a = infer_maps(theta16, Volume4D(phantom_vol.data, mask), cfg)
         b = infer_maps(theta16, Volume4D(other, mask), cfg)
         for name in ("oef_point", "dbv_point", "oef_std", "dbv_std", "elbo"):
@@ -343,8 +424,8 @@ class TestDetachedEncoderPasses:
         rows = phantom_vol.masked_signals()
         evaluate_pretrain_loss(theta16, rows, np.tile([0.4, 0.025], (rows.shape[0], 1)))
         psi = extend_weights(theta16, np.random.default_rng(0))
-        infer_maps(psi, phantom_vol, InferenceConfig(forward=FWD1, n_std_samples=2,
-                                                     n_elbo_samples=1, prior_weights=theta16))
+        infer_maps(psi, phantom_vol, InferenceConfig(forward=FWD1, n_elbo_samples=1,
+                                                     prior_weights=theta16))
         names = [name for name, _ in preds]
         assert names.count("oximap.train") == 3 and names.count("oximap.analysis") == 1
         for name, pred in preds:
@@ -361,7 +442,7 @@ class TestDetachedEncoderPasses:
         mask[:3, :, 0] = False
         mask[7, 9, 1] = False
         vol = Volume4D(phantom_vol.data, mask)
-        cfg = InferenceConfig(forward=FWD1, n_std_samples=4, n_elbo_samples=3, seed=4)
+        cfg = InferenceConfig(forward=FWD1, n_elbo_samples=3, seed=4)
         calls = []
         for module in (train, analysis):
             original = module.encoder_forward

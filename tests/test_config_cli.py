@@ -445,6 +445,33 @@ class TestCliErrors:
         assert rc == 1
         assert "voxel sizes" in capsys.readouterr().err
 
+    def test_compare_rejects_a_4d_map(self, tmp_path, capsys):
+        four, three = str(tmp_path / "v4.nii"), str(tmp_path / "m3.nii")
+        write_nifti(Volume4D(np.ones((4, 4, 1, 3))), four)
+        write_nifti(np.ones((4, 4, 1)), three)
+        rc = cli_dispatch([
+            "compare", "--a", four, four, "--b", three, three,
+            "--out", str(tmp_path / "t.nii"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{four} is 4-D" in err
+
+    def test_stats_rejects_a_4d_region(self, tmp_path, pipeline, capsys):
+        maps_dir = tmp_path / "maps"
+        assert cli_dispatch([
+            "wls", "--volume", str(pipeline["phantom"]), "--out-dir", str(maps_dir),
+        ]) == 0
+        capsys.readouterr()
+        rc = cli_dispatch([
+            "stats", "--maps-dir", str(maps_dir), "--region", str(pipeline["phantom"]),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{pipeline['phantom']} is 4-D" in err
+
     def test_bad_phantom_shape_exits_1(self, tmp_path, capsys):
         rc = cli_dispatch([
             "simulate", "--n", "10", "--out", str(tmp_path / "d.dset"),
