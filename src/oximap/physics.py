@@ -8,10 +8,11 @@ and an optional intravascular blood compartment complete the model family.
 
 All signal functions broadcast over leading axes of oef/dbv arrays and
 return arrays whose trailing axis runs over the acquisition's tau offsets.
-The model is written once, on the autodiff tape (normalized_model_signal_t
-and the helpers it calls); the plain-array functions run that code on
-constant tensors and return its data, so training and analysis evaluate
-the same arithmetic. I is read from a table built by static_dephasing_integral's rule.
+The model is written once, on arrays (_model), with closed-form partials in
+oef and dbv: the plain-array functions return its signal, and
+normalized_model_signal_t records it as one tape node per draw whose adjoint
+applies the partials, so training and analysis evaluate the same arithmetic.
+I and dI/da are read from a table built by static_dephasing_integral's rule.
 """
 
 from __future__ import annotations
@@ -330,52 +331,60 @@ def normalize_signal(s, proto: AcquisitionProtocol) -> np.ndarray:
     return np.log(s / s[..., proto.se_index : proto.se_index + 1])
 
 
-# the signal model, written once on the autodiff tape ------------------
+# the signal model, written once on arrays ----------------------------
 
 
-def dephasing_integral_t(dw_t: ad.Tensor, proto: AcquisitionProtocol) -> ad.Tensor:
-    """Tape node for the tabulated I(dw * tau): the adjoint differentiates the same interpolant."""
-    taus = proto.tau_array
-    a = dw_t.data[..., None] * taus
-    out = _tabulated_integral(a)
-
-    def vjp(g):
-        return ((g * _tabulated_integral(a, slope=True) * np.sign(a) * taus).sum(axis=-1),)
-
-    return ad.custom(out, (dw_t,), vjp)
+# keeps its tape-era name: the benchmark's tracer wraps physics.dephasing_integral_t
+def dephasing_integral_t(a, slope: bool = False):
+    """The model's read of the kernel table: I(a) and, with slope=True, also dI/da."""
+    i = _tabulated_integral(a)
+    return i, (_tabulated_integral(a, slope=True) * np.sign(a) if slope else None)
 
 
-def _expand(t: ad.Tensor) -> ad.Tensor:
-    return ad.reshape(t, t.data.shape + (1,))
+def _model(oef, dbv, proto, c, cfg: ForwardModelConfig, normalized: bool, grad: bool = False):
+    """Model signal per tau, raw or as its spin-echo log-ratio, and with grad=True
+    its closed-form partials in oef and dbv: (signal, [d/d oef, d/d dbv] or None).
 
-
-def _tissue_log_t(oef_t, dbv_t, proto: AcquisitionProtocol, c: PhysioConstants, cfg: ForwardModelConfig):
-    """Tissue log-attenuation relative to the spin echo, one value per tau.
-
-    The two-regime variant is quadratic for |tau| below the characteristic
-    time and linear from it on. Its regime assignment is constant on the
-    tape, so its gradient is the almost-everywhere derivative.
+    The two-regime variant is quadratic for |tau| below the characteristic time
+    and linear from it on; its partials are the almost-everywhere derivative.
     """
-    # dw takes delta_omega's own value, so the regime boundary is where
-    # characteristic_time(delta_omega(oef)) puts it; d dw / d oef = delta_omega(1)
-    slope = float(delta_omega(1.0, c, proto.b0))
-    dw_t = ad.custom(delta_omega(oef_t.data, c, proto.b0), (oef_t,), lambda g: (g * slope,))
-    dbv_e = _expand(dbv_t)
+    oef, dbv = np.asarray(oef, dtype=np.float64), np.asarray(dbv, dtype=np.float64)[..., None]
+    dw = delta_omega(oef, c, proto.b0)[..., None]
+    ddw = float(delta_omega(1.0, c, proto.b0))  # d dw / d oef
+    taus, parts = proto.tau_array, None
     if cfg.variant == "full":
-        return -(dbv_e * dephasing_integral_t(dw_t, proto))
-    abs_tau = np.abs(proto.tau_array)
-    a_t = _expand(dw_t) * abs_tau
-    short = -0.3 * dbv_e * (a_t * a_t)
-    long = dbv_e * (1.0 - a_t)
-    return ad.where(abs_tau < characteristic_time(dw_t.data[..., None], cfg.tc_mode), short, long)
-
-
-def _total_signal_t(oef_t, dbv_t, proto, c, cfg):
-    tissue = ad.exp(_tissue_log_t(oef_t, dbv_t, proto, c, cfg)) * float(np.exp(-c.r2_tissue * proto.te))
-    if cfg.compartments == 1:
-        return tissue
-    zp = blood_volume_weight(_expand(dbv_t), proto, c)
-    return zp * blood_signal(proto, c) + (1.0 - zp) * tissue
+        i, di = dephasing_integral_t(dw * taus, slope=grad)
+        log_t = -(dbv * i)
+        if grad:
+            parts = [-dbv * di * (taus * ddw), -i]
+    else:
+        abs_tau = np.abs(taus)
+        a = dw * abs_tau
+        # a NaN dw fails this test and takes the short branch, whose partials keep the NaN
+        long = abs_tau >= characteristic_time(dw, cfg.tc_mode)
+        log_t = np.where(long, dbv * (1.0 - a), -0.3 * dbv * (a * a))
+        if grad:
+            d_a = np.where(long, -dbv, -0.6 * dbv * a)  # d log_t / d a
+            parts = [d_a * (abs_tau * ddw), np.where(long, 1.0 - a, -0.3 * (a * a))]
+    if normalized and cfg.compartments == 1:
+        # the tissue log-attenuation is already zero at the spin echo
+        return log_t, parts
+    s = np.exp(log_t) * float(np.exp(-c.r2_tissue * proto.te))
+    if grad:
+        parts = [s * p for p in parts]
+    if cfg.compartments == 2:
+        zp, sb = blood_volume_weight(dbv, proto, c), blood_signal(proto, c)
+        if grad:
+            parts = [(1.0 - zp) * p for p in parts]
+            parts[1] += blood_volume_weight(1.0, proto, c) * (sb - s)
+        s = zp * sb + (1.0 - zp) * s
+    if not normalized:
+        return s, parts
+    se = slice(proto.se_index, proto.se_index + 1)
+    log_s = np.log(s)
+    if grad:
+        parts = [q - q[..., se] for q in (p / s for p in parts)]
+    return log_s - log_s[..., se], parts
 
 
 def normalized_model_signal_t(
@@ -385,23 +394,12 @@ def normalized_model_signal_t(
     c: PhysioConstants,
     cfg: ForwardModelConfig,
 ) -> ad.Tensor:
-    """Clean model signal in normalized (spin-echo log-ratio) space, on the tape."""
-    if cfg.compartments == 1:
-        # the tissue log-attenuation is already zero at the spin echo
-        return _tissue_log_t(oef_t, dbv_t, proto, c, cfg)
-    log_total = ad.log(_total_signal_t(oef_t, dbv_t, proto, c, cfg))
-    se = proto.se_index
-    return log_total - log_total[..., se : se + 1]
+    """Clean model signal in normalized (spin-echo log-ratio) space, as one tape node."""
+    s, (d_oef, d_dbv) = _model(oef_t.data, dbv_t.data, proto, c, cfg, normalized=True, grad=True)
+    return ad.custom(s, (oef_t, dbv_t), lambda g: ((g * d_oef).sum(-1), (g * d_dbv).sum(-1)))
 
 
-# plain-array entry points: the tape model on constants ---------------
-
-
-def _evaluate(model_t, oef, dbv, proto, c, cfg) -> np.ndarray:
-    """Run a tape model on constant inputs with recording off, so each
-    intermediate array is freed as soon as the next op has used it."""
-    with ad.recording_off():
-        return model_t(ad.Tensor(oef), ad.Tensor(dbv), proto, c, cfg).data
+# plain-array entry points ----------------------------------------------
 
 
 def _params(p):
@@ -413,9 +411,9 @@ def _params(p):
 
 def total_signal(p, proto: AcquisitionProtocol, c: PhysioConstants, cfg: ForwardModelConfig):
     """Voxel signal of the configured model variant, per tau offset."""
-    return _evaluate(_total_signal_t, *_params(p), proto, c, cfg)
+    return _model(*_params(p), proto, c, cfg, normalized=False)[0]
 
 
 def normalized_model_signal(oef, dbv, proto, c, cfg: ForwardModelConfig):
     """Clean model signal in normalized (spin-echo log-ratio) space."""
-    return _evaluate(normalized_model_signal_t, oef, dbv, proto, c, cfg)
+    return _model(oef, dbv, proto, c, cfg, normalized=True)[0]

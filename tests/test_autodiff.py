@@ -224,3 +224,15 @@ class TestGraph:
         assert detached.data.tobytes() == recorded.data.tobytes()
         assert detached._parents == () and detached._vjp is None
         assert build()._parents, "recording must resume after the block"
+
+    def test_recording_restored_after_error(self):
+        # detached passes in distributions, nnet, train and analysis rely on it
+        with pytest.raises(ValueError, match="inside"):
+            with ad.recording_off():
+                ad.exp(ad.Tensor(np.ones(2)))
+                raise ValueError("raised inside recording_off")
+        t = ad.Tensor(np.array([0.5]))
+        out = ad.tsum(ad.exp(t))
+        assert out._parents
+        ad.backward(out)
+        assert_allclose(t.grad, np.exp([0.5]))

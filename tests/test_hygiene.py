@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module of the package imports is used in it."""
+"""Source hygiene: every name a module of the package imports is used in it, and
+every module-level private function or class is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "oximap"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +37,43 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_defs(module: str, sources: dict[str, str]) -> list[str]:
+    """Module-level `_name` functions and classes of `module` that no code in
+    `sources` (name -> text) references outside the definition itself."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    defs = [
+        node
+        for node in trees[module].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    unused = []
+    for d in defs:
+        own = range(d.lineno, d.end_lineno + 1)
+        used = any(
+            (isinstance(node, ast.Name) and node.id == d.name)
+            or (isinstance(node, ast.Attribute) and node.attr == d.name)
+            or (isinstance(node, ast.alias) and node.name == d.name)
+            for name, tree in trees.items()
+            for node in ast.walk(tree)
+            if not (name == module and getattr(node, "lineno", None) in own)
+        )
+        if not used:
+            unused.append(f"{d.name} (line {d.lineno})")
+    return unused
+
+
+def test_checker_flags_an_unreferenced_private_def():
+    sources = {
+        "a.py": "def _left():\n    return _left()\n\ndef _kept():\n    pass\n\nclass _Gone:\n    pass\n",
+        "b.py": "from .a import _kept\n",
+    }
+    assert unreferenced_private_defs("a.py", sources) == ["_left (line 1)", "_Gone (line 7)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unreferenced_private_defs(path):
+    assert unreferenced_private_defs(path.name, PACKAGE) == []

@@ -15,6 +15,7 @@ from oximap.physics import (
     PhysioConstants,
     TissueParams,
     _kernel_table,
+    _model,
     _tabulated_integral,
     blood_signal,
     blood_volume_weight,
@@ -364,45 +365,142 @@ class TestNormalization:
                 assert_allclose(direct, via_total, rtol=0, atol=1e-12)
 
 
+# the signal model composed of elementary tape ops: the oracle for the
+# closed-form body and its one-node adjoint ---------------------------------
+
+
+def _dephasing_integral_oracle_t(dw_t, proto):
+    taus = proto.tau_array
+    a = dw_t.data[..., None] * taus
+    slope = _tabulated_integral(a, slope=True) * np.sign(a) * taus
+    return ad.custom(_tabulated_integral(a), (dw_t,), lambda g: ((g * slope).sum(axis=-1),))
+
+
+def _expand(t):
+    return ad.reshape(t, t.data.shape + (1,))
+
+
+def _tissue_log_t(oef_t, dbv_t, proto, c, cfg):
+    slope = float(delta_omega(1.0, c, proto.b0))
+    dw_t = ad.custom(delta_omega(oef_t.data, c, proto.b0), (oef_t,), lambda g: (g * slope,))
+    dbv_e = _expand(dbv_t)
+    if cfg.variant == "full":
+        return -(dbv_e * _dephasing_integral_oracle_t(dw_t, proto))
+    abs_tau = np.abs(proto.tau_array)
+    a_t = _expand(dw_t) * abs_tau
+    short = -0.3 * dbv_e * (a_t * a_t)
+    long = dbv_e * (1.0 - a_t)
+    return ad.where(abs_tau < characteristic_time(dw_t.data[..., None], cfg.tc_mode), short, long)
+
+
+def _total_signal_t(oef_t, dbv_t, proto, c, cfg):
+    tissue = ad.exp(_tissue_log_t(oef_t, dbv_t, proto, c, cfg)) * float(np.exp(-c.r2_tissue * proto.te))
+    if cfg.compartments == 1:
+        return tissue
+    zp = blood_volume_weight(_expand(dbv_t), proto, c)
+    return zp * blood_signal(proto, c) + (1.0 - zp) * tissue
+
+
+def _normalized_oracle_t(oef_t, dbv_t, proto, c, cfg):
+    if cfg.compartments == 1:
+        return _tissue_log_t(oef_t, dbv_t, proto, c, cfg)
+    log_total = ad.log(_total_signal_t(oef_t, dbv_t, proto, c, cfg))
+    se = proto.se_index
+    return log_total - log_total[..., se : se + 1]
+
+
+VARIANTS = [ForwardModelConfig(variant=v, compartments=n) for v in ("full", "asymptotic") for n in (1, 2)]
+
+
 class TestDifferentiableTwins:
+    @pytest.mark.parametrize("cfg", VARIANTS, ids=lambda f: f"{f.variant}-{f.compartments}")
+    def test_plain_entry_points_equal_the_tape_oracle(self, proto, constants, cfg):
+        oef = np.array([0.0, 0.05, 0.2, 0.4, 0.6, 0.9])
+        dbv = np.array([0.03, 0.01, 0.025, 0.05, 0.0, 0.1])
+        oracle = _normalized_oracle_t(ad.Tensor(oef), ad.Tensor(dbv), proto, constants, cfg).data
+        assert np.array_equal(normalized_model_signal(oef, dbv, proto, constants, cfg), oracle)
+        total = _total_signal_t(ad.Tensor(oef), ad.Tensor(dbv), proto, constants, cfg).data
+        assert np.array_equal(total_signal((oef, dbv), proto, constants, cfg), total)
+        one = _total_signal_t(ad.Tensor(0.4), ad.Tensor(0.03), proto, constants, cfg).data
+        assert np.array_equal(total_signal(TissueParams(0.4, 0.03), proto, constants, cfg), one)
+
+    @pytest.mark.parametrize("cfg", VARIANTS, ids=lambda f: f"{f.variant}-{f.compartments}")
+    def test_one_node_vjp_matches_the_tape_oracle(self, proto, constants, rng, cfg):
+        oef = rng.uniform(0.0, 0.95, 400)
+        dbv = rng.uniform(0.001, 0.2, 400)
+        oef[0] = 0.0
+        g = rng.normal(size=(400, proto.n_t))
+        grads = []
+        for model in (normalized_model_signal_t, _normalized_oracle_t):
+            to, td = ad.Tensor(oef.copy()), ad.Tensor(dbv.copy())
+            out = model(to, td, proto, constants, cfg)
+            ad.backward(out, g)
+            grads.append((out.data, to.grad, td.grad))
+        (s, go, gd), (s_ref, go_ref, gd_ref) = grads
+        assert np.array_equal(s, s_ref)
+        assert_allclose(go, go_ref, rtol=1e-10, atol=0)
+        assert_allclose(gd, gd_ref, rtol=1e-10, atol=0)
+
+    def test_tape_output_is_one_node_on_oef_and_dbv(self, proto, constants):
+        for cfg in VARIANTS:
+            oef_t, dbv_t = ad.Tensor(np.array([0.3, 0.5])), ad.Tensor(np.array([0.02, 0.04]))
+            out = normalized_model_signal_t(oef_t, dbv_t, proto, constants, cfg)
+            assert len(out._parents) == 2
+            assert out._parents[0] is oef_t and out._parents[1] is dbv_t
+
+    @pytest.mark.parametrize("cfg", VARIANTS, ids=lambda f: f"{f.variant}-{f.compartments}")
+    def test_nan_oef_stays_in_its_row(self, proto, constants, cfg):
+        # a diverged fine-tune must reach the non-finite-loss check
+        oef = np.array([0.3, 0.45, 0.6])
+        dbv = np.array([0.02, 0.03, 0.05])
+        bad = oef.copy()
+        bad[1] = np.nan
+        keep = [0, 2]
+        for normalized in (True, False):
+            clean = _model(oef, dbv, proto, constants, cfg, normalized, grad=True)
+            s, parts = _model(bad, dbv, proto, constants, cfg, normalized, grad=True)
+            for got, ref in zip([s, *parts], [clean[0], *clean[1]]):
+                assert np.all(np.isnan(got[1]))
+                assert got[keep].tobytes() == ref[keep].tobytes()
+        plain = normalized_model_signal(bad, dbv, proto, constants, cfg)
+        assert np.all(np.isnan(plain[1]))
+        assert plain[keep].tobytes() == normalized_model_signal(oef, dbv, proto, constants, cfg)[keep].tobytes()
+
     def test_tape_forward_matches_numpy(self, proto, constants):
-        # the plain-array entry point is the tape model itself: analysis
-        # reports exactly the numbers training optimizes
+        # the plain-array entry point and the tape node share one body:
+        # analysis reports exactly the numbers training optimizes
         oef = np.array([0.2, 0.4, 0.6])
         dbv = np.array([0.01, 0.025, 0.05])
-        for variant in ("full", "asymptotic"):
-            for comp in (1, 2):
-                cfg = ForwardModelConfig(variant=variant, compartments=comp)
-                out = normalized_model_signal_t(
-                    ad.Tensor(oef.copy()), ad.Tensor(dbv.copy()), proto, constants, cfg
-                )
-                assert np.array_equal(
-                    out.data, normalized_model_signal(oef, dbv, proto, constants, cfg)
-                )
+        for cfg in VARIANTS:
+            out = normalized_model_signal_t(
+                ad.Tensor(oef.copy()), ad.Tensor(dbv.copy()), proto, constants, cfg
+            )
+            assert np.array_equal(out.data, normalized_model_signal(oef, dbv, proto, constants, cfg))
 
-    def test_recording_restored_after_error(self, proto, constants):
+    def test_negative_oef_rejected_by_both_entry_points(self, proto, constants):
         cfg = ForwardModelConfig()
         with pytest.raises(ValueError, match="non-negative"):
             normalized_model_signal(np.array([-0.1]), np.array([0.02]), proto, constants, cfg)
-        oef = ad.Tensor(np.array([0.4]))
-        out = normalized_model_signal_t(oef, ad.Tensor(np.array([0.02])), proto, constants, cfg)
-        ad.backward(ad.tsum(out))
-        assert oef.grad is not None and oef.grad[0] != 0.0
+        with pytest.raises(ValueError, match="non-negative"):
+            normalized_model_signal_t(
+                ad.Tensor(np.array([-0.1])), ad.Tensor(np.array([0.02])), proto, constants, cfg
+            )
 
     def test_dephasing_integral_gradient(self, proto, rng):
+        # dI/da read from the table, against a central difference of I in dw
         dw = np.array([60.0, 121.0, 180.0])
+        taus = proto.tau_array
         r = rng.normal(size=(3, proto.n_t))
-        t = ad.Tensor(dw.copy())
-        out = dephasing_integral_t(t, proto)
-        ad.backward(ad.tsum(out * ad.Tensor(r)))
+        _, slope = dephasing_integral_t(dw[:, None] * taus, slope=True)
+        grad = (r * slope * taus).sum(axis=-1)
         h = 1e-6
         for i in range(3):
             up, dn = dw.copy(), dw.copy()
             up[i] += h
             dn[i] -= h
-            fu = float(ad.tsum(dephasing_integral_t(ad.Tensor(up), proto) * ad.Tensor(r)).data)
-            fd = float(ad.tsum(dephasing_integral_t(ad.Tensor(dn), proto) * ad.Tensor(r)).data)
-            assert_allclose(t.grad[i], (fu - fd) / (2 * h), rtol=1e-6)
+            fu = float((dephasing_integral_t(up[:, None] * taus)[0] * r).sum())
+            fd = float((dephasing_integral_t(dn[:, None] * taus)[0] * r).sum())
+            assert_allclose(grad[i], (fu - fd) / (2 * h), rtol=1e-6)
 
     @pytest.mark.parametrize("variant", ["full", "asymptotic"])
     @pytest.mark.parametrize("comp", [1, 2])
