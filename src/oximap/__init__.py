@@ -10,7 +10,6 @@ from .physics import (
     AcquisitionProtocol,
     ForwardModelConfig,
     PhysioConstants,
-    TissueParams,
     blood_signal,
     characteristic_time,
     delta_omega,

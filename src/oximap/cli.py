@@ -29,25 +29,8 @@ from .synthgen import (
     make_phantom,
     save_dataset,
 )
-from .train import TrainingConfig, run_finetuning, run_pretraining
+from .train import run_finetuning, run_pretraining
 from .volume import Volume4D, normalize_volume
-
-
-def _load_run_config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    return cfg
-
-
-def _training_for_stage(cfg: RunConfig, stage: str, seed) -> TrainingConfig:
-    tr = cfg.training
-    if tr.stage != stage:
-        defaults = (
-            TrainingConfig.pretrain_defaults if stage == "pretrain" else TrainingConfig.finetune_defaults
-        )
-        tr = defaults()
-    if seed is not None:
-        tr = dataclasses.replace(tr, seed=seed)
-    return tr
 
 
 def _read_map(path) -> np.ndarray:
@@ -86,8 +69,8 @@ def _read_volume(vol_path, mask_path, cfg: RunConfig) -> Volume4D:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_run_config(args)
-    seed = args.seed if args.seed is not None else cfg.training.seed
+    cfg = load_config(args.config) if args.config else RunConfig()
+    seed = args.seed if args.seed is not None else cfg.pretrain.seed
     rng = np.random.default_rng(seed)
     noise = NoiseProfile(snr_low=args.snr_low, snr_high=args.snr_high)
     dataset = generate_dataset(
@@ -113,26 +96,27 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = load_config(args.config) if args.config else RunConfig()
     dataset = load_dataset(args.dataset)
-    tr = _training_for_stage(cfg, "pretrain", args.seed)
-    theta = run_pretraining(cfg.network, tr, dataset, metrics_path=args.metrics)
+    tr = cfg.pretrain if args.seed is None else dataclasses.replace(cfg.pretrain, seed=args.seed)
+    # pretraining fits the voxelwise trunk of the configured network
+    net_cfg = dataclasses.replace(cfg.network, spatial_mode="voxelwise")
+    theta = run_pretraining(net_cfg, tr, dataset, metrics_path=args.metrics)
     save_checkpoint(theta, args.out)
     print(f"wrote pretrained weights ({theta.n_parameters()} parameters) to {args.out}")
     return 0
 
 
 def _cmd_finetune(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = load_config(args.config) if args.config else RunConfig()
     theta = load_checkpoint(args.weights)
-    tr = _training_for_stage(cfg, "finetune", args.seed)
+    tr = cfg.finetune if args.seed is None else dataclasses.replace(cfg.finetune, seed=args.seed)
     masks = args.mask or []
     if masks and len(masks) != len(args.volume):
         raise ValueError("--mask must be given once per --volume (or not at all)")
     vols = [_read_volume(vp, masks[i] if masks else None, cfg) for i, vp in enumerate(args.volume)]
-    net_cfg = cfg.network
     psi = run_finetuning(
-        theta, net_cfg, tr, vols, cfg.protocol, cfg.constants, cfg.forward,
+        theta, cfg.network, tr, vols, cfg.protocol, cfg.constants, cfg.forward,
         metrics_path=args.metrics,
     )
     save_checkpoint(psi, args.out)
@@ -141,7 +125,7 @@ def _cmd_finetune(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = load_config(args.config) if args.config else RunConfig()
     weights = load_checkpoint(args.weights)
     prior_weights = load_checkpoint(args.prior_weights) if args.prior_weights else None
     vol = _read_volume(args.volume, args.mask, cfg)
@@ -161,7 +145,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_wls(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = load_config(args.config) if args.config else RunConfig()
     vol = _read_volume(args.volume, args.mask, cfg)
     maps = wls_fit(vol, cfg.protocol, cfg.constants, tc_mode=cfg.forward.tc_mode)
     _write_maps(maps, vol, args.out_dir)

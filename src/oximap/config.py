@@ -1,11 +1,11 @@
 """Run configuration: one YAML file describing the acquisition, physical
-constants, forward model, network, training stage, population prior, and
-file locations.
+constants, forward model, network, the recipe of each training stage
+(`pretrain:` and `finetune:`), and the population prior.
 
 Parsing is strict — unknown sections or keys are errors — and
 serialize(parse(text)) preserves every field.  Sections may be partial:
-keys left out keep their defaults (for 'training', the defaults of the
-declared stage).
+keys left out keep their defaults, which for `pretrain:` and `finetune:`
+are the defaults of that stage.
 """
 
 from __future__ import annotations
@@ -33,41 +33,29 @@ class RunConfig:
     constants: PhysioConstants = field(default_factory=PhysioConstants)
     forward: ForwardModelConfig = field(default_factory=ForwardModelConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
-    training: TrainingConfig = field(default_factory=TrainingConfig.pretrain_defaults)
+    pretrain: TrainingConfig = field(default_factory=TrainingConfig.pretrain_defaults)
+    finetune: TrainingConfig = field(default_factory=TrainingConfig.finetune_defaults)
     param_prior: ParamPriorConfig = field(default_factory=lambda: PRIOR_PRESETS["normal"])
-    paths: dict = field(default_factory=dict)
 
 
-_SECTION_TYPES = {
-    "protocol": AcquisitionProtocol,
-    "constants": PhysioConstants,
-    "forward": ForwardModelConfig,
-    "network": NetworkConfig,
-    "training": TrainingConfig,
+# every section but param_prior is a dataclass built by its RunConfig default
+# factory, with the YAML keys as overrides
+_SECTIONS = {
+    f.name: f.default_factory for f in dataclasses.fields(RunConfig) if f.name != "param_prior"
 }
 
 
-def _build_section(name, cls, mapping):
+def _build_section(name, build, mapping):
     if not isinstance(mapping, dict):
         raise ConfigError(f"section '{name}' must be a mapping")
-    known = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(mapping) - set(known)
+    unknown = set(mapping) - {f.name for f in dataclasses.fields(build())}
     if unknown:
         raise ConfigError(f"unknown key(s) in section '{name}': {', '.join(sorted(unknown))}")
     kwargs = dict(mapping)
     if name == "protocol" and "tau" in kwargs:
         kwargs["tau"] = tuple(float(t) for t in kwargs["tau"])
     try:
-        if name == "training":
-            # A partial training mapping keeps the defaults of its declared
-            # stage (pretrain when omitted) rather than requiring every field.
-            build = (
-                TrainingConfig.finetune_defaults
-                if kwargs.get("stage") == "finetune"
-                else TrainingConfig.pretrain_defaults
-            )
-            return build(**kwargs)
-        return cls(**kwargs)
+        return build(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid section '{name}': {exc}") from exc
 
@@ -108,27 +96,21 @@ def config_from_dict(doc: dict) -> RunConfig:
         doc = {}
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
-    allowed = set(_SECTION_TYPES) | {"param_prior", "paths"}
-    unknown = set(doc) - allowed
+    unknown = set(doc) - set(_SECTIONS) - {"param_prior"}
     if unknown:
         raise ConfigError(f"unknown config section(s): {', '.join(sorted(unknown))}")
     kwargs = {}
-    for name, cls in _SECTION_TYPES.items():
+    for name, build in _SECTIONS.items():
         if name in doc:
-            kwargs[name] = _build_section(name, cls, doc[name])
+            kwargs[name] = _build_section(name, build, doc[name])
     if "param_prior" in doc:
         kwargs["param_prior"] = _build_prior(doc["param_prior"])
-    if "paths" in doc:
-        paths = doc["paths"]
-        if not isinstance(paths, dict) or not all(isinstance(v, str) for v in paths.values()):
-            raise ConfigError("section 'paths' must map names to path strings")
-        kwargs["paths"] = dict(paths)
     return RunConfig(**kwargs)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
     doc = {}
-    for name, _ in _SECTION_TYPES.items():
+    for name in _SECTIONS:
         section = dataclasses.asdict(getattr(cfg, name))
         if name == "protocol":
             section["tau"] = [float(t) for t in section["tau"]]
@@ -137,7 +119,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
         "oef": dataclasses.asdict(cfg.param_prior.oef),
         "dbv": dataclasses.asdict(cfg.param_prior.dbv),
     }
-    doc["paths"] = dict(cfg.paths)
     return doc
 
 

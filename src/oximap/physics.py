@@ -106,20 +106,6 @@ class PhysioConstants:
 
 
 @dataclass(frozen=True)
-class TissueParams:
-    """Oxygen extraction fraction and deoxygenated blood volume fraction of one voxel."""
-
-    oef: float
-    dbv: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.oef <= 1.0):
-            raise ValueError(f"oef {self.oef} outside [0, 1]")
-        if not (0.0 <= self.dbv < 1.0):
-            raise ValueError(f"dbv {self.dbv} outside [0, 1)")
-
-
-@dataclass(frozen=True)
 class ForwardModelConfig:
     """Which member of the signal-model family to evaluate."""
 
@@ -403,8 +389,6 @@ def normalized_model_signal_t(
 
 
 def _params(p):
-    if isinstance(p, TissueParams):
-        return np.float64(p.oef), np.float64(p.dbv)
     oef, dbv = p
     return np.asarray(oef, dtype=np.float64), np.asarray(dbv, dtype=np.float64)
 

@@ -38,7 +38,6 @@ from .physics import (
     AcquisitionProtocol,
     ForwardModelConfig,
     PhysioConstants,
-    TissueParams,
     normalized_model_signal_t,
 )
 from .synthgen import SynthDataset
@@ -52,7 +51,6 @@ VAL_FRACTION = 0.1
 class TrainingConfig:
     """Hyperparameters for one training stage."""
 
-    stage: str
     iterations: int
     batch_size: int
     lr: float
@@ -63,8 +61,6 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.stage not in ("pretrain", "finetune"):
-            raise ValueError(f"unknown stage {self.stage!r}")
         for name in ("iterations", "batch_size", "n_samples_elbo", "crop_xy"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -77,13 +73,13 @@ class TrainingConfig:
 
     @classmethod
     def pretrain_defaults(cls, **overrides) -> "TrainingConfig":
-        base = dict(stage="pretrain", iterations=1400, batch_size=512, lr=2e-3)
+        base = dict(iterations=1400, batch_size=512, lr=2e-3)
         base.update(overrides)
         return cls(**base)
 
     @classmethod
     def finetune_defaults(cls, **overrides) -> "TrainingConfig":
-        base = dict(stage="finetune", iterations=4000, batch_size=38, lr=5e-3)
+        base = dict(iterations=4000, batch_size=38, lr=5e-3)
         base.update(overrides)
         return cls(**base)
 
@@ -158,11 +154,9 @@ class PriorMaps:
 def pretrain_loss(pred: VoxelPrediction, truth) -> ad.Tensor:
     """Mean negative log-density of the true (oef, dbv) under the prediction.
 
-    `truth` is a TissueParams or an array (..., 2) matching the prediction's
-    leading shape; values must lie strictly inside the parameter box.
+    `truth` is an array (..., 2) matching the prediction's leading shape;
+    values must lie strictly inside the parameter box.
     """
-    if isinstance(truth, TissueParams):
-        truth = np.array([truth.oef, truth.dbv])
     return ad.tmean(neg_log_density(pred.mu_l, pred.sigma_l_params, truth))
 
 
@@ -186,8 +180,6 @@ def run_pretraining(
     default_rng(train_cfg.seed), so the starting network is reproducible
     with init_weights under the same generator.
     """
-    if train_cfg.stage != "pretrain":
-        raise ValueError("train_cfg.stage must be 'pretrain'")
     if dataset.n == 0:
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(train_cfg.seed)
@@ -419,8 +411,6 @@ def run_finetuning(
     applies AdamW with both learning rate and weight decay linearly
     decayed to 1/100 of their starting values.
     """
-    if train_cfg.stage != "finetune":
-        raise ValueError("train_cfg.stage must be 'finetune'")
     if not vols:
         raise ValueError("no volumes to fine-tune on")
     _check_finetune_compat(theta, net_cfg)

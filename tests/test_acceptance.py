@@ -499,28 +499,24 @@ def _run_pipeline(root, region):
         "--phantom-params", "0.4,0.025", "--phantom-snr", "60",
     ])
     assert rc == 0
-    pre_cfg = root / "pretrain.yaml"
-    pre_cfg.write_text(yaml.safe_dump({
-        "network": {"n_blocks": 1, "width": 8},
-        "training": {"stage": "pretrain", "iterations": 25, "batch_size": 64,
-                     "lr": 2e-3, "seed": 3},
+    # one config for every command; pretrain trains the voxelwise trunk
+    run_cfg = root / "run.yaml"
+    run_cfg.write_text(yaml.safe_dump({
+        "network": {"n_blocks": 1, "width": 8, "spatial_mode": "gated-residual"},
+        "forward": {"variant": "asymptotic", "compartments": 1},
+        "pretrain": {"iterations": 25, "batch_size": 64, "lr": 2e-3, "seed": 3},
+        "finetune": {"iterations": 6, "batch_size": 2, "lr": 5e-3, "crop_xy": 6,
+                     "n_samples_elbo": 1, "seed": 4},
     }))
     theta = root / "theta.ckpt"
     rc = cli_dispatch([
-        "pretrain", "--config", str(pre_cfg), "--dataset", str(ds),
+        "pretrain", "--config", str(run_cfg), "--dataset", str(ds),
         "--out", str(theta), "--metrics", str(root / "pretrain.tsv"),
     ])
     assert rc == 0
-    ft_cfg = root / "finetune.yaml"
-    ft_cfg.write_text(yaml.safe_dump({
-        "network": {"n_blocks": 1, "width": 8, "spatial_mode": "gated-residual"},
-        "training": {"stage": "finetune", "iterations": 6, "batch_size": 2,
-                     "lr": 5e-3, "crop_xy": 6, "n_samples_elbo": 1, "seed": 4},
-        "forward": {"variant": "asymptotic", "compartments": 1},
-    }))
     psi = root / "psi.ckpt"
     rc = cli_dispatch([
-        "finetune", "--config", str(ft_cfg), "--weights", str(theta),
+        "finetune", "--config", str(run_cfg), "--weights", str(theta),
         "--volume", str(phantom), "--out", str(psi),
         "--metrics", str(root / "finetune.tsv"),
     ])
@@ -529,7 +525,7 @@ def _run_pipeline(root, region):
     rc = cli_dispatch([
         "infer", "--weights", str(psi), "--prior-weights", str(theta),
         "--volume", str(phantom), "--out-dir", str(maps),
-        "--source", "vi+tv", "--seed", "2", "--config", str(ft_cfg),
+        "--source", "vi+tv", "--seed", "2", "--config", str(run_cfg),
     ])
     assert rc == 0
     wls_dir = root / "wls"

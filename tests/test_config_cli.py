@@ -3,6 +3,8 @@ handling, round-trip fidelity, end-to-end subcommand smoke runs, seeded
 reproducibility, and exit codes."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,17 +24,23 @@ from oximap.nifti import read_nifti, read_voxel_size, write_nifti
 from oximap.nnet import load_checkpoint
 from oximap.physics import AcquisitionProtocol
 from oximap.synthgen import PRIOR_PRESETS, load_dataset
+from oximap.train import TrainingConfig
 from oximap.volume import Volume4D
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.protocol.n_t == 11
-        assert cfg.training.stage == "pretrain"
+        assert cfg.pretrain == TrainingConfig.pretrain_defaults()
+        assert cfg.finetune == TrainingConfig.finetune_defaults()
         assert cfg.param_prior == PRIOR_PRESETS["normal"]
         assert cfg.forward.variant == "full"
-        assert cfg.paths == {}
+        assert list(config_to_dict(cfg)) == [
+            "protocol", "constants", "forward", "network", "pretrain", "finetune", "param_prior",
+        ]
 
     def test_empty_document_gives_defaults(self, tmp_path):
         path = tmp_path / "empty.yaml"
@@ -45,9 +53,9 @@ class TestRunConfig:
             cfg,
             protocol=AcquisitionProtocol(te=0.08),
             network=dataclasses.replace(cfg.network, width=24, gate_offset=-2.0),
-            training=dataclasses.replace(cfg.training, iterations=7, seed=12),
+            pretrain=dataclasses.replace(cfg.pretrain, iterations=7, seed=12),
+            finetune=dataclasses.replace(cfg.finetune, crop_xy=9, seed=13),
             param_prior=PRIOR_PRESETS["uniform"],
-            paths={"dataset": "train.dset", "weights": "net.ckpt"},
         )
         path = tmp_path / "run.yaml"
         save_config(cfg, path)
@@ -56,26 +64,27 @@ class TestRunConfig:
         assert back == cfg
 
     def test_partial_document(self, tmp_path):
-        doc = {"training": {"stage": "pretrain", "iterations": 5, "batch_size": 8, "lr": 1e-3}}
+        doc = {"pretrain": {"iterations": 5, "batch_size": 8, "lr": 1e-3}}
         path = tmp_path / "p.yaml"
         path.write_text(yaml.safe_dump(doc))
         cfg = load_config(path)
-        assert cfg.training.iterations == 5
+        assert cfg.pretrain.iterations == 5
+        assert cfg.finetune == TrainingConfig.finetune_defaults()
         assert cfg.protocol == AcquisitionProtocol()  # untouched sections keep defaults
 
     def test_partial_training_section_fills_stage_defaults(self):
-        pre = config_from_dict({"training": {"iterations": 9, "batch_size": 4, "seed": 3}})
-        assert pre.training.stage == "pretrain"
-        assert pre.training.lr == 2e-3
-        assert pre.training.iterations == 9
-
-        fin = config_from_dict({"training": {"stage": "finetune", "crop_xy": 6}})
-        assert fin.training.lr == 5e-3
-        assert fin.training.batch_size == 38
-        assert fin.training.crop_xy == 6
-
-        with pytest.raises(ConfigError, match="invalid section 'training'"):
-            config_from_dict({"training": {"stage": "warmup"}})
+        # each stage section fills what it leaves out from its own stage's defaults
+        cfg = config_from_dict({
+            "pretrain": {"iterations": 9, "batch_size": 4, "seed": 3},
+            "finetune": {"crop_xy": 6},
+        })
+        assert cfg.pretrain == TrainingConfig.pretrain_defaults(iterations=9, batch_size=4, seed=3)
+        assert cfg.pretrain.lr == 2e-3
+        assert cfg.finetune == TrainingConfig.finetune_defaults(crop_xy=6)
+        assert (cfg.finetune.lr, cfg.finetune.batch_size) == (5e-3, 38)
+        # the stage is the section's name, not a key
+        with pytest.raises(ConfigError, match="section 'finetune': stage"):
+            config_from_dict({"finetune": {"stage": "finetune"}})
 
     def test_protocol_tau_list_becomes_tuple(self):
         taus = [-0.016, -0.008, 0.0] + [0.008 * i for i in range(1, 9)]
@@ -85,6 +94,10 @@ class TestRunConfig:
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown config section"):
             config_from_dict({"netwrok": {}})
+        # a single stage-tagged training section and file paths are not settings
+        for name in ("training", "paths"):
+            with pytest.raises(ConfigError, match=f"unknown config section\\(s\\): {name}"):
+                config_from_dict({name: {}})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="section 'network'"):
@@ -94,14 +107,12 @@ class TestRunConfig:
             config_from_dict({"forward": {"n_intervals": 64}})
         # SWA and the validation split are fixed parts of pretraining
         for key, value in (("swa_enabled", True), ("val_fraction", 0.1)):
-            with pytest.raises(ConfigError, match=f"section 'training': {key}"):
-                config_from_dict({"training": {"stage": "pretrain", key: value}})
+            with pytest.raises(ConfigError, match=f"section 'pretrain': {key}"):
+                config_from_dict({"pretrain": {key: value}})
 
     def test_invalid_value_names_section(self):
-        with pytest.raises(ConfigError, match="invalid section 'training'"):
-            config_from_dict(
-                {"training": {"stage": "pretrain", "iterations": 5, "batch_size": 8, "lr": -1.0}}
-            )
+        with pytest.raises(ConfigError, match="invalid section 'finetune'"):
+            config_from_dict({"finetune": {"iterations": 5, "batch_size": 8, "lr": -1.0}})
 
     def test_prior_preset_string(self):
         cfg = config_from_dict({"param_prior": "uniform"})
@@ -135,8 +146,11 @@ class TestRunConfig:
             )
 
     def test_paths_must_be_strings(self):
+        # file paths are not settings: a paths section, well-formed or not, is refused
         with pytest.raises(ConfigError, match="paths"):
             config_from_dict({"paths": {"dataset": 7}})
+        with pytest.raises(ConfigError, match="unknown config section\\(s\\): paths"):
+            config_from_dict({"paths": {"dataset": "train.dset"}})
 
     def test_root_must_be_mapping(self, tmp_path):
         path = tmp_path / "list.yaml"
@@ -149,11 +163,28 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="nope.yaml"):
             load_config(missing)
 
+    def test_readme_yaml_blocks_parse(self):
+        blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert blocks
+        for block in blocks:
+            config_from_dict(yaml.safe_load(block))
+
     def test_unparseable_yaml(self, tmp_path):
         path = tmp_path / "bad.yaml"
-        path.write_text("training: [unclosed\n")
+        path.write_text("pretrain: [unclosed\n")
         with pytest.raises(ConfigError, match="could not parse"):
             load_config(path)
+
+
+# one run config for every command: a gated 1x8 network, whose voxelwise trunk
+# `pretrain` trains, and the recipe of each training stage
+RUN_CONFIG = {
+    "network": {"n_blocks": 1, "width": 8, "spatial_mode": "gated-residual"},
+    "forward": {"variant": "asymptotic", "compartments": 1},
+    "pretrain": {"iterations": 25, "batch_size": 64, "lr": 2e-3, "seed": 3},
+    "finetune": {"iterations": 6, "batch_size": 2, "lr": 5e-3, "crop_xy": 6,
+                 "n_samples_elbo": 1, "seed": 4},
+}
 
 
 @pytest.fixture(scope="module")
@@ -168,12 +199,8 @@ def pipeline(tmp_path_factory):
         "--phantom-params", "0.4,0.025", "--phantom-snr", "60",
     ])
     assert rc == 0
-    cfg = root / "small.yaml"
-    cfg.write_text(yaml.safe_dump({
-        "network": {"n_blocks": 1, "width": 8},
-        "training": {"stage": "pretrain", "iterations": 25, "batch_size": 64,
-                     "lr": 2e-3, "seed": 3},
-    }))
+    cfg = root / "run.yaml"
+    cfg.write_text(yaml.safe_dump(RUN_CONFIG))
     ckpt = root / "theta.ckpt"
     metrics = root / "pretrain.tsv"
     rc = cli_dispatch([
@@ -182,7 +209,7 @@ def pipeline(tmp_path_factory):
     ])
     assert rc == 0
     return {"root": root, "dataset": ds, "phantom": phantom, "ckpt": ckpt,
-            "metrics": metrics}
+            "metrics": metrics, "config": cfg}
 
 
 class TestCliPipeline:
@@ -230,27 +257,39 @@ class TestCliPipeline:
         assert np.isfinite(oef[mask]).all()
         assert 0.05 < np.nanmean(oef) < 0.85
 
+    def _finetune(self, pipeline, out, metrics, *extra):
+        return cli_dispatch([
+            "finetune", "--config", str(pipeline["config"]), "--weights", str(pipeline["ckpt"]),
+            "--volume", str(pipeline["phantom"]), "--out", str(out),
+            "--metrics", str(metrics), *extra,
+        ])
+
     def test_finetune_produces_gated_checkpoint(self, pipeline):
         root = pipeline["root"]
-        cfg = root / "ft.yaml"
-        cfg.write_text(yaml.safe_dump({
-            "network": {"n_blocks": 1, "width": 8, "spatial_mode": "gated-residual"},
-            "training": {"stage": "finetune", "iterations": 6, "batch_size": 2,
-                         "lr": 5e-3, "crop_xy": 6, "n_samples_elbo": 1, "seed": 4},
-            "forward": {"variant": "asymptotic", "compartments": 1},
-        }))
         out = root / "psi.ckpt"
         metrics = root / "ft.tsv"
-        rc = cli_dispatch([
-            "finetune", "--config", str(cfg), "--weights", str(pipeline["ckpt"]),
-            "--volume", str(pipeline["phantom"]), "--out", str(out),
-            "--metrics", str(metrics),
-        ])
-        assert rc == 0
+        assert self._finetune(pipeline, out, metrics) == 0
         psi = load_checkpoint(out)
         assert psi.config.spatial_mode == "gated-residual"
         assert "block0.conv.w" in psi.tensors
         assert len(metrics.read_text().strip().split("\n")) == 7
+
+    def test_one_config_drives_both_stages(self, pipeline, tmp_path):
+        cfg = load_config(pipeline["config"])
+        # pretrain trains the voxelwise trunk of the configured gated network
+        theta = load_checkpoint(pipeline["ckpt"])
+        assert theta.config == dataclasses.replace(cfg.network, spatial_mode="voxelwise")
+        # finetune runs its own section: finetune.iterations rows, not the stage defaults
+        out, metrics = tmp_path / "psi.ckpt", tmp_path / "ft.tsv"
+        assert self._finetune(pipeline, out, metrics) == 0
+        assert load_checkpoint(out).config == cfg.network
+        rows = metrics.read_text().strip().split("\n")[1:]
+        assert len(rows) == cfg.finetune.iterations == RUN_CONFIG["finetune"]["iterations"]
+        # --seed replaces only the section's seed
+        reseeded = tmp_path / "ft_seed.tsv"
+        assert self._finetune(pipeline, tmp_path / "psi5.ckpt", reseeded, "--seed", "5") == 0
+        rows5 = reseeded.read_text().strip().split("\n")[1:]
+        assert len(rows5) == len(rows) and rows5 != rows
 
     def test_wls_maps(self, pipeline):
         out = pipeline["root"] / "maps_wls"

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module of the package imports is used in it, and
-every module-level private function or class is used somewhere in the package."""
+"""Source hygiene: every name a module of the package imports is used in it,
+every module-level private function or class is used somewhere in the package,
+and the number of settable values is pinned."""
 
 import ast
 from pathlib import Path
@@ -77,3 +78,41 @@ def test_checker_flags_an_unreferenced_private_def():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unreferenced_private_defs(path):
     assert unreferenced_private_defs(path.name, PACKAGE) == []
+
+
+def settable_values(source: str) -> int:
+    """Dataclass fields plus parameters with a default value (positional or
+    keyword-only, lambdas included) in one module."""
+    def is_dataclass(dec):
+        node = dec.func if isinstance(dec, ast.Call) else dec
+        return getattr(node, "id", getattr(node, "attr", None)) == "dataclass"
+
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(is_dataclass(d) for d in node.decorator_list):
+            count += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+    return count
+
+
+def test_checker_counts_settable_values():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: float = 1.0\n"
+        "class B:\n    z: int = 0\n"
+        "def f(a, b=1, *rest, c, d=2):\n    return lambda e=3: e\n"
+    )
+    assert settable_values(source) == 5
+
+
+SETTABLE_VALUES = 123
+
+
+def test_settable_value_count():
+    count = sum(settable_values(text) for text in PACKAGE.values())
+    assert count == SETTABLE_VALUES, (
+        f"src/oximap has {count} settable values (dataclass fields plus defaulted "
+        f"parameters), pinned at {SETTABLE_VALUES}: change the pin in this test and "
+        f"give the reason for the change in CHANGES.md"
+    )

@@ -13,7 +13,6 @@ from oximap.physics import (
     AcquisitionProtocol,
     ForwardModelConfig,
     PhysioConstants,
-    TissueParams,
     _kernel_table,
     _model,
     _tabulated_integral,
@@ -61,13 +60,6 @@ class TestProtocolAndConstants:
         with pytest.raises(ValueError, match="ti must be smaller"):
             AcquisitionProtocol(ti=4.0)
 
-    def test_tissue_params_validation(self):
-        TissueParams(0.0, 0.0)
-        with pytest.raises(ValueError, match="oef"):
-            TissueParams(1.2, 0.1)
-        with pytest.raises(ValueError, match="dbv"):
-            TissueParams(0.4, 1.0)
-
     def test_model_config_validation(self):
         with pytest.raises(ValueError, match="variant"):
             ForwardModelConfig(variant="fast")
@@ -110,7 +102,7 @@ class TestScalarQuantities:
 
     def test_r2_prime(self, constants):
         assert_allclose(r2_prime((0.4, 0.025), constants, 3.0), 3.01727, rtol=1e-5)
-        assert r2_prime(TissueParams(0.4, 0.0), constants, 3.0) == 0.0
+        assert r2_prime((0.4, 0.0), constants, 3.0) == 0.0
 
 
 class TestDephasingIntegral:
@@ -422,7 +414,7 @@ class TestDifferentiableTwins:
         total = _total_signal_t(ad.Tensor(oef), ad.Tensor(dbv), proto, constants, cfg).data
         assert np.array_equal(total_signal((oef, dbv), proto, constants, cfg), total)
         one = _total_signal_t(ad.Tensor(0.4), ad.Tensor(0.03), proto, constants, cfg).data
-        assert np.array_equal(total_signal(TissueParams(0.4, 0.03), proto, constants, cfg), one)
+        assert np.array_equal(total_signal((0.4, 0.03), proto, constants, cfg), one)
 
     @pytest.mark.parametrize("cfg", VARIANTS, ids=lambda f: f"{f.variant}-{f.compartments}")
     def test_one_node_vjp_matches_the_tape_oracle(self, proto, constants, rng, cfg):

@@ -27,7 +27,6 @@ from oximap.physics import (
     AcquisitionProtocol,
     ForwardModelConfig,
     PhysioConstants,
-    TissueParams,
 )
 from oximap.synthgen import (
     PRIOR_PRESETS,
@@ -118,10 +117,10 @@ def const_net(n_t, mu_b, cov_b, noise_b, cov_mode="diagonal"):
 class TestTrainingConfig:
     def test_stage_defaults(self):
         p = TrainingConfig.pretrain_defaults()
-        assert (p.stage, p.iterations, p.batch_size, p.lr) == ("pretrain", 1400, 512, 2e-3)
+        assert (p.iterations, p.batch_size, p.lr) == (1400, 512, 2e-3)
         assert p.weight_decay == 2e-4
         f = TrainingConfig.finetune_defaults()
-        assert (f.stage, f.iterations, f.batch_size, f.lr) == ("finetune", 4000, 38, 5e-3)
+        assert (f.iterations, f.batch_size, f.lr) == (4000, 38, 5e-3)
         assert f.n_samples_elbo == 4 and f.tv_lambda == 5.0 and f.crop_xy == 25
 
     def test_overrides(self):
@@ -129,8 +128,8 @@ class TestTrainingConfig:
         assert p.iterations == 10 and p.seed == 9
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="stage"):
-            TrainingConfig(stage="warmup", iterations=1, batch_size=1, lr=1e-3)
+        with pytest.raises(TypeError, match="stage"):
+            TrainingConfig.pretrain_defaults(stage="pretrain")
         with pytest.raises(ValueError, match="iterations"):
             TrainingConfig.pretrain_defaults(iterations=0)
         with pytest.raises(ValueError, match="lr"):
@@ -198,7 +197,7 @@ class TestPretrainLoss:
     def test_tissue_params_scalar(self):
         w = const_net(5, [0.1, -2.0], [-0.5, -0.7], -3.0)
         pred = encoder_forward(w, ad.Tensor(np.zeros(5)))
-        a = pretrain_loss(pred, TissueParams(0.4, 0.025))
+        a = pretrain_loss(pred, (0.4, 0.025))
         b = pretrain_loss(pred, np.array([0.4, 0.025]))
         assert_allclose(float(a.data), float(b.data), rtol=0, atol=0)
 
@@ -238,10 +237,8 @@ class TestPretrainLoss:
 
 
 class TestRunPretraining:
-    def test_stage_and_empty_errors(self, noisy_dataset):
+    def test_empty_dataset_error(self):
         cfg = NetworkConfig(n_blocks=1, width=4)
-        with pytest.raises(ValueError, match="stage"):
-            run_pretraining(cfg, TrainingConfig.finetune_defaults(), noisy_dataset)
         empty = SynthDataset(np.empty((0, 11)), np.empty((0, 2)), np.empty(0))
         with pytest.raises(ValueError, match="empty"):
             run_pretraining(cfg, TrainingConfig.pretrain_defaults(), empty)
@@ -512,10 +509,7 @@ class TestRunFinetuning:
         base.update(kw)
         return TrainingConfig.finetune_defaults(**base)
 
-    def test_stage_and_input_errors(self, theta16, phantom_vol, proto_m, constants_m):
-        with pytest.raises(ValueError, match="stage"):
-            run_finetuning(theta16, self.GATED, TrainingConfig.pretrain_defaults(),
-                           [phantom_vol], proto_m, constants_m, FWD1)
+    def test_input_errors(self, theta16, phantom_vol, proto_m, constants_m):
         with pytest.raises(ValueError, match="volumes"):
             run_finetuning(theta16, self.GATED, self.small_cfg(), [], proto_m,
                            constants_m, FWD1)
