@@ -16,7 +16,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from . import autodiff as ad
-from .distributions import ScaledLogitNormal, forward_transform, kl_analytic
+from .distributions import ScaledLogitNormal, cholesky_entries, forward_transform, kl_analytic
 from .nnet import EncoderWeights, encoder_forward, prediction_to_distribution
 from .physics import (
     AcquisitionProtocol,
@@ -123,9 +123,10 @@ def marginal_std(dist: ScaledLogitNormal) -> np.ndarray:
     [-8, 8] and logit stds up to 8). The voxels are taken STD_BLOCK at a
     time, so the working memory does not grow with their number.
     """
-    c = dist.chol
+    with ad.recording_off():
+        l00, l10, l11, _, _ = cholesky_entries(dist.sigma_l_params)
     mu = dist.mu.reshape(-1, 2)
-    scale = np.stack([c[..., 0, 0], np.hypot(c[..., 1, 0], c[..., 1, 1])], axis=-1).reshape(-1, 2)
+    scale = np.stack([l00.data, np.hypot(l10, l11.data)], axis=-1).reshape(-1, 2)
     out = np.empty_like(mu)
     for b in range(0, mu.shape[0], STD_BLOCK):
         blk = slice(b, b + STD_BLOCK)
@@ -154,7 +155,7 @@ def _masked_posterior(weights: EncoderWeights, vol: Volume4D):
     with ad.recording_off():
         pred = encoder_forward(weights, ad.Tensor(planes_first(vol.data)))
     dist = prediction_to_distribution(pred, weights.config.covariance_mode)
-    return ScaledLogitNormal(dist.mu[m], dist.chol[m]), pred.log_sigma_im.data[m]
+    return ScaledLogitNormal(dist.mu[m], dist.sigma_l_params[m]), pred.log_sigma_im.data[m]
 
 
 def _scatter(vals: np.ndarray, vol: Volume4D, fill=np.nan) -> np.ndarray:
@@ -197,7 +198,7 @@ def elbo_map(
         return np.full(vol.grid_shape, np.nan)
     dist, log_sigma = _masked_posterior(weights, vol) if _posterior is None else _posterior
     m = planes_first(vol.mask)
-    p_dist = ScaledLogitNormal(planes_first(priors.mu_l)[m], planes_first(priors.chol_l)[m])
+    p_dist = ScaledLogitNormal(planes_first(priors.mu_l)[m], planes_first(priors.sigma_l_params)[m])
     kl_vox = kl_analytic(dist, p_dist)
 
     loglik = signal_loglik(planes_first(vol.data)[m], log_sigma)
@@ -243,7 +244,7 @@ def infer_maps(weights: EncoderWeights, vol: Volume4D, cfg: InferenceConfig) -> 
         raise ValueError("a gated-residual network needs prior_weights for the ELBO map")
     else:
         # a voxelwise network is its own prior: the posterior already computed
-        priors = PriorMaps(_scatter(dist.mu, vol, 0.0), _scatter(dist.chol, vol, np.eye(2)), vol.mask)
+        priors = PriorMaps(_scatter(dist.mu, vol, 0.0), _scatter(dist.sigma_l_params, vol, 0.0), vol.mask)
     maps.elbo = elbo_map(
         weights,
         vol,

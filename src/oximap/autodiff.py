@@ -110,7 +110,7 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def backward(out, seed=None):
+def backward(out):
     """Accumulate gradients of `out` into every reachable leaf's .grad.
 
     A node with a vjp drops its .grad once the vjp has consumed it, so the
@@ -131,10 +131,7 @@ def backward(out, seed=None):
         for p in node._parents:
             if id(p) not in visited:
                 stack.append((p, False))
-    if seed is None:
-        out.grad = np.ones_like(out.data)
-    else:
-        out.grad = np.broadcast_to(np.asarray(seed, dtype=np.float64), out.data.shape).copy()
+    out.grad = np.ones_like(out.data)
     for node in reversed(topo):
         if node._vjp is None or node.grad is None:
             continue
@@ -151,19 +148,9 @@ def backward(out, seed=None):
 
 
 def zero_grads(tensors):
-    """Clear .grad on an iterable of tensors, or on everything reachable from one root."""
-    if isinstance(tensors, Tensor):
-        stack, seen = [tensors], set()
-        while stack:
-            t = stack.pop()
-            if id(t) in seen:
-                continue
-            seen.add(id(t))
-            t.grad = None
-            stack.extend(t._parents)
-    else:
-        for t in tensors:
-            t.grad = None
+    """Clear .grad on an iterable of tensors."""
+    for t in tensors:
+        t.grad = None
 
 
 # elementwise arithmetic ---------------------------------------------

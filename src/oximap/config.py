@@ -52,9 +52,9 @@ def _build_section(name, build, mapping):
     if unknown:
         raise ConfigError(f"unknown key(s) in section '{name}': {', '.join(sorted(unknown))}")
     kwargs = dict(mapping)
-    if name == "protocol" and "tau" in kwargs:
-        kwargs["tau"] = tuple(float(t) for t in kwargs["tau"])
     try:
+        if name == "protocol" and "tau" in kwargs:
+            kwargs["tau"] = tuple(float(t) for t in kwargs["tau"])
         return build(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid section '{name}': {exc}") from exc
@@ -77,6 +77,8 @@ def _build_prior(value):
         if pname not in value:
             raise ConfigError(f"param_prior needs both 'oef' and 'dbv'; missing {pname!r}")
         spec = value[pname]
+        if not isinstance(spec, dict):
+            raise ConfigError(f"param_prior.{pname} must be a mapping")
         spec_known = {f.name for f in dataclasses.fields(PriorSpec)}
         bad = set(spec) - spec_known
         if bad:

@@ -99,36 +99,33 @@ def neg_log_density(mu, p, y):
     return LOG_2PI + q0 + q1 + 0.5 * (w0 * w0 + w1 * w1) + log_jac
 
 
-def _check_chol(chol):
-    chol = np.asarray(chol, dtype=np.float64)
-    if chol.shape[-2:] != (2, 2):
-        raise ValueError("chol must have trailing shape (2, 2)")
-    if np.any(chol[..., 0, 1] != 0.0):
-        raise ValueError("chol must be lower triangular")
-    if np.any(chol[..., 0, 0] <= 0.0) or np.any(chol[..., 1, 1] <= 0.0):
-        raise ValueError("chol diagonal must be positive")
-    return chol
-
-
 @dataclass
 class ScaledLogitNormal:
-    """Distribution over the (oef, dbv) box, parameterized in logit space."""
+    """Distribution over the (oef, dbv) box, parameterized in logit space.
+
+    mu (..., 2) is the logit-space mean and sigma_l_params (..., 2|3) its
+    Cholesky factor in the encoder's layout (log l00, log l11[, l10]), read
+    by cholesky_entries: width 2 is a diagonal factor, width 3 a full one.
+    Every such layout is a lower-triangular factor with a positive diagonal.
+    """
 
     mu: np.ndarray
-    chol: np.ndarray
+    sigma_l_params: np.ndarray
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=np.float64)
-        if self.mu.shape[-1] != 2:
+        self.sigma_l_params = np.asarray(self.sigma_l_params, dtype=np.float64)
+        if self.mu.shape[-1:] != (2,):
             raise ValueError("mu must have trailing length 2")
-        self.chol = _check_chol(self.chol)
+        if self.sigma_l_params.shape[-1:] not in ((2,), (3,)):
+            raise ValueError("sigma_l_params must have trailing length 2 or 3")
+        if self.sigma_l_params.shape[:-1] != self.mu.shape[:-1]:
+            raise ValueError("mu and sigma_l_params must share their leading axes")
 
     def log_prob(self, y):
         """Exact log-density at box coordinates y (broadcast over leading axes)."""
-        c = self.chol
-        p = np.stack([np.log(c[..., 0, 0]), np.log(c[..., 1, 1]), c[..., 1, 0]], axis=-1)
         with ad.recording_off():
-            return -neg_log_density(self.mu, p, y).data
+            return -neg_log_density(self.mu, self.sigma_l_params, y).data
 
     def sample(self, rng: np.random.Generator, n: int | None = None):
         """Reparameterized draws f(mu + L z), z standard normal."""
@@ -139,9 +136,9 @@ class ScaledLogitNormal:
     def transform_noise(self, z):
         """Push given standard-normal noise through the reparameterization."""
         z = np.asarray(z, dtype=np.float64)
-        c = self.chol
         with ad.recording_off():
-            y0, y1 = reparameterize(self.mu, c[..., 0, 0], c[..., 1, 0], c[..., 1, 1], z)
+            l00, l10, l11, _, _ = cholesky_entries(self.sigma_l_params)
+            y0, y1 = reparameterize(self.mu, l00, l10, l11, z)
         return np.stack([y0.data, y1.data], axis=-1)
 
 
@@ -162,34 +159,34 @@ def reparameterize(mu, l00, l10, l11, z):
     )
 
 
-def kl_cholesky(mu_q, l00, l10, l11, log_l00, log_l11, mu_p, chol_p):
+def kl_cholesky(mu_q, l00, l10, l11, log_l00, log_l11, mu_p, p_params):
     """Closed-form KL(q || p) of two bivariate Gaussians, from q's Cholesky entries.
 
     q has mean mu_q and factor [[l00, 0], [l10, l11]], with the logs of its
-    diagonal passed exactly; p has mean mu_p and factor chol_p. q's inputs
-    may be arrays or tape tensors; the result is a tape tensor. Grouped as
+    diagonal passed exactly; p has mean mu_p and factor p_params, an array in
+    the layout of cholesky_entries. q's inputs may be arrays or tape tensors;
+    the result is a tape tensor. Grouped as
     0.5 * [(m00^2-1-2 log m00) + (m11^2-1-2 log m11) + m10^2 + |w|^2]
     with M = Lp^-1 Lq and w = Lp^-1 (mu_q - mu_p); each log group is clamped
     at zero so rounding can never produce a negative KL.
     """
-    a = chol_p[..., 0, 0]
-    b = chol_p[..., 1, 0]
-    cc = chol_p[..., 1, 1]
+    with ad.recording_off():
+        a, b, cc, log_a, log_cc = cholesky_entries(p_params)
     m00 = l00 / a
     m10 = (l10 - b * m00) / cc
     m11 = l11 / cc
     w0 = (mu_q[..., 0] - mu_p[..., 0]) / a
     w1 = (mu_q[..., 1] - mu_p[..., 1] - b * w0) / cc
-    t00 = ad.clip_min(m00 * m00 - 1.0 - 2.0 * (log_l00 - np.log(a)), 0.0)
-    t11 = ad.clip_min(m11 * m11 - 1.0 - 2.0 * (log_l11 - np.log(cc)), 0.0)
+    t00 = ad.clip_min(m00 * m00 - 1.0 - 2.0 * (log_l00 - log_a), 0.0)
+    t11 = ad.clip_min(m11 * m11 - 1.0 - 2.0 * (log_l11 - log_cc), 0.0)
     return 0.5 * (t00 + t11 + m10 * m10 + w0 * w0 + w1 * w1)
 
 
 def kl_analytic(q: ScaledLogitNormal, p: ScaledLogitNormal):
     """Closed-form KL(q || p); exact because the box transform is shared."""
-    l00 = q.chol[..., 0, 0]
-    l11 = q.chol[..., 1, 1]
-    return kl_cholesky(q.mu, l00, q.chol[..., 1, 0], l11, np.log(l00), np.log(l11), p.mu, p.chol).data
+    with ad.recording_off():
+        l00, l10, l11, log_l00, log_l11 = cholesky_entries(q.sigma_l_params)
+        return kl_cholesky(q.mu, l00, l10, l11, log_l00, log_l11, p.mu, p.sigma_l_params).data
 
 
 def kl_monte_carlo(q: ScaledLogitNormal, p: ScaledLogitNormal, rng: np.random.Generator, n: int):

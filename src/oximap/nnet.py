@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import autodiff as ad
-from .distributions import ScaledLogitNormal, cholesky_entries, inverse_transform
+from .distributions import ScaledLogitNormal, inverse_transform
 
 # normalized log-ratio signals live in roughly [-0.45, 0.05]; the fixed gain
 # brings them to unit scale so the first hidden layer starts well-conditioned
@@ -262,13 +262,7 @@ def prediction_to_distribution(pred: VoxelPrediction, covariance_mode: str) -> S
     p = pred.sigma_l_params.data
     if NetworkConfig(covariance_mode=covariance_mode).n_cov_params != p.shape[-1]:
         raise ValueError(f"covariance_mode {covariance_mode!r} does not match {p.shape[-1]} covariance parameters")
-    with ad.recording_off():
-        l00, l10, l11, _, _ = cholesky_entries(p)
-    chol = np.zeros(p.shape[:-1] + (2, 2))
-    chol[..., 0, 0] = l00.data
-    chol[..., 1, 0] = l10
-    chol[..., 1, 1] = l11.data
-    return ScaledLogitNormal(pred.mu_l.data, chol)
+    return ScaledLogitNormal(pred.mu_l.data, p)
 
 
 def collect_gradients(weights: EncoderWeights, loss: ad.Tensor) -> dict[str, np.ndarray]:
@@ -422,6 +416,8 @@ def load_checkpoint(path) -> EncoderWeights:
         )
     except ValueError as e:
         raise CheckpointFormatError(f"invalid checkpoint config: {e}") from None
+    if n_t < 1:
+        raise CheckpointFormatError(f"invalid checkpoint n_t {n_t}")
     offset = _CKPT_HEAD.size
     tensors = {}
     for _ in range(n_tensors):
@@ -442,4 +438,16 @@ def load_checkpoint(path) -> EncoderWeights:
         except struct.error:
             raise CheckpointFormatError("checkpoint truncated inside tensor table") from None
         tensors[name] = ad.Tensor(data.reshape(shape).astype(np.float64))
+    # the names and shapes a network of this config has, from the code that builds one
+    layout = init_weights(replace(cfg, spatial_mode="voxelwise"), n_t, np.random.default_rng(0))
+    if cfg.spatial_mode == "gated-residual":
+        layout = extend_weights(layout, np.random.default_rng(0))
+    for name in sorted(layout.tensors.keys() | tensors.keys()):
+        if name not in tensors:
+            raise CheckpointFormatError(f"checkpoint lacks tensor {name!r}")
+        if name not in layout.tensors:
+            raise CheckpointFormatError(f"checkpoint tensor {name!r} is not in the network of its config")
+        shape, want = tensors[name].data.shape, layout.tensors[name].data.shape
+        if shape != want:
+            raise CheckpointFormatError(f"checkpoint tensor {name!r} has shape {shape}, expected {want}")
     return EncoderWeights(cfg, n_t, tensors)

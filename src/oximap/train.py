@@ -116,32 +116,32 @@ class MetricsLog:
 class PriorMaps:
     """Per-voxel logit-space prior parameters on a volume grid.
 
-    Outside the mask mu_l is zero and chol_l the identity, so downstream
-    arithmetic stays finite; only masked voxels carry information.
+    mu_l (h, w, d, 2) is the logit mean and sigma_l_params (h, w, d, 2|3)
+    the Cholesky factor in the encoder's layout (log l00, log l11[, l10]),
+    as ScaledLogitNormal holds it. Both are zero outside the mask, which is
+    the identity factor, so downstream arithmetic stays finite; only masked
+    voxels carry information.
     """
 
     mu_l: np.ndarray
-    chol_l: np.ndarray
+    sigma_l_params: np.ndarray
     mask: np.ndarray
 
     def __post_init__(self):
         self.mu_l = np.asarray(self.mu_l, dtype=np.float64)
-        self.chol_l = np.asarray(self.chol_l, dtype=np.float64)
+        self.sigma_l_params = np.asarray(self.sigma_l_params, dtype=np.float64)
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.mu_l.ndim != 4 or self.mu_l.shape[-1] != 2:
             raise ValueError("mu_l must have shape (h, w, d, 2)")
         grid = self.mu_l.shape[:3]
-        if self.chol_l.shape != grid + (2, 2):
-            raise ValueError("chol_l must have shape (h, w, d, 2, 2)")
+        if self.sigma_l_params.shape not in (grid + (2,), grid + (3,)):
+            raise ValueError("sigma_l_params must have shape (h, w, d, 2) or (h, w, d, 3)")
         if self.mask.shape != grid:
             raise ValueError("mask must match the (h, w, d) grid")
         if not np.all(np.isfinite(self.mu_l[self.mask])):
             raise ValueError("prior means must be finite on masked voxels")
-        if not np.all(np.isfinite(self.chol_l[self.mask])):
+        if not np.all(np.isfinite(self.sigma_l_params[self.mask])):
             raise ValueError("prior scales must be finite on masked voxels")
-        diag = self.chol_l[self.mask][:, (0, 1), (0, 1)] if self.mask.any() else np.ones((0, 2))
-        if np.any(diag <= 0):
-            raise ValueError("prior Cholesky diagonals must be positive on masked voxels")
 
     @property
     def grid_shape(self):
@@ -227,17 +227,15 @@ def compute_prior_maps(theta: EncoderWeights, vol: Volume4D) -> PriorMaps:
         raise ValueError("prior maps require a voxelwise (pretrained) network")
     grid = vol.grid_shape
     mu_full = np.zeros(grid + (2,))
-    chol_full = np.zeros(grid + (2, 2))
-    chol_full[..., 0, 0] = 1.0
-    chol_full[..., 1, 1] = 1.0
+    params_full = np.zeros(grid + (theta.config.n_cov_params,))
     rows = vol.masked_signals()
     if rows.shape[0]:
         with ad.recording_off():
             pred = encoder_forward(theta, ad.Tensor(rows))
         dist = prediction_to_distribution(pred, theta.config.covariance_mode)
         mu_full[vol.mask] = dist.mu
-        chol_full[vol.mask] = dist.chol
-    return PriorMaps(mu_full, chol_full, vol.mask.copy())
+        params_full[vol.mask] = dist.sigma_l_params
+    return PriorMaps(mu_full, params_full, vol.mask.copy())
 
 
 # negative ELBO --------------------------------------------------------
@@ -258,7 +256,7 @@ def signal_loglik(x, log_sigma_im):
     return loglik
 
 
-def _elbo_core(psi, x_arr, mask_arr, prior_mu, prior_chol, proto, constants, fwd_cfg, cfg, rng):
+def _elbo_core(psi, x_arr, mask_arr, prior_mu, prior_params, proto, constants, fwd_cfg, cfg, rng):
     """Negative-ELBO graph on plane-major arrays (planes, h, w, ...).
 
     The encoder runs on the whole grid, since the gated conv reads
@@ -276,7 +274,7 @@ def _elbo_core(psi, x_arr, mask_arr, prior_mu, prior_chol, proto, constants, fwd
     pred = encoder_forward(psi, ad.Tensor(x_arr))
     mu_m = pred.mu_l[mask_arr]
     l00, l10, l11, log_l00, log_l11 = cholesky_entries(pred.sigma_l_params[mask_arr])
-    kl_vox = kl_cholesky(mu_m, l00, l10, l11, log_l00, log_l11, prior_mu[mask_arr], prior_chol[mask_arr])
+    kl_vox = kl_cholesky(mu_m, l00, l10, l11, log_l00, log_l11, prior_mu[mask_arr], prior_params[mask_arr])
 
     loglik = signal_loglik(x_arr[mask_arr], pred.log_sigma_im[mask_arr])
     ll_acc = None
@@ -320,7 +318,7 @@ def elbo_loss(
         planes_first(batch.data),
         planes_first(batch.mask),
         planes_first(priors.mu_l),
-        planes_first(priors.chol_l),
+        planes_first(priors.sigma_l_params),
         proto,
         constants,
         fwd_cfg,
@@ -434,7 +432,7 @@ def run_finetuning(
                 "x": planes_first(vol.data),
                 "mask": planes_first(vol.mask),
                 "mu": planes_first(priors.mu_l),
-                "chol": planes_first(priors.chol_l),
+                "params": planes_first(priors.sigma_l_params),
                 "corners": corners,
             }
         )
@@ -443,7 +441,7 @@ def run_finetuning(
     initial_loss = None
     with MetricsLog(metrics_path) as log:
         for i in range(train_cfg.iterations):
-            xs, masks, mus, chols = [], [], [], []
+            xs, masks, mus, params = [], [], [], []
             for _ in range(train_cfg.batch_size):
                 v = planes[rng.integers(len(planes))]
                 x0, y0 = v["corners"][rng.integers(v["corners"].shape[0])]
@@ -452,14 +450,14 @@ def run_finetuning(
                 xs.append(v["x"][:, sx, sy])
                 masks.append(v["mask"][:, sx, sy])
                 mus.append(v["mu"][:, sx, sy])
-                chols.append(v["chol"][:, sx, sy])
+                params.append(v["params"][:, sx, sy])
             x_arr = np.concatenate(xs, axis=0)
             mask_arr = np.concatenate(masks, axis=0)
             mu_arr = np.concatenate(mus, axis=0)
-            chol_arr = np.concatenate(chols, axis=0)
+            params_arr = np.concatenate(params, axis=0)
 
             elbo, kl_mean, ll_mean, mean_maps = _elbo_core(
-                psi, x_arr, mask_arr, mu_arr, chol_arr, proto, constants, fwd_cfg, train_cfg, rng
+                psi, x_arr, mask_arr, mu_arr, params_arr, proto, constants, fwd_cfg, train_cfg, rng
             )
             tv = _tv_planes(mean_maps, mask_arr)
             loss = elbo + train_cfg.tv_lambda * tv if train_cfg.tv_lambda else elbo

@@ -18,6 +18,7 @@ import time
 import numpy as np
 import pytest
 import yaml
+from conftest import chol_params
 
 from oximap import autodiff as ad
 from oximap.analysis import InferenceConfig, elbo_map, infer_maps, wls_fit
@@ -209,7 +210,7 @@ def test_02_distribution_correctness():
         mu = box_rng.uniform(-1.2, 1.2, 2)
         chol = np.diag(box_rng.uniform(0.4, 1.0, 2))
         chol[1, 0] = box_rng.uniform(-0.3, 0.3)
-        d = ScaledLogitNormal(mu, chol)
+        d = ScaledLogitNormal(mu, chol_params(chol))
         mass = float((np.exp(d.log_prob(ygrid)) * cell).sum())
         worst_mass = max(worst_mass, abs(mass - 1.0))
 
@@ -223,8 +224,8 @@ def test_02_distribution_correctness():
         cq[1, 0] = pair_rng.uniform(-0.3, 0.3)
         cp = np.diag(pair_rng.uniform(0.4, 1.0, 2))
         cp[1, 0] = pair_rng.uniform(-0.3, 0.3)
-        q = ScaledLogitNormal(mu_q, cq)
-        p = ScaledLogitNormal(mu_p, cp)
+        q = ScaledLogitNormal(mu_q, chol_params(cq))
+        p = ScaledLogitNormal(mu_p, chol_params(cp))
         ka = kl_analytic(q, p)
         km = kl_monte_carlo(q, p, np.random.default_rng(5000 + k), 100_000)
         worst_kl = max(worst_kl, abs(km - ka) / ka)

@@ -4,17 +4,16 @@ reference, encoder passes that only read values keeping no tape, WLS
 self-inversion on matched data, region summaries, and paired t-statistics
 against scipy."""
 
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from conftest import chol_params, quad_std
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import expit
+from scipy.integrate import IntegrationWarning
 
 from oximap import analysis, train
 from oximap import autodiff as ad
@@ -29,8 +28,6 @@ from oximap.analysis import (
     wls_fit,
 )
 from oximap.distributions import (
-    PARAM_OFFSET,
-    PARAM_SCALE,
     ScaledLogitNormal,
     forward_transform,
     kl_cholesky,
@@ -193,7 +190,7 @@ class TestElboMap:
 
         bad_mask = phantom_priors.mask.copy()
         bad_mask[0, 0, 0] = ~bad_mask[0, 0, 0]
-        bad = PriorMaps(phantom_priors.mu_l, phantom_priors.chol_l, bad_mask)
+        bad = PriorMaps(phantom_priors.mu_l, phantom_priors.sigma_l_params, bad_mask)
         with pytest.raises(ValueError, match="aligned"):
             elbo_map(theta16, phantom_vol, bad, proto_m, constants_m, FWD1,
                      np.random.default_rng(0))
@@ -257,21 +254,6 @@ class TestInferMaps:
         assert abs(np.nanmean(maps.dbv_point) - 0.025) < 0.01
 
 
-def quad_std(mu, s, k):
-    """Std of PARAM_SCALE[k] * logistic(mu + s z) + PARAM_OFFSET[k], z standard
-    normal, by adaptive quadrature: the mean, then the centred second moment."""
-    def f(z):
-        return PARAM_SCALE[k] * expit(mu + s * z) + PARAM_OFFSET[k]
-
-    def pdf(z):
-        return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-
-    kw = dict(epsabs=0.0, epsrel=1e-12, limit=200)
-    mean = quad(lambda z: f(z) * pdf(z), -np.inf, np.inf, **kw)[0]
-    var = quad(lambda z: (f(z) - mean) ** 2 * pdf(z), -np.inf, np.inf, **kw)[0]
-    return np.sqrt(var)
-
-
 class TestMarginalStd:
     @pytest.mark.filterwarnings("ignore", category=IntegrationWarning)
     def test_matches_adaptive_quadrature(self):
@@ -282,7 +264,7 @@ class TestMarginalStd:
         chol[:, 0, 0] = s
         chol[:, 1, 0] = 0.6 * s
         chol[:, 1, 1] = 0.8 * s
-        got = marginal_std(ScaledLogitNormal(np.stack([mu, -mu], axis=-1), chol))
+        got = marginal_std(ScaledLogitNormal(np.stack([mu, -mu], axis=-1), chol_params(chol)))
         ref = np.array([[quad_std(m, v, 0), quad_std(-m, v, 1)] for m, v in zip(mu, s)])
         assert_allclose(got, ref, rtol=1e-6, atol=0)
 
@@ -295,10 +277,10 @@ class TestMarginalStd:
         angle=st.floats(0.05, 1.5),
     )
     def test_agrees_with_draws_and_reads_dbv_through_hypot(self, mu, l00, l10, l11, angle):
-        dist = ScaledLogitNormal(mu, [[l00, 0.0], [l10, l11]])
+        dist = ScaledLogitNormal(mu, chol_params([[l00, 0.0], [l10, l11]]))
         std = marginal_std(dist)
         h = np.hypot(l10, l11)
-        turned = ScaledLogitNormal(mu, [[l00, 0.0], [h * np.cos(angle), h * np.sin(angle)]])
+        turned = ScaledLogitNormal(mu, chol_params([[l00, 0.0], [h * np.cos(angle), h * np.sin(angle)]]))
         assert_allclose(marginal_std(turned), std, rtol=1e-12)
         n = 40_000
         y = dist.sample(np.random.default_rng(0), n)
@@ -312,7 +294,7 @@ class TestMarginalStd:
         def peak(n):
             chol = np.zeros((n, 2, 2))
             chol[:, 0, 0] = chol[:, 1, 1] = 0.5
-            dist = ScaledLogitNormal(np.random.default_rng(0).normal(0.0, 1.0, (n, 2)), chol)
+            dist = ScaledLogitNormal(np.random.default_rng(0).normal(0.0, 1.0, (n, 2)), chol_params(chol))
             tracemalloc.start()
             try:
                 marginal_std(dist)
@@ -320,12 +302,13 @@ class TestMarginalStd:
             finally:
                 tracemalloc.stop()
 
-        # only the (n, 2) scales and result grow with n, by 32 bytes a voxel
+        # only per-voxel arrays grow with n: the (n, 2) scales and result and
+        # the two diagonal entries of L, 48 bytes a voxel
         small, large = peak(2 * analysis.STD_BLOCK), peak(8 * analysis.STD_BLOCK)
         assert large < 1.1 * small, (small, large)
 
 
-def full_grid_loss(psi, x, mask, prior_mu, prior_chol, proto, constants, fwd, n_draws, rng):
+def full_grid_loss(psi, x, mask, prior_mu, prior_params, proto, constants, fwd, n_draws, rng):
     """Reference negative ELBO: every grid voxel goes through the KL, the
     draws, the forward model and the likelihood, then a 0/1 mask weights the
     sums. Same generator calls as the training loss."""
@@ -334,7 +317,7 @@ def full_grid_loss(psi, x, mask, prior_mu, prior_chol, proto, constants, fwd, n_
     q0, q1 = p[..., 0], p[..., 1]
     l00, l11 = ad.exp(q0), ad.exp(q1)
     l10 = p[..., 2] if psi.config.covariance_mode == "full" else 0.0
-    kl = kl_cholesky(mu, l00, l10, l11, q0, q1, prior_mu, prior_chol)
+    kl = kl_cholesky(mu, l00, l10, l11, q0, q1, prior_mu, prior_params)
     loglik = signal_loglik(x, pred.log_sigma_im)
     ll = 0.0
     for _ in range(n_draws):
@@ -371,15 +354,16 @@ class TestMaskedOnlyEvaluation:
         prior_chol[..., 0, 0] = np.exp(rng.normal(0.0, 0.3, GRID))
         prior_chol[..., 1, 0] = rng.normal(0.0, 0.3, GRID)
         prior_chol[..., 1, 1] = np.exp(rng.normal(0.0, 0.3, GRID))
+        prior_params = chol_params(prior_chol)
         fwd = ForwardModelConfig()
         cfg = TrainingConfig.finetune_defaults(n_samples_elbo=2)
 
         ad.zero_grads(psi.tensors.values())
-        loss = _elbo_core(psi, x, mask, prior_mu, prior_chol, proto_m, constants_m, fwd, cfg,
+        loss = _elbo_core(psi, x, mask, prior_mu, prior_params, proto_m, constants_m, fwd, cfg,
                           np.random.default_rng(3))[0]
         grads = collect_gradients(psi, loss)
         ad.zero_grads(psi.tensors.values())
-        ref = full_grid_loss(psi, x, mask, prior_mu, prior_chol, proto_m, constants_m, fwd, 2,
+        ref = full_grid_loss(psi, x, mask, prior_mu, prior_params, proto_m, constants_m, fwd, 2,
                              np.random.default_rng(3))
         ref_grads = collect_gradients(psi, ref)
         assert_allclose(loss.data, ref.data, rtol=1e-12)

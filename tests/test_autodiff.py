@@ -172,14 +172,6 @@ class TestGraph:
 
         check_gradient(build, x, rtol=1e-5)
 
-    def test_seeded_backward(self, rng):
-        x = rng.normal(size=(3,))
-        t = ad.Tensor(x.copy())
-        out = t * 2.0
-        seed = np.array([1.0, 10.0, 100.0])
-        ad.backward(out, seed=seed)
-        assert_allclose(t.grad, 2.0 * seed)
-
     def test_backward_frees_interior_grads(self, rng):
         x = rng.uniform(0.5, 1.5, size=(3, 2))
         t, w = ad.Tensor(x.copy()), ad.Tensor(rng.normal(size=(2, 4)))
@@ -201,8 +193,8 @@ class TestGraph:
         t = ad.Tensor(np.ones(3))
         out = ad.tsum(t * 4.0)
         ad.backward(out)
-        ad.zero_grads(out)
-        assert t.grad is None or not np.any(t.grad)
+        ad.zero_grads([t])
+        assert t.grad is None
 
     def test_custom_op_vjp(self):
         x = np.array([1.0, 2.0, 3.0])

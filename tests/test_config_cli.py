@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 from oximap.analysis import paired_tstat
+from oximap.autodiff import Tensor
 from oximap.cli import _read_maps_dir, cli_dispatch
 from oximap.config import (
     ConfigError,
@@ -21,13 +22,21 @@ from oximap.config import (
     save_config,
 )
 from oximap.nifti import read_nifti, read_voxel_size, write_nifti
-from oximap.nnet import load_checkpoint
+from oximap.nnet import load_checkpoint, save_checkpoint
 from oximap.physics import AcquisitionProtocol
 from oximap.synthgen import PRIOR_PRESETS, load_dataset
 from oximap.train import TrainingConfig
 from oximap.volume import Volume4D
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+# well-formed YAML whose values have the wrong type
+MALFORMED_DOCS = {
+    "tau-scalar": {"protocol": {"tau": 5}},
+    "tau-null": {"protocol": {"tau": None}},
+    "prior-spec-scalars": {"param_prior": {"oef": 3, "dbv": 4}},
+}
 
 
 class TestRunConfig:
@@ -144,6 +153,11 @@ class TestRunConfig:
                     }
                 }
             )
+
+    @pytest.mark.parametrize("doc", MALFORMED_DOCS.values(), ids=MALFORMED_DOCS.keys())
+    def test_malformed_value_is_a_config_error(self, doc):
+        with pytest.raises(ConfigError):
+            config_from_dict(doc)
 
     def test_paths_must_be_strings(self):
         # file paths are not settings: a paths section, well-formed or not, is refused
@@ -410,6 +424,36 @@ class TestCliErrors:
         ])
         assert rc == 1
         assert "no.yaml" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", MALFORMED_DOCS.values(), ids=MALFORMED_DOCS.keys())
+    def test_malformed_config_exits_1(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        rc = cli_dispatch([
+            "simulate", "--config", str(cfg), "--n", "10", "--out", str(tmp_path / "d.dset"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, value", [("mu.w", None), ("mu.b", np.zeros(3))])
+    def test_infer_rejects_a_checkpoint_off_its_layout(self, tmp_path, pipeline, capsys,
+                                                        name, value):
+        theta = load_checkpoint(pipeline["ckpt"])
+        if value is None:
+            del theta.tensors[name]
+        else:
+            theta.tensors[name] = Tensor(value)
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(theta, bad)
+        rc = cli_dispatch([
+            "infer", "--weights", str(bad), "--volume", str(pipeline["phantom"]),
+            "--out-dir", str(tmp_path / "maps"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(name) in err
 
     def test_maps_dir_without_source_label_exits_1(self, tmp_path, pipeline, capsys):
         maps_dir = tmp_path / "maps"

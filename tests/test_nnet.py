@@ -344,18 +344,17 @@ class TestPredictionToDistribution:
         x = rng.normal(-0.1, 0.05, (6, N_T))
         pred = encoder_forward(w, ad.Tensor(x))
         dist = prediction_to_distribution(pred, "diagonal")
-        p = pred.sigma_l_params.data
-        assert_allclose(dist.chol[..., 0, 0], np.exp(p[..., 0]))
-        assert_allclose(dist.chol[..., 1, 1], np.exp(p[..., 1]))
-        assert np.all(dist.chol[..., 1, 0] == 0.0)
-        assert np.all(dist.chol[..., 0, 1] == 0.0)
+        assert np.array_equal(dist.mu, pred.mu_l.data)
+        assert np.array_equal(dist.sigma_l_params, pred.sigma_l_params.data)
+        assert dist.sigma_l_params.shape == (6, 2)
 
     def test_full(self, rng):
         w = small_net(cov="full")
         x = rng.normal(-0.1, 0.05, (6, N_T))
         pred = encoder_forward(w, ad.Tensor(x))
         dist = prediction_to_distribution(pred, "full")
-        assert_allclose(dist.chol[..., 1, 0], pred.sigma_l_params.data[..., 2])
+        assert np.array_equal(dist.sigma_l_params, pred.sigma_l_params.data)
+        assert dist.sigma_l_params.shape == (6, 3)
 
     def test_mode_must_match_the_covariance_head(self, rng):
         # a diagonal read-out of a full prediction would drop l10 silently
@@ -374,7 +373,7 @@ class TestGradients:
         x = rng.normal(-0.1, 0.05, (4, N_T))
         pred = encoder_forward(w, ad.Tensor(x))
         total = ad.tsum(pred.mu_l) + ad.tsum(pred.sigma_l_params) + ad.tsum(pred.log_sigma_im)
-        ad.backward(total, seed=0.0)
+        ad.backward(total * 0.0)
         for name, t in w.tensors.items():
             assert np.all(t.grad == 0.0), name
 
@@ -410,7 +409,7 @@ class TestGradients:
             return pretrain_loss(pred, truths)
 
         loss = loss_value()
-        ad.zero_grads(loss)
+        ad.zero_grads(w.tensors.values())
         grads = collect_gradients(w, loss_value())
         names = list(w.tensors)
         checked = 0
@@ -574,6 +573,27 @@ class TestCheckpoint:
         raw[20] = 7  # spatial_mode code byte
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointFormatError, match="config"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("mu.w", None, "lacks tensor 'mu.w'"),
+            ("mu.b", np.zeros(3), r"'mu.b' has shape \(3,\), expected \(2,\)"),
+            ("block1.conv.w", np.zeros((99, 8)), r"'block1.conv.w' has shape \(99, 8\), expected \(72, 8\)"),
+            ("cov.w", np.zeros((8, 3)), r"'cov.w' has shape \(8, 3\), expected \(8, 2\)"),
+            ("extra.w", np.zeros(1), "'extra.w' is not in the network"),
+        ],
+    )
+    def test_error_layout_differs_from_config(self, tmp_path, name, value, message):
+        w = small_net("gated-residual")
+        if value is None:
+            del w.tensors[name]
+        else:
+            w.tensors[name] = ad.Tensor(value)
+        path = tmp_path / "w.ckpt"
+        save_checkpoint(w, path)
+        with pytest.raises(CheckpointFormatError, match=message):
             load_checkpoint(path)
 
     def test_magic_value(self):

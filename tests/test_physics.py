@@ -426,7 +426,7 @@ class TestDifferentiableTwins:
         for model in (normalized_model_signal_t, _normalized_oracle_t):
             to, td = ad.Tensor(oef.copy()), ad.Tensor(dbv.copy())
             out = model(to, td, proto, constants, cfg)
-            ad.backward(out, g)
+            ad.backward(ad.tsum(out * g))
             grads.append((out.data, to.grad, td.grad))
         (s, go, gd), (s_ref, go_ref, gd_ref) = grads
         assert np.array_equal(s, s_ref)

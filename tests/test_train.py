@@ -3,6 +3,7 @@ total-variation hand values, and end-to-end recovery at unit scale."""
 
 import numpy as np
 import pytest
+from conftest import chol_params
 from numpy.testing import assert_allclose
 from scipy import stats
 
@@ -161,25 +162,26 @@ class TestPriorMaps:
     def test_validation(self):
         grid = (3, 3, 2)
         mu = np.zeros(grid + (2,))
-        chol = np.zeros(grid + (2, 2))
-        chol[..., 0, 0] = 1.0
-        chol[..., 1, 1] = 1.0
+        params = chol_params(np.broadcast_to(np.eye(2), grid + (2, 2)))
         mask = np.ones(grid, dtype=bool)
-        PriorMaps(mu, chol, mask)  # valid
+        PriorMaps(mu, params, mask)  # valid
+        PriorMaps(mu, params[..., :2], mask)  # valid: a diagonal factor
         with pytest.raises(ValueError, match="mu_l"):
-            PriorMaps(np.zeros(grid + (3,)), chol, mask)
-        with pytest.raises(ValueError, match="chol_l"):
-            PriorMaps(mu, np.zeros(grid + (2,)), mask)
+            PriorMaps(np.zeros(grid + (3,)), params, mask)
+        with pytest.raises(ValueError, match="sigma_l_params"):
+            PriorMaps(mu, np.zeros(grid + (2, 2)), mask)
         with pytest.raises(ValueError, match="mask"):
-            PriorMaps(mu, chol, np.ones((3, 3, 1), dtype=bool))
-        bad = chol.copy()
-        bad[0, 0, 0, 1, 1] = 0.0
-        with pytest.raises(ValueError, match="diagonals"):
-            PriorMaps(mu, bad, mask)
+            PriorMaps(mu, params, np.ones((3, 3, 1), dtype=bool))
         bad_mu = mu.copy()
         bad_mu[0, 0, 0, 0] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            PriorMaps(bad_mu, chol, mask)
+        with pytest.raises(ValueError, match="means must be finite"):
+            PriorMaps(bad_mu, params, mask)
+        bad = params.copy()
+        bad[0, 0, 0, 1] = np.inf
+        with pytest.raises(ValueError, match="scales must be finite"):
+            PriorMaps(mu, bad, mask)
+        mask[0, 0, 0] = False  # off the mask nothing is read
+        PriorMaps(bad_mu, bad, mask)
 
 
 class TestPretrainLoss:
@@ -309,7 +311,7 @@ class TestComputePriorMaps:
         data = np.tile(row, (2, 3, 2, 1))
         pm = compute_prior_maps(theta16, Volume4D(data))
         assert np.all(pm.mu_l == pm.mu_l[0, 0, 0])
-        assert np.all(pm.chol_l == pm.chol_l[0, 0, 0])
+        assert np.all(pm.sigma_l_params == pm.sigma_l_params[0, 0, 0])
 
     def test_unmasked_voxels_get_identity_fill(self, theta16, rng):
         data = rng.normal(-0.1, 0.05, (3, 3, 1, 11))
@@ -317,7 +319,7 @@ class TestComputePriorMaps:
         mask[1, 1, 0] = True
         pm = compute_prior_maps(theta16, Volume4D(data, mask))
         assert np.all(pm.mu_l[~mask] == 0.0)
-        assert_allclose(pm.chol_l[0, 0, 0], np.eye(2))
+        assert np.all(pm.sigma_l_params[~mask] == 0.0)  # log 1 = 0 and l10 = 0: the identity
         assert not np.allclose(pm.mu_l[1, 1, 0], 0.0)
 
     def test_clean_voxel_prior_matches_truth(self, theta_clean, proto_m, constants_m):
@@ -373,7 +375,7 @@ class TestElboLoss:
         chol = np.zeros((4, 4, 1, 2, 2))
         chol[..., 0, 0] = np.exp(-20.0)
         chol[..., 1, 1] = np.exp(-20.0)
-        priors = PriorMaps(mu, chol, vol.mask)
+        priors = PriorMaps(mu, chol_params(chol), vol.mask)
         return w, vol, priors
 
     def test_huge_sigma_im_reduces_to_normalization(self, proto_m, constants_m):
@@ -415,7 +417,7 @@ class TestElboLoss:
         # KL(q || prior) from the detached distributions' log-densities
         shifted = PriorMaps(
             phantom_priors.mu_l + 0.25 * phantom_priors.mask[..., None],
-            phantom_priors.chol_l, phantom_priors.mask,
+            phantom_priors.sigma_l_params, phantom_priors.mask,
         )
         cfg = TrainingConfig.finetune_defaults(n_samples_elbo=1)
         _, parts = elbo_loss(theta16, phantom_vol, shifted, proto_m, constants_m,
@@ -423,7 +425,7 @@ class TestElboLoss:
         mask = phantom_vol.mask
         pred = encoder_forward(theta16, ad.Tensor(phantom_vol.masked_signals()))
         q = prediction_to_distribution(pred, "diagonal")
-        p = ScaledLogitNormal(shifted.mu_l[mask], shifted.chol_l[mask])
+        p = ScaledLogitNormal(shifted.mu_l[mask], shifted.sigma_l_params[mask])
         sampled = kl_monte_carlo(q, p, np.random.default_rng(5), 400).mean()
         assert parts["kl"] > 0.01
         assert abs(sampled - parts["kl"]) / parts["kl"] < 0.05
@@ -432,7 +434,7 @@ class TestElboLoss:
                                      proto_m, constants_m):
         other_mask = phantom_priors.mask.copy()
         other_mask[0, 0, 0] = ~other_mask[0, 0, 0]
-        bad = PriorMaps(phantom_priors.mu_l, phantom_priors.chol_l, other_mask)
+        bad = PriorMaps(phantom_priors.mu_l, phantom_priors.sigma_l_params, other_mask)
         cfg = TrainingConfig.finetune_defaults()
         with pytest.raises(ValueError, match="aligned"):
             elbo_loss(theta16, phantom_vol, bad, proto_m, constants_m, FWD1, cfg,
