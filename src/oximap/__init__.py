@@ -54,6 +54,7 @@ from .nnet import (
     save_checkpoint,
 )
 from .train import (
+    FinetuneConfig,
     PriorMaps,
     TrainingConfig,
     compute_prior_maps,

@@ -158,11 +158,11 @@ def _masked_posterior(weights: EncoderWeights, vol: Volume4D):
     return ScaledLogitNormal(dist.mu[m], dist.sigma_l_params[m]), pred.log_sigma_im.data[m]
 
 
-def _scatter(vals: np.ndarray, vol: Volume4D, fill=np.nan) -> np.ndarray:
+def _scatter(vals: np.ndarray, vol: Volume4D) -> np.ndarray:
     """(h, w, d, ...) array holding per-voxel values given in plane-major
-    mask order; `fill` (NaN by default) outside the mask."""
+    mask order; NaN outside the mask."""
     m = planes_first(vol.mask)
-    planes = np.full(m.shape + vals.shape[1:], fill)
+    planes = np.full(m.shape + vals.shape[1:], np.nan)
     planes[m] = vals
     return np.ascontiguousarray(np.moveaxis(planes, 0, 2))
 
@@ -182,7 +182,8 @@ def elbo_map(
     """Per-voxel ELBO in nats (higher = better explained); NaN outside the
     mask.
 
-    Analytic KL against the priors plus the mean over n_samples
+    Analytic KL against the priors (one row per masked voxel, as from
+    compute_prior_maps) plus the mean over n_samples >= 1
     reparameterized draws of the diagonal-Gaussian signal log-likelihood,
     both from the code the training loss runs. Each draw's noise is drawn
     on the full grid plane-major, but only the masked voxels are evaluated,
@@ -192,14 +193,15 @@ def elbo_map(
     memory does not grow with n_samples. `_posterior` passes in the
     posterior infer_maps has already computed, so the encoder runs once.
     """
-    if priors.grid_shape != vol.grid_shape or not np.array_equal(priors.mask, vol.mask):
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if not np.array_equal(priors.mask, vol.mask):
         raise ValueError("priors are not aligned with the volume grid and mask")
     if not vol.mask.any():
         return np.full(vol.grid_shape, np.nan)
     dist, log_sigma = _masked_posterior(weights, vol) if _posterior is None else _posterior
     m = planes_first(vol.mask)
-    p_dist = ScaledLogitNormal(planes_first(priors.mu_l)[m], planes_first(priors.sigma_l_params)[m])
-    kl_vox = kl_analytic(dist, p_dist)
+    kl_vox = kl_analytic(dist, priors)
 
     loglik = signal_loglik(planes_first(vol.data)[m], log_sigma)
     ll_acc = np.zeros(kl_vox.shape)
@@ -244,7 +246,7 @@ def infer_maps(weights: EncoderWeights, vol: Volume4D, cfg: InferenceConfig) -> 
         raise ValueError("a gated-residual network needs prior_weights for the ELBO map")
     else:
         # a voxelwise network is its own prior: the posterior already computed
-        priors = PriorMaps(_scatter(dist.mu, vol, 0.0), _scatter(dist.sigma_l_params, vol, 0.0), vol.mask)
+        priors = PriorMaps(dist.mu, dist.sigma_l_params, vol.mask)
     maps.elbo = elbo_map(
         weights,
         vol,
@@ -354,7 +356,8 @@ def paired_tstat(
 
     Each list entry is one subject's 3-D map. Maps are optionally smoothed
     with an in-plane Gaussian (FWHM in mm, converted to voxels with
-    voxel_size_mm; 0 disables), then t = mean(diff) / (std(diff)/sqrt(n))
+    voxel_size_mm; 0 disables, and a negative or non-finite FWHM is an
+    error), then t = mean(diff) / (std(diff)/sqrt(n))
     with the 0/0 case defined as 0. Uncorrected.
 
     Smoothing is normalized convolution (Knutsson & Westin, CVPR 1993):
@@ -374,6 +377,8 @@ def paired_tstat(
         if arr.shape != grid:
             raise ValueError("all maps must share one grid")
 
+    if not (np.isfinite(smoothing_fwhm_mm) and smoothing_fwhm_mm >= 0):
+        raise ValueError(f"smoothing FWHM must be finite and >= 0 mm, got {smoothing_fwhm_mm}")
     if smoothing_fwhm_mm > 0:
         sigma_mm = smoothing_fwhm_mm / np.sqrt(8.0 * np.log(2.0))
         sig = (sigma_mm / voxel_size_mm[0], sigma_mm / voxel_size_mm[1], 0.0)

@@ -18,7 +18,7 @@ import yaml
 from .nnet import NetworkConfig
 from .physics import AcquisitionProtocol, ForwardModelConfig, PhysioConstants
 from .synthgen import PRIOR_PRESETS, ParamPriorConfig, PriorSpec
-from .train import TrainingConfig
+from .train import FinetuneConfig, TrainingConfig
 
 
 class ConfigError(ValueError):
@@ -34,7 +34,7 @@ class RunConfig:
     forward: ForwardModelConfig = field(default_factory=ForwardModelConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
     pretrain: TrainingConfig = field(default_factory=TrainingConfig.pretrain_defaults)
-    finetune: TrainingConfig = field(default_factory=TrainingConfig.finetune_defaults)
+    finetune: FinetuneConfig = field(default_factory=TrainingConfig.finetune_defaults)
     param_prior: ParamPriorConfig = field(default_factory=lambda: PRIOR_PRESETS["normal"])
 
 

@@ -112,7 +112,8 @@ def read_nifti(path):
 
     Returns a Volume4D for 4-D files (mask = all-finite voxels) and a bare
     ndarray for 3-D files; scl_slope/scl_inter are applied (slope 0 is
-    treated as 1 per the format's convention).
+    treated as 1 per the format's convention). Data may not start before
+    byte VOX_OFFSET, inside the header or its extension flag.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -135,6 +136,8 @@ def read_nifti(path):
     (inter,) = struct.unpack_from("<f", raw, 116)
     if slope == 0.0:
         slope = 1.0
+    if not (np.isfinite(vox_offset) and vox_offset >= VOX_OFFSET):
+        raise NiftiFormatError("bad-offset", f"vox_offset {vox_offset} must be finite and >= {VOX_OFFSET}")
 
     offset = int(vox_offset)
     dt = _DTYPES[datatype]

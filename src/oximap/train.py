@@ -18,7 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .distributions import LOG_2PI, cholesky_entries, kl_cholesky, neg_log_density, reparameterize, to_box
+from .distributions import (
+    LOG_2PI,
+    ScaledLogitNormal,
+    cholesky_entries,
+    kl_cholesky,
+    neg_log_density,
+    reparameterize,
+    to_box,
+)
 from .nnet import (
     SIGMA_IM_FLOOR,
     AdamWState,
@@ -49,39 +57,48 @@ VAL_FRACTION = 0.1
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Hyperparameters for one training stage."""
+    """Hyperparameters of a training stage; pretraining reads these alone."""
 
     iterations: int
     batch_size: int
     lr: float
     weight_decay: float = 2e-4
-    n_samples_elbo: int = 4
-    tv_lambda: float = 5.0
-    crop_xy: int = 25
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("iterations", "batch_size", "n_samples_elbo", "crop_xy"):
+        for name in ("iterations", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
+
+    @staticmethod
+    def pretrain_defaults(**overrides) -> "TrainingConfig":
+        return TrainingConfig(**{"iterations": 1400, "batch_size": 512, "lr": 2e-3, **overrides})
+
+    @staticmethod
+    def finetune_defaults(**overrides) -> "FinetuneConfig":
+        return FinetuneConfig(**{"iterations": 4000, "batch_size": 38, "lr": 5e-3, **overrides})
+
+
+@dataclass(frozen=True)
+class FinetuneConfig(TrainingConfig):
+    """Fine-tuning's hyperparameters: a training stage's, plus the ELBO's
+    draws per step, the total-variation weight and the in-plane crop size."""
+
+    n_samples_elbo: int = 4
+    tv_lambda: float = 5.0
+    crop_xy: int = 25
+
+    def __post_init__(self):
+        super().__post_init__()
+        for name in ("n_samples_elbo", "crop_xy"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.tv_lambda < 0:
             raise ValueError("tv_lambda must be >= 0")
-
-    @classmethod
-    def pretrain_defaults(cls, **overrides) -> "TrainingConfig":
-        base = dict(iterations=1400, batch_size=512, lr=2e-3)
-        base.update(overrides)
-        return cls(**base)
-
-    @classmethod
-    def finetune_defaults(cls, **overrides) -> "TrainingConfig":
-        base = dict(iterations=4000, batch_size=38, lr=5e-3)
-        base.update(overrides)
-        return cls(**base)
 
 
 class MetricsLog:
@@ -113,39 +130,20 @@ class MetricsLog:
 
 
 @dataclass
-class PriorMaps:
-    """Per-voxel logit-space prior parameters on a volume grid.
+class PriorMaps(ScaledLogitNormal):
+    """Per-voxel logit-space priors of a volume: a ScaledLogitNormal with one
+    row per masked voxel of `mask`, in planes_first(mask) order, the order
+    of the posterior rows that the training loss and the ELBO map read."""
 
-    mu_l (h, w, d, 2) is the logit mean and sigma_l_params (h, w, d, 2|3)
-    the Cholesky factor in the encoder's layout (log l00, log l11[, l10]),
-    as ScaledLogitNormal holds it. Both are zero outside the mask, which is
-    the identity factor, so downstream arithmetic stays finite; only masked
-    voxels carry information.
-    """
-
-    mu_l: np.ndarray
-    sigma_l_params: np.ndarray
     mask: np.ndarray
 
     def __post_init__(self):
-        self.mu_l = np.asarray(self.mu_l, dtype=np.float64)
-        self.sigma_l_params = np.asarray(self.sigma_l_params, dtype=np.float64)
+        super().__post_init__()
         self.mask = np.asarray(self.mask, dtype=bool)
-        if self.mu_l.ndim != 4 or self.mu_l.shape[-1] != 2:
-            raise ValueError("mu_l must have shape (h, w, d, 2)")
-        grid = self.mu_l.shape[:3]
-        if self.sigma_l_params.shape not in (grid + (2,), grid + (3,)):
-            raise ValueError("sigma_l_params must have shape (h, w, d, 2) or (h, w, d, 3)")
-        if self.mask.shape != grid:
-            raise ValueError("mask must match the (h, w, d) grid")
-        if not np.all(np.isfinite(self.mu_l[self.mask])):
-            raise ValueError("prior means must be finite on masked voxels")
-        if not np.all(np.isfinite(self.sigma_l_params[self.mask])):
-            raise ValueError("prior scales must be finite on masked voxels")
-
-    @property
-    def grid_shape(self):
-        return self.mu_l.shape[:3]
+        if self.mask.ndim != 3 or self.mu.shape != (int(self.mask.sum()), 2):
+            raise ValueError("priors need one row per masked voxel of a 3-D mask")
+        if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(self.sigma_l_params))):
+            raise ValueError("prior rows must be finite")
 
 
 # pretraining ---------------------------------------------------------
@@ -222,20 +220,15 @@ def run_pretraining(
 
 
 def compute_prior_maps(theta: EncoderWeights, vol: Volume4D) -> PriorMaps:
-    """Frozen-network per-voxel priors for every masked voxel of a volume."""
+    """Frozen-network priors of a volume's masked voxels, one row each in
+    planes_first(vol.mask) order; an empty mask gives zero rows."""
     if theta.config.spatial_mode != "voxelwise":
         raise ValueError("prior maps require a voxelwise (pretrained) network")
-    grid = vol.grid_shape
-    mu_full = np.zeros(grid + (2,))
-    params_full = np.zeros(grid + (theta.config.n_cov_params,))
-    rows = vol.masked_signals()
-    if rows.shape[0]:
-        with ad.recording_off():
-            pred = encoder_forward(theta, ad.Tensor(rows))
-        dist = prediction_to_distribution(pred, theta.config.covariance_mode)
-        mu_full[vol.mask] = dist.mu
-        params_full[vol.mask] = dist.sigma_l_params
-    return PriorMaps(mu_full, params_full, vol.mask.copy())
+    rows = planes_first(vol.data)[planes_first(vol.mask)]
+    with ad.recording_off():
+        pred = encoder_forward(theta, ad.Tensor(rows))
+    dist = prediction_to_distribution(pred, theta.config.covariance_mode)
+    return PriorMaps(dist.mu, dist.sigma_l_params, vol.mask.copy())
 
 
 # negative ELBO --------------------------------------------------------
@@ -257,7 +250,8 @@ def signal_loglik(x, log_sigma_im):
 
 
 def _elbo_core(psi, x_arr, mask_arr, prior_mu, prior_params, proto, constants, fwd_cfg, cfg, rng):
-    """Negative-ELBO graph on plane-major arrays (planes, h, w, ...).
+    """Negative-ELBO graph on plane-major arrays (planes, h, w, ...), against
+    the prior rows prior_mu and prior_params of mask_arr's voxels, in order.
 
     The encoder runs on the whole grid, since the gated conv reads
     neighbours; the KL, the draws, the forward model and the likelihood run
@@ -274,7 +268,7 @@ def _elbo_core(psi, x_arr, mask_arr, prior_mu, prior_params, proto, constants, f
     pred = encoder_forward(psi, ad.Tensor(x_arr))
     mu_m = pred.mu_l[mask_arr]
     l00, l10, l11, log_l00, log_l11 = cholesky_entries(pred.sigma_l_params[mask_arr])
-    kl_vox = kl_cholesky(mu_m, l00, l10, l11, log_l00, log_l11, prior_mu[mask_arr], prior_params[mask_arr])
+    kl_vox = kl_cholesky(mu_m, l00, l10, l11, log_l00, log_l11, prior_mu, prior_params)
 
     loglik = signal_loglik(x_arr[mask_arr], pred.log_sigma_im[mask_arr])
     ll_acc = None
@@ -299,26 +293,27 @@ def elbo_loss(
     proto: AcquisitionProtocol,
     constants: PhysioConstants,
     fwd_cfg: ForwardModelConfig,
-    cfg: TrainingConfig,
+    cfg: FinetuneConfig,
     rng: np.random.Generator,
     return_parts: bool = False,
 ):
     """Monte-Carlo negative ELBO of a normalized volume (or crop), averaged
     over its masked voxels: mean KL(q || prior) minus the mean over
     n_samples_elbo reparameterized draws of the diagonal-Gaussian signal
-    log-likelihood. Differentiable w.r.t. the network weights.
+    log-likelihood. Differentiable w.r.t. the network weights. The priors'
+    rows are the batch's masked voxels, as compute_prior_maps gives them.
 
     With return_parts, also returns {"kl", "loglik"} as floats; the loss
     equals kl - loglik exactly.
     """
-    if priors.grid_shape != batch.grid_shape or not np.array_equal(priors.mask, batch.mask):
+    if not np.array_equal(priors.mask, batch.mask):
         raise ValueError("priors are not aligned with the batch grid and mask")
     loss, kl_mean, ll_mean, _ = _elbo_core(
         psi,
         planes_first(batch.data),
         planes_first(batch.mask),
-        planes_first(priors.mu_l),
-        planes_first(priors.sigma_l_params),
+        priors.mu,
+        priors.sigma_l_params,
         proto,
         constants,
         fwd_cfg,
@@ -392,7 +387,7 @@ def _check_finetune_compat(theta: EncoderWeights, net_cfg: NetworkConfig):
 def run_finetuning(
     theta: EncoderWeights,
     net_cfg: NetworkConfig,
-    train_cfg: TrainingConfig,
+    train_cfg: FinetuneConfig,
     vols: list,
     proto: AcquisitionProtocol,
     constants: PhysioConstants,
@@ -423,25 +418,22 @@ def run_finetuning(
     size = train_cfg.crop_xy
     planes = []
     for k, vol in enumerate(vols):
-        priors = compute_prior_maps(theta, vol)
         corners = valid_crop_corners(vol, size)
         if corners.shape[0] == 0:
             raise ValueError(f"volume {k} has no crop position containing a masked voxel")
-        planes.append(
-            {
-                "x": planes_first(vol.data),
-                "mask": planes_first(vol.mask),
-                "mu": planes_first(priors.mu_l),
-                "params": planes_first(priors.sigma_l_params),
-                "corners": corners,
-            }
-        )
+        # the priors' mu and params side by side on the plane-major grid, so
+        # a crop of it holds the prior rows of the crop's masked voxels
+        priors = compute_prior_maps(theta, vol)
+        mask = planes_first(vol.mask)
+        prior = np.zeros(mask.shape + (2 + priors.sigma_l_params.shape[-1],))
+        prior[mask] = np.concatenate([priors.mu, priors.sigma_l_params], axis=-1)
+        planes.append({"x": planes_first(vol.data), "mask": mask, "prior": prior, "corners": corners})
 
     opt = AdamWState.for_weights(psi)
     initial_loss = None
     with MetricsLog(metrics_path) as log:
         for i in range(train_cfg.iterations):
-            xs, masks, mus, params = [], [], [], []
+            xs, masks, prior_crops = [], [], []
             for _ in range(train_cfg.batch_size):
                 v = planes[rng.integers(len(planes))]
                 x0, y0 = v["corners"][rng.integers(v["corners"].shape[0])]
@@ -449,15 +441,14 @@ def run_finetuning(
                 sy = slice(y0, y0 + size)
                 xs.append(v["x"][:, sx, sy])
                 masks.append(v["mask"][:, sx, sy])
-                mus.append(v["mu"][:, sx, sy])
-                params.append(v["params"][:, sx, sy])
+                prior_crops.append(v["prior"][:, sx, sy])
             x_arr = np.concatenate(xs, axis=0)
             mask_arr = np.concatenate(masks, axis=0)
-            mu_arr = np.concatenate(mus, axis=0)
-            params_arr = np.concatenate(params, axis=0)
+            prior_rows = np.concatenate(prior_crops, axis=0)[mask_arr]
 
             elbo, kl_mean, ll_mean, mean_maps = _elbo_core(
-                psi, x_arr, mask_arr, mu_arr, params_arr, proto, constants, fwd_cfg, train_cfg, rng
+                psi, x_arr, mask_arr, prior_rows[:, :2], prior_rows[:, 2:],
+                proto, constants, fwd_cfg, train_cfg, rng,
             )
             tv = _tv_planes(mean_maps, mask_arr)
             loss = elbo + train_cfg.tv_lambda * tv if train_cfg.tv_lambda else elbo

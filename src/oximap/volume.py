@@ -53,10 +53,6 @@ class Volume4D:
     def n_masked(self) -> int:
         return int(self.mask.sum())
 
-    def masked_signals(self) -> np.ndarray:
-        """Masked voxels' signal rows, shape (n_masked, n_t), in C scan order."""
-        return self.data[self.mask]
-
 
 def normalize_volume(vol: Volume4D, proto: AcquisitionProtocol) -> tuple[Volume4D, int]:
     """Log-ratio normalization of every masked voxel against its spin-echo sample.

@@ -184,13 +184,21 @@ class TestElboMap:
         d128 = abs(mean_at(128, 10) - mean_at(128, 11))
         assert d128 < d16
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_fewer_than_one_draw(self, theta16, phantom_vol, phantom_priors,
+                                         proto_m, constants_m, n):
+        with pytest.raises(ValueError, match="n_samples"):
+            elbo_map(theta16, phantom_vol, phantom_priors, proto_m, constants_m, FWD1,
+                     np.random.default_rng(0), n)
+
     def test_misaligned_priors_error(self, theta16, phantom_vol, phantom_priors,
                                      proto_m, constants_m):
         from oximap.train import PriorMaps
 
+        # a valid prior for another mask: the row of voxel (0, 0, 0) dropped
         bad_mask = phantom_priors.mask.copy()
-        bad_mask[0, 0, 0] = ~bad_mask[0, 0, 0]
-        bad = PriorMaps(phantom_priors.mu_l, phantom_priors.sigma_l_params, bad_mask)
+        bad_mask[0, 0, 0] = False
+        bad = PriorMaps(phantom_priors.mu[1:], phantom_priors.sigma_l_params[1:], bad_mask)
         with pytest.raises(ValueError, match="aligned"):
             elbo_map(theta16, phantom_vol, bad, proto_m, constants_m, FWD1,
                      np.random.default_rng(0))
@@ -359,8 +367,8 @@ class TestMaskedOnlyEvaluation:
         cfg = TrainingConfig.finetune_defaults(n_samples_elbo=2)
 
         ad.zero_grads(psi.tensors.values())
-        loss = _elbo_core(psi, x, mask, prior_mu, prior_params, proto_m, constants_m, fwd, cfg,
-                          np.random.default_rng(3))[0]
+        loss = _elbo_core(psi, x, mask, prior_mu[mask], prior_params[mask], proto_m, constants_m,
+                          fwd, cfg, np.random.default_rng(3))[0]
         grads = collect_gradients(psi, loss)
         ad.zero_grads(psi.tensors.values())
         ref = full_grid_loss(psi, x, mask, prior_mu, prior_params, proto_m, constants_m, fwd, 2,
@@ -386,6 +394,32 @@ class TestMaskedOnlyEvaluation:
             assert np.isnan(getattr(a, name)[~mask]).all(), name
 
 
+class TestOneVoxelOrder:
+    @settings(max_examples=30)
+    @given(
+        bits=st.lists(st.booleans(), min_size=N_VOX, max_size=N_VOX),
+        cov=st.sampled_from(["diagonal", "full"]),
+    )
+    @example(bits=[False] * N_VOX, cov="full")
+    @example(bits=[True] * N_VOX, cov="diagonal")
+    @example(bits=[False] * 5 + [True] + [False] * (N_VOX - 6), cov="full")
+    def test_prior_rows_are_the_posterior_rows(self, proto_m, bits, cov):
+        # the frozen network's priors and a voxelwise network's posterior
+        # have one row per masked voxel in one order: the encoder runs on the
+        # rows for one and on the plane grid for the other, so the values
+        # may differ in the last bits, but a permuted row would not pass
+        mask = np.array(bits).reshape(4, 4, 2)  # (h, w, d): plane-major differs from C order
+        rng = np.random.default_rng(sum(bits))
+        theta = init_weights(NetworkConfig(n_blocks=1, width=6, covariance_mode=cov),
+                             proto_m.n_t, rng)
+        vol = Volume4D(rng.normal(-0.1, 0.05, mask.shape + (proto_m.n_t,)), mask)
+        priors = compute_prior_maps(theta, vol)
+        post, _ = analysis._masked_posterior(theta, vol)
+        assert priors.mu.shape == post.mu.shape == (int(mask.sum()), 2)
+        assert_allclose(priors.mu, post.mu, rtol=1e-12, atol=0)
+        assert_allclose(priors.sigma_l_params, post.sigma_l_params, rtol=1e-12, atol=0)
+
+
 class TestDetachedEncoderPasses:
     def test_value_only_passes_keep_no_tape(self, theta16, phantom_vol, monkeypatch):
         # prior maps, the pretraining loss evaluation and the inference
@@ -405,7 +439,7 @@ class TestDetachedEncoderPasses:
         record(train)
         record(analysis)
         compute_prior_maps(theta16, phantom_vol)
-        rows = phantom_vol.masked_signals()
+        rows = phantom_vol.data[phantom_vol.mask]
         evaluate_pretrain_loss(theta16, rows, np.tile([0.4, 0.025], (rows.shape[0], 1)))
         psi = extend_weights(theta16, np.random.default_rng(0))
         infer_maps(psi, phantom_vol, InferenceConfig(forward=FWD1, n_elbo_samples=1,
@@ -612,3 +646,10 @@ class TestPairedTstat:
             paired_tstat(a[:1], a[:1])
         with pytest.raises(ValueError, match="grid"):
             paired_tstat(a, [rng.normal(size=(3, 2, 1)) for _ in range(2)])
+
+    @pytest.mark.parametrize("fwhm", [-3.0, -1e-9, np.nan, np.inf])
+    def test_rejects_a_negative_or_nonfinite_fwhm(self, rng, fwhm):
+        # only 0 disables smoothing; a negative or NaN width used to skip it silently
+        a = [rng.normal(size=(4, 4, 1)) for _ in range(2)]
+        with pytest.raises(ValueError, match="FWHM"):
+            paired_tstat(a, a, smoothing_fwhm_mm=fwhm)

@@ -4,6 +4,7 @@ reproducibility, and exit codes."""
 
 import dataclasses
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -114,8 +115,10 @@ class TestRunConfig:
         # the forward model has no quadrature setting
         with pytest.raises(ConfigError, match="section 'forward'"):
             config_from_dict({"forward": {"n_intervals": 64}})
-        # SWA and the validation split are fixed parts of pretraining
-        for key, value in (("swa_enabled", True), ("val_fraction", 0.1)):
+        # SWA and the validation split are fixed parts of pretraining, and
+        # the ELBO draws, the TV weight and the crop size are fine-tuning's
+        for key, value in (("swa_enabled", True), ("val_fraction", 0.1), ("n_samples_elbo", 7),
+                           ("tv_lambda", 99.0), ("crop_xy", 1000)):
             with pytest.raises(ConfigError, match=f"section 'pretrain': {key}"):
                 config_from_dict({"pretrain": {key: value}})
 
@@ -554,6 +557,30 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"{pipeline['phantom']} is 4-D" in err
+
+    def test_infer_rejects_an_offset_inside_the_header(self, tmp_path, pipeline, capsys):
+        vol = tmp_path / "vol.nii"
+        raw = bytearray(pipeline["phantom"].read_bytes())
+        struct.pack_into("<f", raw, 108, 0.0)  # vox_offset
+        vol.write_bytes(bytes(raw))
+        rc = cli_dispatch([
+            "infer", "--weights", str(pipeline["ckpt"]), "--volume", str(vol),
+            "--out-dir", str(tmp_path / "maps"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "vox_offset" in err
+
+    def test_compare_rejects_a_negative_fwhm(self, tmp_path, capsys):
+        m = str(tmp_path / "m.nii")
+        write_nifti(np.zeros((4, 4, 1)), m)
+        out = tmp_path / "t.nii"
+        rc = cli_dispatch(["compare", "--a", m, m, "--b", m, m, "--fwhm", "-3", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "FWHM" in err and not out.exists()
 
     def test_bad_phantom_shape_exits_1(self, tmp_path, capsys):
         rc = cli_dispatch([

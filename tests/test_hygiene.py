@@ -106,7 +106,7 @@ def test_checker_counts_settable_values():
     assert settable_values(source) == 5
 
 
-SETTABLE_VALUES = 122
+SETTABLE_VALUES = 119
 
 
 def test_settable_value_count():

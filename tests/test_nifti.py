@@ -203,6 +203,18 @@ class TestErrors:
             read_nifti(path)
         assert exc.value.code == "truncated"
 
+    @pytest.mark.parametrize("offset", [0.0, 348.0, 351.0, float("nan"), float("inf")])
+    def test_offset_inside_the_header(self, tmp_path, offset):
+        # the data may not start inside the 348-byte header or its 4-byte
+        # extension flag, nor at an offset that is not a number
+        path = self.good_path(tmp_path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 108, offset)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NiftiFormatError, match="vox_offset") as exc:
+            read_nifti(path)
+        assert exc.value.code == "bad-offset"
+
     def test_error_is_a_value_error(self, tmp_path):
         path = tmp_path / "e.nii"
         path.write_bytes(b"")

@@ -50,7 +50,7 @@ from oximap.train import (
     run_pretraining,
     tv_loss,
 )
-from oximap.volume import Volume4D, normalize_volume
+from oximap.volume import Volume4D, normalize_volume, planes_first
 
 FWD1 = ForwardModelConfig(variant="asymptotic", compartments=1)
 NOISELESS = NoiseProfile(snr_low=1e300, snr_high=1e300)
@@ -160,28 +160,39 @@ class TestMetricsLog:
 
 class TestPriorMaps:
     def test_validation(self):
-        grid = (3, 3, 2)
-        mu = np.zeros(grid + (2,))
-        params = chol_params(np.broadcast_to(np.eye(2), grid + (2, 2)))
-        mask = np.ones(grid, dtype=bool)
+        mask = np.ones((3, 3, 2), dtype=bool)
+        mask[0, 0, 0] = False
+        n = 17
+        mu = np.zeros((n, 2))
+        params = chol_params(np.broadcast_to(np.eye(2), (n, 2, 2)))
         PriorMaps(mu, params, mask)  # valid
         PriorMaps(mu, params[..., :2], mask)  # valid: a diagonal factor
-        with pytest.raises(ValueError, match="mu_l"):
-            PriorMaps(np.zeros(grid + (3,)), params, mask)
+        PriorMaps(mu[:0], params[:0], np.zeros((2, 2, 1), dtype=bool))  # valid: no masked voxel
+        # the parent class's shape checks
+        with pytest.raises(ValueError, match="mu"):
+            PriorMaps(np.zeros((n, 3)), params, mask)
         with pytest.raises(ValueError, match="sigma_l_params"):
-            PriorMaps(mu, np.zeros(grid + (2, 2)), mask)
-        with pytest.raises(ValueError, match="mask"):
-            PriorMaps(mu, params, np.ones((3, 3, 1), dtype=bool))
+            PriorMaps(mu, np.zeros((n, 4)), mask)
+        with pytest.raises(ValueError, match="leading axes"):
+            PriorMaps(mu, params[:-1], mask)
+        # one row per masked voxel of a 3-D mask
+        with pytest.raises(ValueError, match="one row per masked voxel"):
+            PriorMaps(mu[:-1], params[:-1], mask)
+        with pytest.raises(ValueError, match="one row per masked voxel"):
+            PriorMaps(mu, params, np.ones((3, 3, 2), dtype=bool))
+        with pytest.raises(ValueError, match="one row per masked voxel"):
+            PriorMaps(mu, params, np.ones((n, 1), dtype=bool))
+        with pytest.raises(ValueError, match="one row per masked voxel"):
+            PriorMaps(mu.reshape(1, n, 2), params.reshape(1, n, 3), mask)
+        # all rows finite
         bad_mu = mu.copy()
-        bad_mu[0, 0, 0, 0] = np.nan
-        with pytest.raises(ValueError, match="means must be finite"):
+        bad_mu[-1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
             PriorMaps(bad_mu, params, mask)
         bad = params.copy()
-        bad[0, 0, 0, 1] = np.inf
-        with pytest.raises(ValueError, match="scales must be finite"):
+        bad[0, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
             PriorMaps(mu, bad, mask)
-        mask[0, 0, 0] = False  # off the mask nothing is read
-        PriorMaps(bad_mu, bad, mask)
 
 
 class TestPretrainLoss:
@@ -310,23 +321,28 @@ class TestComputePriorMaps:
         row = rng.normal(-0.1, 0.05, 11)
         data = np.tile(row, (2, 3, 2, 1))
         pm = compute_prior_maps(theta16, Volume4D(data))
-        assert np.all(pm.mu_l == pm.mu_l[0, 0, 0])
-        assert np.all(pm.sigma_l_params == pm.sigma_l_params[0, 0, 0])
+        assert pm.mu.shape == (12, 2)
+        assert np.all(pm.mu == pm.mu[0])
+        assert np.all(pm.sigma_l_params == pm.sigma_l_params[0])
 
-    def test_unmasked_voxels_get_identity_fill(self, theta16, rng):
+    def test_only_masked_voxels_get_rows(self, theta16, rng):
         data = rng.normal(-0.1, 0.05, (3, 3, 1, 11))
         mask = np.zeros((3, 3, 1), dtype=bool)
         mask[1, 1, 0] = True
         pm = compute_prior_maps(theta16, Volume4D(data, mask))
-        assert np.all(pm.mu_l[~mask] == 0.0)
-        assert np.all(pm.sigma_l_params[~mask] == 0.0)  # log 1 = 0 and l10 = 0: the identity
-        assert not np.allclose(pm.mu_l[1, 1, 0], 0.0)
+        assert pm.mu.shape == (1, 2) and pm.sigma_l_params.shape == (1, 2)
+        with ad.recording_off():
+            pred = encoder_forward(theta16, ad.Tensor(data[1, 1, 0][None]))
+        assert np.array_equal(pm.mu, pred.mu_l.data)
+        assert np.array_equal(pm.sigma_l_params, pred.sigma_l_params.data)
+        empty = compute_prior_maps(theta16, Volume4D(data, np.zeros_like(mask)))
+        assert empty.mu.shape == (0, 2) and empty.sigma_l_params.shape == (0, 2)
 
     def test_clean_voxel_prior_matches_truth(self, theta_clean, proto_m, constants_m):
         ph = make_phantom((2, 1, 1), (0.4, 0.025), proto_m, constants_m, FWD1, None, None)
         vol, _ = normalize_volume(ph, proto_m)
         pm = compute_prior_maps(theta_clean, vol)
-        pt = forward_transform(pm.mu_l[0, 0, 0])
+        pt = forward_transform(pm.mu[0])
         assert abs(pt[0] - 0.4) < 0.05
         assert abs(pt[1] - 0.025) < 0.01
 
@@ -371,8 +387,8 @@ class TestElboLoss:
         vol, _ = normalize_volume(ph, proto_m)
         beta = inverse_transform(truth)
         w = const_net(proto_m.n_t, beta, -20.0, noise_b)
-        mu = np.broadcast_to(beta, (4, 4, 1, 2)).copy()
-        chol = np.zeros((4, 4, 1, 2, 2))
+        mu = np.broadcast_to(beta, (16, 2)).copy()
+        chol = np.zeros((16, 2, 2))
         chol[..., 0, 0] = np.exp(-20.0)
         chol[..., 1, 1] = np.exp(-20.0)
         priors = PriorMaps(mu, chol_params(chol), vol.mask)
@@ -416,25 +432,24 @@ class TestElboLoss:
         # the training loss's analytic KL against a Monte-Carlo estimate of
         # KL(q || prior) from the detached distributions' log-densities
         shifted = PriorMaps(
-            phantom_priors.mu_l + 0.25 * phantom_priors.mask[..., None],
-            phantom_priors.sigma_l_params, phantom_priors.mask,
+            phantom_priors.mu + 0.25, phantom_priors.sigma_l_params, phantom_priors.mask
         )
         cfg = TrainingConfig.finetune_defaults(n_samples_elbo=1)
         _, parts = elbo_loss(theta16, phantom_vol, shifted, proto_m, constants_m,
                              FWD1, cfg, np.random.default_rng(5), return_parts=True)
-        mask = phantom_vol.mask
-        pred = encoder_forward(theta16, ad.Tensor(phantom_vol.masked_signals()))
-        q = prediction_to_distribution(pred, "diagonal")
-        p = ScaledLogitNormal(shifted.mu_l[mask], shifted.sigma_l_params[mask])
+        rows = planes_first(phantom_vol.data)[planes_first(phantom_vol.mask)]
+        q = prediction_to_distribution(encoder_forward(theta16, ad.Tensor(rows)), "diagonal")
+        p = ScaledLogitNormal(shifted.mu, shifted.sigma_l_params)
         sampled = kl_monte_carlo(q, p, np.random.default_rng(5), 400).mean()
         assert parts["kl"] > 0.01
         assert abs(sampled - parts["kl"]) / parts["kl"] < 0.05
 
     def test_misaligned_priors_error(self, theta16, phantom_vol, phantom_priors,
                                      proto_m, constants_m):
+        # a valid prior for another mask: the row of voxel (0, 0, 0) dropped
         other_mask = phantom_priors.mask.copy()
-        other_mask[0, 0, 0] = ~other_mask[0, 0, 0]
-        bad = PriorMaps(phantom_priors.mu_l, phantom_priors.sigma_l_params, other_mask)
+        other_mask[0, 0, 0] = False
+        bad = PriorMaps(phantom_priors.mu[1:], phantom_priors.sigma_l_params[1:], other_mask)
         cfg = TrainingConfig.finetune_defaults()
         with pytest.raises(ValueError, match="aligned"):
             elbo_loss(theta16, phantom_vol, bad, proto_m, constants_m, FWD1, cfg,

@@ -56,13 +56,6 @@ class TestVolume4D:
         with pytest.raises(ValueError, match="voxel_size_mm"):
             Volume4D(np.ones((2, 2, 1, 3)), voxel_size_mm=(2.3, 2.3))
 
-    def test_masked_signals_c_scan_order(self):
-        data = np.arange(2 * 2 * 1 * 3, dtype=float).reshape(2, 2, 1, 3)
-        mask = np.array([[[True], [False]], [[True], [True]]])
-        rows = Volume4D(data, mask).masked_signals()
-        # C order walks (0,0,0), (1,0,0), (1,1,0)
-        assert_allclose(rows, data.reshape(4, 3)[[0, 2, 3]])
-
 
 class TestNormalizeVolume:
     def test_log_ratio_values(self, proto):
