@@ -27,7 +27,7 @@ from .physics import (
     normalized_model_signal,
     r2_prime,
 )
-from .train import PriorMaps, compute_prior_maps, signal_loglik
+from .train import PriorMaps, compute_prior_maps, expected_loglik
 from .volume import DEFAULT_VOXEL_SIZE_MM, Volume4D, planes_first
 
 MAP_SOURCES = ("wls", "synth", "vi", "vi+tv")
@@ -140,12 +140,6 @@ def marginal_std(dist: ScaledLogitNormal) -> np.ndarray:
     return out.reshape(dist.mu.shape)
 
 
-def _nan_maps(vol: Volume4D, source: str) -> ParamMaps:
-    """All-NaN maps on the volume's grid."""
-    nan = {name: np.full(vol.grid_shape, np.nan) for name in MAP_FIELDS.values()}
-    return ParamMaps(**nan, source=source, mask=vol.mask.copy())
-
-
 def _masked_posterior(weights: EncoderWeights, vol: Volume4D):
     """Detached posterior at the masked voxels: (distribution, log_sigma_im)
     with one row per voxel of planes_first(vol.mask), in plane-major order.
@@ -183,14 +177,10 @@ def elbo_map(
     mask.
 
     Analytic KL against the priors (one row per masked voxel, as from
-    compute_prior_maps) plus the mean over n_samples >= 1
-    reparameterized draws of the diagonal-Gaussian signal log-likelihood,
-    both from the code the training loss runs. Each draw's noise is drawn
-    on the full grid plane-major, but only the masked voxels are evaluated,
-    so a generator seeded like the training loss reproduces its exact draws
-    and the masked mean of this map equals minus the training loss on the
-    same inputs. The draws are summed as plain arrays, one at a time, so
-    memory does not grow with n_samples. `_posterior` passes in the
+    compute_prior_maps) plus the expected_loglik of n_samples >= 1 draws,
+    the code the training loss runs: a generator seeded like the training
+    loss replays its draws, and the masked mean of this map equals minus
+    the training loss on the same inputs. `_posterior` passes in the
     posterior infer_maps has already computed, so the encoder runs once.
     """
     if n_samples < 1:
@@ -201,16 +191,14 @@ def elbo_map(
         return np.full(vol.grid_shape, np.nan)
     dist, log_sigma = _masked_posterior(weights, vol) if _posterior is None else _posterior
     m = planes_first(vol.mask)
-    kl_vox = kl_analytic(dist, priors)
-
-    loglik = signal_loglik(planes_first(vol.data)[m], log_sigma)
-    ll_acc = np.zeros(kl_vox.shape)
-    for _ in range(n_samples):
-        z = rng.standard_normal(m.shape + (2,))[m]
-        y = dist.transform_noise(z)
-        s_model = normalized_model_signal(y[..., 0], y[..., 1], proto, constants, fwd_cfg)
-        ll_acc += loglik(s_model).data
-    return _scatter(ll_acc / n_samples - kl_vox, vol)
+    with ad.recording_off():
+        chol = cholesky_entries(dist.sigma_l_params)
+        ll_vox = expected_loglik(
+            planes_first(vol.data)[m], log_sigma, dist.mu, chol, m,
+            lambda oef, dbv: normalized_model_signal(oef.data, dbv.data, proto, constants, fwd_cfg),
+            rng, n_samples,
+        )
+    return _scatter(ll_vox.data - kl_analytic(dist, priors), vol)
 
 
 def infer_maps(weights: EncoderWeights, vol: Volume4D, cfg: InferenceConfig) -> ParamMaps:
@@ -225,20 +213,10 @@ def infer_maps(weights: EncoderWeights, vol: Volume4D, cfg: InferenceConfig) -> 
     its own prior, so its posterior serves as the priors too and the
     encoder still runs once.
     """
-    maps = _nan_maps(vol, cfg.source)
-    if not vol.mask.any():
-        return maps
-
     dist, log_sigma = _masked_posterior(weights, vol)
     point = forward_transform(dist.mu)
     std = marginal_std(dist)
-
-    maps.oef_point = _scatter(point[:, 0], vol)
-    maps.dbv_point = _scatter(point[:, 1], vol)
-    maps.oef_std = _scatter(std[:, 0], vol)
-    maps.dbv_std = _scatter(std[:, 1], vol)
     r2p = r2_prime((point[:, 0], point[:, 1]), cfg.constants, cfg.protocol.b0)
-    maps.r2p_point = _scatter(r2p, vol)
 
     if cfg.prior_weights is not None:
         priors = compute_prior_maps(cfg.prior_weights, vol)
@@ -247,7 +225,7 @@ def infer_maps(weights: EncoderWeights, vol: Volume4D, cfg: InferenceConfig) -> 
     else:
         # a voxelwise network is its own prior: the posterior already computed
         priors = PriorMaps(dist.mu, dist.sigma_l_params, vol.mask)
-    maps.elbo = elbo_map(
+    elbo = elbo_map(
         weights,
         vol,
         priors,
@@ -258,7 +236,16 @@ def infer_maps(weights: EncoderWeights, vol: Volume4D, cfg: InferenceConfig) -> 
         cfg.n_elbo_samples,
         _posterior=(dist, log_sigma),
     )
-    return maps
+    return ParamMaps(
+        oef_point=_scatter(point[:, 0], vol),
+        dbv_point=_scatter(point[:, 1], vol),
+        r2p_point=_scatter(r2p, vol),
+        oef_std=_scatter(std[:, 0], vol),
+        dbv_std=_scatter(std[:, 1], vol),
+        elbo=elbo,
+        source=cfg.source,
+        mask=vol.mask.copy(),
+    )
 
 
 # WLS baseline ---------------------------------------------------------
@@ -288,11 +275,7 @@ def wls_fit(
         )
     tsel = np.abs(taus[sel])
 
-    maps = _nan_maps(vol, "wls")
-    if not vol.mask.any():
-        return maps
-
-    s = vol.data[vol.mask][:, sel]  # (n, k) normalized log signals
+    s = planes_first(vol.data)[planes_first(vol.mask)][:, sel]  # (n, k) normalized log signals
     w = np.exp(2.0 * s)  # weights ~ squared raw signal
     # weighted linear fit s = zeta - r2p * |tau| per row
     sw = w.sum(axis=1)
@@ -309,12 +292,17 @@ def wls_fit(
     bad = ~(zeta > 0) | ~(oef > 0) | (oef > WLS_MAX_OEF) | ~np.isfinite(oef)
     oef = np.where(bad, np.nan, oef)
 
-    maps.oef_point[vol.mask] = oef
-    maps.dbv_point[vol.mask] = zeta
-    maps.r2p_point[vol.mask] = r2p
-    maps.oef_std[vol.mask] = 0.0
-    maps.dbv_std[vol.mask] = 0.0
-    return maps
+    zero = np.zeros(oef.shape)
+    return ParamMaps(
+        oef_point=_scatter(oef, vol),
+        dbv_point=_scatter(zeta, vol),
+        r2p_point=_scatter(r2p, vol),
+        oef_std=_scatter(zero, vol),
+        dbv_std=_scatter(zero, vol),
+        elbo=np.full(vol.grid_shape, np.nan),
+        source="wls",
+        mask=vol.mask.copy(),
+    )
 
 
 # statistics -----------------------------------------------------------

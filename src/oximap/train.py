@@ -158,13 +158,6 @@ def pretrain_loss(pred: VoxelPrediction, truth) -> ad.Tensor:
     return ad.tmean(neg_log_density(pred.mu_l, pred.sigma_l_params, truth))
 
 
-def evaluate_pretrain_loss(weights: EncoderWeights, signals: np.ndarray, truths: np.ndarray) -> float:
-    """Detached mean pretraining loss of a weight set on given rows."""
-    with ad.recording_off():
-        pred = encoder_forward(weights, ad.Tensor(np.asarray(signals, dtype=np.float64)))
-        return float(pretrain_loss(pred, truths).data)
-
-
 def run_pretraining(
     net_cfg: NetworkConfig,
     train_cfg: TrainingConfig,
@@ -249,15 +242,30 @@ def signal_loglik(x, log_sigma_im):
     return loglik
 
 
+def expected_loglik(x, log_sigma_im, mu, chol, mask, model, rng, n):
+    """Mean over n reparameterized draws of the per-voxel signal_loglik of
+    the masked rows x, log_sigma_im and mu, whose factor chol is what
+    cholesky_entries returns; model(oef, dbv) gives the model signal. Each
+    draw's noise is drawn on mask's whole grid and gathered to its masked
+    rows, so generators seeded alike replay the same draws. The training
+    loss runs it on the tape, the ELBO map under ad.recording_off()."""
+    loglik = signal_loglik(x, log_sigma_im)
+    acc = None
+    for _ in range(n):
+        z = rng.standard_normal(mask.shape + (2,))[mask]
+        oef, dbv = reparameterize(mu, *chol[:3], z)
+        ll = loglik(model(oef, dbv))
+        acc = ll if acc is None else acc + ll
+    return acc * (1.0 / n)
+
+
 def _elbo_core(psi, x_arr, mask_arr, prior_mu, prior_params, proto, constants, fwd_cfg, cfg, rng):
     """Negative-ELBO graph on plane-major arrays (planes, h, w, ...), against
     the prior rows prior_mu and prior_params of mask_arr's voxels, in order.
 
     The encoder runs on the whole grid, since the gated conv reads
-    neighbours; the KL, the draws, the forward model and the likelihood run
-    on the masked voxels only, gathered on the tape so the gradient is
-    scattered back. Each draw's noise is drawn for the whole grid, as
-    elbo_map draws it, so a generator seeded alike replays the same draws.
+    neighbours; the KL and expected_loglik run on the masked voxels only,
+    gathered on the tape so the gradient is scattered back.
 
     Returns (loss, kl_mean, loglik_mean, mean_maps) where mean_maps is the
     tape tensor of transformed posterior means, shape (planes, h, w, 2).
@@ -267,17 +275,13 @@ def _elbo_core(psi, x_arr, mask_arr, prior_mu, prior_params, proto, constants, f
         raise ValueError("batch contains no masked voxels")
     pred = encoder_forward(psi, ad.Tensor(x_arr))
     mu_m = pred.mu_l[mask_arr]
-    l00, l10, l11, log_l00, log_l11 = cholesky_entries(pred.sigma_l_params[mask_arr])
-    kl_vox = kl_cholesky(mu_m, l00, l10, l11, log_l00, log_l11, prior_mu, prior_params)
-
-    loglik = signal_loglik(x_arr[mask_arr], pred.log_sigma_im[mask_arr])
-    ll_acc = None
-    for _ in range(cfg.n_samples_elbo):
-        z = rng.standard_normal(mask_arr.shape + (2,))[mask_arr]
-        oef, dbv = reparameterize(mu_m, l00, l10, l11, z)
-        ll_vox = loglik(normalized_model_signal_t(oef, dbv, proto, constants, fwd_cfg))
-        ll_acc = ll_vox if ll_acc is None else ll_acc + ll_vox
-    ll_vox = ll_acc * (1.0 / cfg.n_samples_elbo)
+    chol = cholesky_entries(pred.sigma_l_params[mask_arr])
+    kl_vox = kl_cholesky(mu_m, *chol, prior_mu, prior_params)
+    ll_vox = expected_loglik(
+        x_arr[mask_arr], pred.log_sigma_im[mask_arr], mu_m, chol, mask_arr,
+        lambda oef, dbv: normalized_model_signal_t(oef, dbv, proto, constants, fwd_cfg),
+        rng, cfg.n_samples_elbo,
+    )
 
     inv = 1.0 / n_masked
     kl_mean = ad.tsum(kl_vox) * inv

@@ -54,7 +54,6 @@ from oximap.train import (
     _elbo_core,
     compute_prior_maps,
     elbo_loss,
-    evaluate_pretrain_loss,
     run_pretraining,
     signal_loglik,
 )
@@ -137,15 +136,21 @@ class TestParamMaps:
 
 
 class TestElboMap:
+    @pytest.mark.parametrize("cov", ["diagonal", "full"])
+    @pytest.mark.parametrize("n", [1, 3, 4])
     def test_masked_mean_equals_negative_training_loss(
-        self, theta16, phantom_vol, phantom_priors, proto_m, constants_m
+        self, theta16, phantom_vol, phantom_priors, proto_m, constants_m, n, cov
     ):
-        # the map route (plain numpy) and the training route (autodiff tape)
-        # must agree exactly when driven by identical generator draws
-        m = elbo_map(theta16, phantom_vol, phantom_priors, proto_m, constants_m,
-                     FWD1, np.random.default_rng(7), n_samples=4)
-        cfg = TrainingConfig.finetune_defaults(n_samples_elbo=4)
-        loss = float(elbo_loss(theta16, phantom_vol, phantom_priors, proto_m,
+        # the map route (no tape) and the training route (autodiff tape)
+        # must agree exactly when driven by identical generator draws; the
+        # fresh full-covariance network meets theta16's priors, so its KL is not zero
+        net = theta16 if cov == "diagonal" else init_weights(
+            NetworkConfig(n_blocks=2, width=16, covariance_mode=cov), proto_m.n_t,
+            np.random.default_rng(1))
+        m = elbo_map(net, phantom_vol, phantom_priors, proto_m, constants_m,
+                     FWD1, np.random.default_rng(7), n_samples=n)
+        cfg = TrainingConfig.finetune_defaults(n_samples_elbo=n)
+        loss = float(elbo_loss(net, phantom_vol, phantom_priors, proto_m,
                                constants_m, FWD1, cfg, np.random.default_rng(7)).data)
         assert abs(np.nanmean(m[phantom_vol.mask]) + loss) < 1e-8
 
@@ -440,7 +445,9 @@ class TestDetachedEncoderPasses:
         record(analysis)
         compute_prior_maps(theta16, phantom_vol)
         rows = phantom_vol.data[phantom_vol.mask]
-        evaluate_pretrain_loss(theta16, rows, np.tile([0.4, 0.025], (rows.shape[0], 1)))
+        with ad.recording_off():
+            train.pretrain_loss(train.encoder_forward(theta16, ad.Tensor(rows)),
+                                np.tile([0.4, 0.025], (rows.shape[0], 1)))
         psi = extend_weights(theta16, np.random.default_rng(0))
         infer_maps(psi, phantom_vol, InferenceConfig(forward=FWD1, n_elbo_samples=1,
                                                      prior_weights=theta16))

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of the package imports is used in it,
 every module-level private function or class is used somewhere in the package,
-and the number of settable values is pinned."""
+every public one is used or exported by the package, and the number of
+settable values is pinned."""
 
 import ast
 from pathlib import Path
@@ -78,6 +79,75 @@ def test_checker_flags_an_unreferenced_private_def():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unreferenced_private_defs(path):
     assert unreferenced_private_defs(path.name, PACKAGE) == []
+
+
+def unused_public_defs(module: str, sources: dict[str, str]) -> list[str]:
+    """Module-level public functions and classes of `module` that the package
+    (name -> text, `__init__.py` included) neither uses nor exports: no other
+    module imports them by name (`from .mod import f`) or reads them off the
+    module (`ad.f` after `from . import mod as ad`), and `module` names them
+    only inside their own definition."""
+    stem = module.removesuffix(".py")
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    refs = set()
+    for name, tree in trees.items():
+        if name == module:
+            continue
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module == stem:
+                    refs.update(a.name for a in node.names)
+                elif node.module is None:
+                    aliases.update(a.asname or a.name for a in node.names if a.name == stem)
+        refs.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        )
+    unused = []
+    for d in trees[module].body:
+        if not isinstance(d, (ast.FunctionDef, ast.ClassDef)) or d.name.startswith("_"):
+            continue
+        own = range(d.lineno, d.end_lineno + 1)
+        named = any(
+            isinstance(node, ast.Name) and node.id == d.name and node.lineno not in own
+            for node in ast.walk(trees[module])
+        )
+        if d.name not in refs and not named:
+            unused.append(f"{d.name} (line {d.lineno})")
+    return unused
+
+
+def test_checker_flags_an_unused_public_def():
+    sources = {
+        "a.py": (
+            "def left():\n    return left()\n\ndef called():\n    pass\n\n"
+            "def imported():\n    pass\n\nclass Gone:\n    pass\n\ndef local():\n    pass\n\n"
+            "def exported():\n    pass\n\nX = local()\n"
+        ),
+        "b.py": "import numpy as np\nfrom . import a as m\nfrom .a import imported\nm.called()\nnp.left()\n",
+        "__init__.py": "from .a import exported\n",
+    }
+    assert unused_public_defs("a.py", sources) == ["left (line 1)", "Gone (line 10)"]
+
+
+# the autodiff ops the benchmark's tracer wraps by name, kept while it does
+TRACED_OPS = next(
+    ast.literal_eval(node.value)
+    for node in ast.parse((SRC.parents[1] / "perfbench" / "tracer.py").read_text(encoding="utf-8")).body
+    if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "AD_OPS"
+)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_public_defs(path):
+    unused = unused_public_defs(path.name, PACKAGE)
+    if path.name == "autodiff.py":
+        unused = [entry for entry in unused if entry.split()[0] not in TRACED_OPS]
+    assert unused == []
 
 
 def settable_values(source: str) -> int:
