@@ -1,10 +1,14 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A Tensor wraps a float64 ndarray plus the closure needed to push a
-cotangent back to its parents. Graphs are built eagerly by the op
-functions below and differentiated by `backward`. The op set is exactly
-what the encoder, losses, and forward models need; everything runs on
-plain numpy so results are deterministic for a fixed input.
+A Tensor wraps a float32 or float64 ndarray plus the closure needed to
+push a cotangent back to its parents; any other input, Python numbers
+included, becomes float64. Ops compute under NumPy's promotion rules, so
+a float64 operand, even a 0-d one made from a Python number, upcasts a
+float32 graph; `cast` moves a value between the two dtypes on the tape.
+Graphs are built eagerly by the op functions below and differentiated by
+`backward`. The op set is exactly what the encoder, losses, and forward
+models need; everything runs on plain numpy so results are deterministic
+for a fixed input.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 from scipy.special import expit
 
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _recording = True  # False inside recording_off(): new tensors keep no parents and no vjp
 
 
@@ -36,7 +41,8 @@ class Tensor:
     __array_ufunc__ = None
 
     def __init__(self, data, parents=(), vjp=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOAT_DTYPES else data.astype(np.float64)
         self.grad = None
         self._parents = parents if _recording else ()
         self._vjp = vjp if _recording else None
@@ -151,6 +157,20 @@ def zero_grads(tensors):
     """Clear .grad on an iterable of tensors."""
     for t in tensors:
         t.grad = None
+
+
+def cast(a, dtype):
+    """a as float32 or float64; a itself when it already has that dtype, so a
+    graph in one precision gains no node. The vjp returns the cotangent in
+    a's own dtype."""
+    a = as_tensor(a)
+    dtype = np.dtype(dtype)
+    if dtype not in _FLOAT_DTYPES:
+        raise ValueError(f"cast supports float32 and float64, not {dtype}")
+    if a.data.dtype == dtype:
+        return a
+    source = a.data.dtype
+    return Tensor(a.data.astype(dtype), (a,), lambda g: (g.astype(source),))
 
 
 # elementwise arithmetic ---------------------------------------------

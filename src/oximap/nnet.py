@@ -21,6 +21,11 @@ batch it is evaluated with and on the field of view.
 Gate parameters start at zero, so a freshly extended network stays close to
 the voxelwise one (g = logistic(gate_offset)). Each gated block is one tape
 node with a hand-written vector-Jacobian product (_gated_block).
+
+The hidden blocks and heads compute in the weights' dtype, float32 or
+float64: the gained input is cast to it on the way in and the three head
+outputs are cast to float64 on the way out, so whatever reads a
+VoxelPrediction computes in float64 either way.
 """
 
 from __future__ import annotations
@@ -93,10 +98,16 @@ class EncoderWeights:
     def arrays(self) -> dict[str, np.ndarray]:
         return {k: t.data for k, t in self.tensors.items()}
 
-    def copy(self) -> "EncoderWeights":
+    def astype(self, dtype) -> "EncoderWeights":
+        """A copy with every tensor in dtype (float32 or float64)."""
         return EncoderWeights(
-            self.config, self.n_t, {k: ad.Tensor(t.data.copy()) for k, t in self.tensors.items()}
+            self.config, self.n_t, {k: ad.Tensor(t.data.astype(dtype)) for k, t in self.tensors.items()}
         )
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the network computes in: that of its weights."""
+        return self.tensors["mu.w"].data.dtype
 
     def n_parameters(self) -> int:
         return sum(t.data.size for t in self.tensors.values())
@@ -212,7 +223,7 @@ def _gated_block(h: ad.Tensor, t: dict, b: int, cfg: NetworkConfig) -> ad.Tensor
         d_g = np.einsum("...f,...f->...", grad, conv)
         if cfg.gate_scope == "scalar":
             d_g = d_g.sum() / d_g.size  # the mean spreads one gate's gradient evenly
-        d_acc = np.empty(acc.shape)
+        d_acc = np.empty_like(acc)
         np.multiply(grad, g_col, out=d_acc[..., :n_f])
         d_acc[..., n_f] = d_g * (g * (1.0 - g))
         # contiguous transposed weights keep the products on the fast BLAS path
@@ -235,13 +246,15 @@ def encoder_forward(weights: EncoderWeights, x: ad.Tensor) -> VoxelPrediction:
     """Forward pass; x has channels (the voxel's n_t samples) on the trailing axis.
 
     Voxelwise mode accepts any leading shape; gated-residual mode requires
-    (B, h, w, n_t) so the in-plane convolution is defined.
+    (B, h, w, n_t) so the in-plane convolution is defined. The network runs
+    in its weights' dtype; the outputs are float64.
     """
     cfg = weights.config
     if x.data.shape[-1] != weights.n_t:
         raise ValueError(f"input has {x.data.shape[-1]} channels, network expects {weights.n_t}")
     t = weights.tensors
-    h = x * INPUT_GAIN
+    # the gain multiplies before the cast, and the cast is on the tape, so x keeps its gradient
+    h = ad.cast(x * INPUT_GAIN, weights.dtype)
     if cfg.spatial_mode == "gated-residual":
         if x.data.ndim != 4:
             raise ValueError("gated-residual mode needs (batch, h, w, channels) input")
@@ -250,10 +263,8 @@ def encoder_forward(weights: EncoderWeights, x: ad.Tensor) -> VoxelPrediction:
     else:
         for b in range(cfg.n_blocks):
             h = ad.softplus(ad.matmul(h, t[f"block{b}.w"]) + t[f"block{b}.b"])
-    mu = ad.matmul(h, t["mu.w"]) + t["mu.b"]
-    cov = ad.matmul(h, t["cov.w"]) + t["cov.b"]
-    log_noise = ad.matmul(h, t["noise.w"]) + t["noise.b"]
-    return VoxelPrediction(mu, cov, log_noise)
+    heads = [ad.matmul(h, t[f"{n}.w"]) + t[f"{n}.b"] for n in ("mu", "cov", "noise")]
+    return VoxelPrediction(*(ad.cast(head, np.float64) for head in heads))
 
 
 def prediction_to_distribution(pred: VoxelPrediction, covariance_mode: str) -> ScaledLogitNormal:

@@ -228,7 +228,8 @@ def _kernel_table(extent: int) -> np.ndarray:
 
 
 def _tabulated_integral(a, slope: bool = False):
-    """Tabulated I(|a|), or with slope=True the derivative in |a| of that same interpolant."""
+    """Tabulated I(|a|) and, with slope=True, the derivative in |a| of that same
+    interpolant (else None), both from one lookup of each argument's node interval."""
     x = np.abs(a) * _NODES_PER_UNIT
     top = np.fmax.reduce(x, axis=None, initial=0.0) / _NODES_PER_UNIT
     extent = _FIRST_EXTENT
@@ -242,9 +243,8 @@ def _tabulated_integral(a, slope: bool = False):
         k = np.minimum(x, coef.shape[1] - 1).astype(np.intp)
     t = x - k
     c0, c1, c2, c3 = (np.take(row, k, mode="clip") for row in coef)
-    if slope:
-        return (c1 + t * (2.0 * c2 + 3.0 * t * c3)) * _NODES_PER_UNIT
-    return c0 + t * (c1 + t * (c2 + t * c3))
+    value = c0 + t * (c1 + t * (c2 + t * c3))
+    return value, ((c1 + t * (2.0 * c2 + 3.0 * t * c3)) * _NODES_PER_UNIT if slope else None)
 
 
 def mean_square_inhomogeneity(c: PhysioConstants, b0: float):
@@ -323,8 +323,8 @@ def normalize_signal(s, proto: AcquisitionProtocol) -> np.ndarray:
 # keeps its tape-era name: the benchmark's tracer wraps physics.dephasing_integral_t
 def dephasing_integral_t(a, slope: bool = False):
     """The model's read of the kernel table: I(a) and, with slope=True, also dI/da."""
-    i = _tabulated_integral(a)
-    return i, (_tabulated_integral(a, slope=True) * np.sign(a) if slope else None)
+    i, di = _tabulated_integral(a, slope)
+    return i, (di * np.sign(a) if slope else None)
 
 
 def _model(oef, dbv, proto, c, cfg: ForwardModelConfig, normalized: bool, grad: bool = False):

@@ -407,6 +407,11 @@ def run_finetuning(
     tv_lambda times the total variation of the transformed mean maps, and
     applies AdamW with both learning rate and weight decay linearly
     decayed to 1/100 of their starting values.
+
+    The weights and AdamW moments are kept in float64. Each step runs the
+    encoder on a float32 copy of the weights; the loss past the encoder's
+    heads is float64, and the copy's gradients are cast back to float64
+    for the update. The returned network is float64.
     """
     if not vols:
         raise ValueError("no volumes to fine-tune on")
@@ -417,7 +422,7 @@ def run_finetuning(
         psi = extend_weights(theta, rng)
         psi = EncoderWeights(net_cfg, psi.n_t, psi.tensors)
     else:
-        psi = theta.copy()
+        psi = theta.astype(np.float64)
 
     size = train_cfg.crop_xy
     planes = []
@@ -450,8 +455,9 @@ def run_finetuning(
             mask_arr = np.concatenate(masks, axis=0)
             prior_rows = np.concatenate(prior_crops, axis=0)[mask_arr]
 
+            step_psi = psi.astype(np.float32)
             elbo, kl_mean, ll_mean, mean_maps = _elbo_core(
-                psi, x_arr, mask_arr, prior_rows[:, :2], prior_rows[:, 2:],
+                step_psi, x_arr, mask_arr, prior_rows[:, :2], prior_rows[:, 2:],
                 proto, constants, fwd_cfg, train_cfg, rng,
             )
             tv = _tv_planes(mean_maps, mask_arr)
@@ -466,7 +472,7 @@ def run_finetuning(
                     f"training diverged at iteration {i}: loss {loss_val:.6g} "
                     f"grew more than 10x above the initial {initial_loss:.6g}"
                 )
-            grads = collect_gradients(psi, loss)
+            grads = {k: g.astype(np.float64) for k, g in collect_gradients(step_psi, loss).items()}
             lr_i = lr_schedule(i, train_cfg.iterations, train_cfg.lr)
             wd_i = lr_schedule(i, train_cfg.iterations, train_cfg.weight_decay)
             adamw_step(psi, opt, grads, lr_i, wd_i)

@@ -228,3 +228,41 @@ class TestGraph:
         assert out._parents
         ad.backward(out)
         assert_allclose(t.grad, np.exp([0.5]))
+
+
+class TestDtypes:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_arrays_kept_as_given(self, dtype):
+        x = np.arange(6, dtype=dtype).reshape(2, 3)
+        t = ad.Tensor(x)
+        assert t.data.dtype == dtype
+        assert t.data is x
+
+    @pytest.mark.parametrize(
+        "value", [np.arange(3), np.array([True, False]), np.float16(1.5), 2.5, 3, True, [1, 2]]
+    )
+    def test_other_inputs_become_float64(self, value):
+        t = ad.Tensor(value)
+        assert t.data.dtype == np.float64
+        assert_allclose(t.data, np.asarray(value, dtype=np.float64))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cast_is_identity_when_dtype_matches(self, dtype):
+        t = ad.Tensor(np.ones(3, dtype=dtype))
+        assert ad.cast(t, dtype) is t
+
+    @pytest.mark.parametrize("source,target", [(np.float64, np.float32), (np.float32, np.float64)])
+    def test_cast_vjp_returns_cotangent_in_source_dtype(self, source, target, rng):
+        x = rng.normal(size=(2, 3)).astype(source)
+        t = ad.Tensor(x)
+        out = ad.cast(t, target)
+        assert out.data.dtype == target
+        assert out.data.tobytes() == x.astype(target).tobytes()
+        w = ad.Tensor(rng.normal(size=(2, 3)).astype(target))
+        ad.backward(ad.tsum(out * w))
+        assert t.grad.dtype == source
+        assert t.grad.tobytes() == w.data.astype(source).tobytes()
+
+    def test_cast_rejects_other_dtypes(self):
+        with pytest.raises(ValueError, match="float32 and float64"):
+            ad.cast(ad.Tensor(np.ones(2)), np.int64)

@@ -75,6 +75,17 @@ def composed_encoder_forward(weights, x):
     )
 
 
+def tape_nodes(*outs):
+    """Every node reachable from outs, each once."""
+    nodes, stack = {}, list(outs)
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
 class TestNetworkConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="n_blocks"):
@@ -316,26 +327,63 @@ class TestFusedGatedBlock:
         train.run_finetuning(theta, gated, cfg, [vol], proto, const, fwd)
         (psi, loss), = seen
 
-        nodes, stack = {}, [loss]
-        while stack:
-            node = stack.pop()
-            if id(node) not in nodes:
-                nodes[id(node)] = node
-                stack.extend(node._parents)
+        nodes = tape_nodes(loss)
         for b in range(gated.n_blocks):
             params = [psi.tensors[f"block{b}.{n}"] for n in ("w", "b", "conv.w", "gate.w", "gate.b")]
-            users = [n for n in nodes.values() if any(p is params[2] for p in n._parents)]
+            users = [n for n in nodes if any(p is params[2] for p in n._parents)]
             assert len(users) == 1
             assert all(p is q for p, q in zip(users[0]._parents[1:], params, strict=True))
         wide = {9 * proto.n_t, 9 * width}
         padded = (crop + 2, crop + 2)
-        for node in nodes.values():
+        for node in nodes:
             cells = node._vjp.__closure__ or () if node._vjp is not None else ()
             held = [node.data] + [c.cell_contents for c in cells]
             for a in held:
                 if isinstance(a, np.ndarray) and a.ndim:
                     assert a.shape[-1] not in wide, a.shape
                     assert a.ndim < 3 or a.shape[1:3] != padded, a.shape
+
+
+class TestEncoderDtype:
+    @pytest.mark.parametrize("spatial", ["voxelwise", "gated-residual"])
+    def test_float64_weights_keep_every_node_float64(self, spatial, rng):
+        net = small_net(spatial)
+        x = ad.Tensor(rng.normal(-0.1, 0.05, (2, 4, 3, N_T)))
+        pred = encoder_forward(net, x)
+        outs = (pred.mu_l, pred.sigma_l_params, pred.log_sigma_im)
+        assert all(n.data.dtype == np.float64 for n in tape_nodes(*outs))
+        grads = collect_gradients(net, sum(ad.tsum(o) for o in outs))
+        assert all(g.dtype == np.float64 for g in grads.values())
+
+    @pytest.mark.parametrize("scope", ["scalar", "voxelwise"])
+    def test_float32_weights_keep_blocks_and_gradients_float32(self, scope, rng):
+        base = NetworkConfig(width=8, covariance_mode="full", gate_scope=scope)
+        net = extend_weights(init_weights(base, N_T, rng), rng).astype(np.float32)
+        for b in range(base.n_blocks):
+            gate_w = net.tensors[f"block{b}.gate.w"].data
+            gate_w[:] = rng.normal(0.0, 0.3, gate_w.shape)
+        x = ad.Tensor(rng.normal(-0.1, 0.05, (2, 4, 3, N_T)))
+        pred = encoder_forward(net, x)
+        outs = (pred.mu_l, pred.sigma_l_params, pred.log_sigma_im)
+        assert all(o.data.dtype == np.float64 for o in outs)
+        nodes = tape_nodes(*outs)
+        for b in range(base.n_blocks):
+            conv_w = net.tensors[f"block{b}.conv.w"]
+            (block,) = [n for n in nodes if any(p is conv_w for p in n._parents)]
+            assert block.data.dtype == np.float32
+        cotangents = [rng.normal(size=o.shape) for o in outs]
+        grads = collect_gradients(net, sum(ad.tsum(o * c) for o, c in zip(outs, cotangents)))
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+        assert x.grad.dtype == np.float64 and np.abs(x.grad).max() > 0
+
+    def test_astype_copies_in_the_new_dtype(self):
+        net = small_net("gated-residual")
+        low = net.astype(np.float32)
+        assert low.dtype == np.float32 and net.dtype == np.float64
+        for k, t in net.tensors.items():
+            assert low.tensors[k].data.tobytes() == t.data.astype(np.float32).tobytes()
+        low.tensors["mu.b"].data[:] = 0.0
+        assert np.all(net.tensors["mu.b"].data != 0.0)
 
 
 class TestPredictionToDistribution:
@@ -384,7 +432,7 @@ class TestGradients:
         x = rng.normal(-0.1, 0.05, (4, N_T))
         first = collect_gradients(w, ad.tsum(encoder_forward(w, ad.Tensor(x)).mu_l))
         second = collect_gradients(w, ad.tsum(encoder_forward(w, ad.Tensor(x)).log_sigma_im))
-        fresh = w.copy()
+        fresh = w.astype(np.float64)
         ref = collect_gradients(fresh, ad.tsum(encoder_forward(fresh, ad.Tensor(x)).log_sigma_im))
         assert np.all(first["mu.b"] == len(x))  # one per row of the summed mu_l
         for name in w.tensors:

@@ -161,7 +161,7 @@ class TestTabulatedKernel:
         # accuracy near a = 0.01, where 1 - J0 cancels at its lower limit
         a = np.linspace(0.05, 39.95, 120)
         ref = np.array([quad_oracle(x) for x in a])
-        assert np.max(np.abs(_tabulated_integral(a) - ref)) <= 1e-7
+        assert np.max(np.abs(_tabulated_integral(a)[0] - ref)) <= 1e-7
 
     def test_slope_against_difference_of_quadrature(self):
         a = np.linspace(0.01, 30.0, 90)
@@ -169,31 +169,52 @@ class TestTabulatedKernel:
         fd = (
             static_dephasing_integral(a + h, 1.0, 1024) - static_dephasing_integral(a - h, 1.0, 1024)
         ) / (2 * h)
-        assert_allclose(_tabulated_integral(a, slope=True), fd, rtol=0, atol=1e-6)
+        assert_allclose(_tabulated_integral(a, slope=True)[1], fd, rtol=0, atol=1e-6)
 
     @given(st.floats(-60.0, 60.0))
     def test_even_and_zero_at_zero(self, a):
-        assert _tabulated_integral(np.array(a)) == _tabulated_integral(np.array(-a))
-        assert _tabulated_integral(np.array(0.0)) == 0.0
+        assert _tabulated_integral(np.array(a))[0] == _tabulated_integral(np.array(-a))[0]
+        assert _tabulated_integral(np.array(0.0))[0] == 0.0
 
     def test_out_of_range_rejected_and_nan_kept(self):
         for bad in (300.0, np.inf):
             with pytest.raises(ValueError, match="beyond the dephasing table"):
                 _tabulated_integral(np.array([1.0, bad]))
-        got = _tabulated_integral(np.array([np.nan, 1.0]))
-        assert np.isnan(got[0]) and got[1] == _tabulated_integral(np.array(1.0))
+        got = _tabulated_integral(np.array([np.nan, 1.0]))[0]
+        assert np.isnan(got[0]) and got[1] == _tabulated_integral(np.array(1.0))[0]
 
     def test_values_do_not_depend_on_table_growth(self):
         a = np.linspace(0.0, 31.99, 2001)
         grown = np.append(a, 50.0)  # 50 needs the table for a <= 64
         _kernel_table.cache_clear()
-        first = _tabulated_integral(a), _tabulated_integral(a, slope=True)
-        after = _tabulated_integral(grown)[:-1], _tabulated_integral(grown, slope=True)[:-1]
+        first = _tabulated_integral(a, slope=True)
+        after = [x[:-1] for x in _tabulated_integral(grown, slope=True)]
         _kernel_table.cache_clear()
-        grown_first = _tabulated_integral(grown)[:-1], _tabulated_integral(grown, slope=True)[:-1]
-        small_after = _tabulated_integral(a), _tabulated_integral(a, slope=True)
+        grown_first = [x[:-1] for x in _tabulated_integral(grown, slope=True)]
+        small_after = _tabulated_integral(a, slope=True)
         for other in (after, grown_first, small_after):
             assert all(x.tobytes() == y.tobytes() for x, y in zip(first, other))
+
+    def test_one_read_gives_both_two_pass_results(self, rng):
+        # I and dI/da from one table read equal the value and slope
+        # formulas, each evaluated on a read of its own
+        a = rng.uniform(-31.9, 31.9, (2000, 11))
+        a[0, :4] = [0.0, 1.0, -2.5, 31.0]  # nodes and zero
+        coef = _kernel_table(32)
+
+        def read(a):
+            x = np.abs(a) * 32
+            k = x.astype(np.intp)
+            return x - k, [np.take(row, k) for row in coef]
+
+        t, (c0, c1, c2, c3) = read(a)
+        value = c0 + t * (c1 + t * (c2 + t * c3))
+        t, (_, c1, c2, c3) = read(a)
+        slope = (c1 + t * (2.0 * c2 + 3.0 * t * c3)) * 32 * np.sign(a)
+        i, di = dephasing_integral_t(a, slope=True)
+        assert np.array_equal(i, value) and np.array_equal(di, slope)
+        i_only, none = dephasing_integral_t(a)
+        assert np.array_equal(i_only, value) and none is None
 
 
 class TestBloodCompartment:
@@ -297,7 +318,7 @@ class TestTissueAndTotal:
     def test_total_one_compartment_is_tissue(self, proto, constants):
         dw = delta_omega(0.4, constants, 3.0)
         base = np.exp(-constants.r2_tissue * proto.te)
-        tissue = base * np.exp(-0.025 * _tabulated_integral(dw * proto.tau_array))
+        tissue = base * np.exp(-0.025 * _tabulated_integral(dw * proto.tau_array)[0])
         assert_allclose(total_signal((0.4, 0.025), proto, constants, FULL_1C), tissue, rtol=1e-14)
 
     def test_total_two_compartment_is_convex_mix(self, proto, constants):
@@ -343,7 +364,7 @@ class TestNormalization:
         cfg = ForwardModelConfig(variant="full", compartments=1)
         got = normalized_model_signal(0.4, 0.025, proto, constants, cfg)
         dw = delta_omega(0.4, constants, 3.0)
-        expected = -0.025 * _tabulated_integral(dw * proto.tau_array)
+        expected = -0.025 * _tabulated_integral(dw * proto.tau_array)[0]
         assert_allclose(got, expected, rtol=1e-14)
 
     def test_matches_log_ratio_route(self, proto, constants):
@@ -364,8 +385,9 @@ class TestNormalization:
 def _dephasing_integral_oracle_t(dw_t, proto):
     taus = proto.tau_array
     a = dw_t.data[..., None] * taus
-    slope = _tabulated_integral(a, slope=True) * np.sign(a) * taus
-    return ad.custom(_tabulated_integral(a), (dw_t,), lambda g: ((g * slope).sum(axis=-1),))
+    value, slope = _tabulated_integral(a, slope=True)
+    slope = slope * np.sign(a) * taus
+    return ad.custom(value, (dw_t,), lambda g: ((g * slope).sum(axis=-1),))
 
 
 def _expand(t):

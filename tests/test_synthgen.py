@@ -202,7 +202,7 @@ class TestGenerateDataset:
                               NoiseProfile(snr_low=1e300, snr_high=1e300),
                               np.random.default_rng(3))
         dw = delta_omega(ds.truths[:, 0], constants, proto.b0)
-        ref = -ds.truths[:, 1:2] * _tabulated_integral(dw[:, None] * np.abs(proto.tau_array))
+        ref = -ds.truths[:, 1:2] * _tabulated_integral(dw[:, None] * np.abs(proto.tau_array))[0]
         assert_allclose(ds.signals, ref, rtol=0, atol=1e-14)
         ref2 = normalized_model_signal(ds.truths[:, 0], ds.truths[:, 1], proto, constants, fwd1)
         assert_allclose(ds.signals, ref2, rtol=0, atol=1e-14)
