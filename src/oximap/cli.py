@@ -65,11 +65,15 @@ def _read_volume(vol_path, mask_path, cfg: RunConfig) -> Volume4D:
     return vol
 
 
+def _run_config(args) -> RunConfig:
+    return load_config(args.config) if args.config else RunConfig()
+
+
 # subcommand implementations -------------------------------------------
 
 
 def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config) if args.config else RunConfig()
+    cfg = _run_config(args)
     seed = args.seed if args.seed is not None else cfg.pretrain.seed
     rng = np.random.default_rng(seed)
     noise = NoiseProfile(snr_low=args.snr_low, snr_high=args.snr_high)
@@ -96,7 +100,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    cfg = load_config(args.config) if args.config else RunConfig()
+    cfg = _run_config(args)
     dataset = load_dataset(args.dataset)
     tr = cfg.pretrain if args.seed is None else dataclasses.replace(cfg.pretrain, seed=args.seed)
     # pretraining fits the voxelwise trunk of the configured network
@@ -108,7 +112,7 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_finetune(args) -> int:
-    cfg = load_config(args.config) if args.config else RunConfig()
+    cfg = _run_config(args)
     theta = load_checkpoint(args.weights)
     tr = cfg.finetune if args.seed is None else dataclasses.replace(cfg.finetune, seed=args.seed)
     masks = args.mask or []
@@ -125,7 +129,7 @@ def _cmd_finetune(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    cfg = load_config(args.config) if args.config else RunConfig()
+    cfg = _run_config(args)
     weights = load_checkpoint(args.weights)
     prior_weights = load_checkpoint(args.prior_weights) if args.prior_weights else None
     vol = _read_volume(args.volume, args.mask, cfg)
@@ -145,7 +149,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_wls(args) -> int:
-    cfg = load_config(args.config) if args.config else RunConfig()
+    cfg = _run_config(args)
     vol = _read_volume(args.volume, args.mask, cfg)
     maps = wls_fit(vol, cfg.protocol, cfg.constants, tc_mode=cfg.forward.tc_mode)
     _write_maps(maps, vol, args.out_dir)
@@ -234,13 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="oximap",
         description="Amortized variational qBOLD parameter mapping",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="YAML run configuration")
-    common.add_argument("--seed", type=int, help="override the configured RNG seed")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="YAML run configuration")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[config])
+    seeded.add_argument("--seed", type=int, help="override the configured RNG seed")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common], help="generate a synthetic dataset")
+    p = sub.add_parser("simulate", parents=[seeded], help="generate a synthetic dataset")
     p.add_argument("--n", type=int, default=100_000, help="number of voxels to draw")
     p.add_argument("--out", required=True, help="output dataset file")
     p.add_argument("--snr-low", type=float, default=50.0)
@@ -251,13 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phantom-snr", type=float, default=60.0, help="spin-echo SNR of the phantom")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("pretrain", parents=[common], help="pretrain on a synthetic dataset")
+    p = sub.add_parser("pretrain", parents=[seeded], help="pretrain on a synthetic dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True, help="output checkpoint")
     p.add_argument("--metrics", help="TSV training log path")
     p.set_defaults(func=_cmd_pretrain)
 
-    p = sub.add_parser("finetune", parents=[common], help="variational fine-tuning on volumes")
+    p = sub.add_parser("finetune", parents=[seeded], help="variational fine-tuning on volumes")
     p.add_argument("--weights", required=True, help="pretrained checkpoint")
     p.add_argument("--volume", action="append", required=True, help="raw 4-D volume (repeatable)")
     p.add_argument("--mask", action="append", help="3-D mask per volume (repeatable)")
@@ -265,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", help="TSV training log path")
     p.set_defaults(func=_cmd_finetune)
 
-    p = sub.add_parser("infer", parents=[common], help="produce parameter maps from a volume")
+    p = sub.add_parser("infer", parents=[seeded], help="produce parameter maps from a volume")
     p.add_argument("--weights", required=True)
     p.add_argument("--prior-weights", help="pretrained checkpoint for the ELBO prior")
     p.add_argument("--volume", required=True)
@@ -274,19 +279,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", default="vi", choices=("synth", "vi", "vi+tv"))
     p.set_defaults(func=_cmd_infer)
 
-    p = sub.add_parser("wls", parents=[common], help="weighted least-squares baseline maps")
+    p = sub.add_parser("wls", parents=[config], help="weighted least-squares baseline maps")
     p.add_argument("--volume", required=True)
     p.add_argument("--mask")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_wls)
 
-    p = sub.add_parser("stats", parents=[common], help="region statistics table")
+    p = sub.add_parser("stats", help="region statistics table")
     p.add_argument("--maps-dir", required=True, help="directory written by infer/wls")
     p.add_argument("--region", required=True, help="3-D region mask NIfTI")
     p.add_argument("--out", help="output TSV (default: stdout)")
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("compare", parents=[common], help="paired t-statistics between conditions")
+    p = sub.add_parser("compare", help="paired t-statistics between conditions")
     p.add_argument("--a", nargs="+", required=True, help="condition A map files")
     p.add_argument("--b", nargs="+", required=True, help="condition B map files")
     p.add_argument("--fwhm", type=float, default=6.0, help="in-plane smoothing FWHM in mm")

@@ -412,6 +412,8 @@ def run_finetuning(
     encoder on a float32 copy of the weights; the loss past the encoder's
     heads is float64, and the copy's gradients are cast back to float64
     for the update. The returned network is float64.
+
+    Only a fault stops the run early: a non-finite loss or gradient.
     """
     if not vols:
         raise ValueError("no volumes to fine-tune on")
@@ -439,7 +441,6 @@ def run_finetuning(
         planes.append({"x": planes_first(vol.data), "mask": mask, "prior": prior, "corners": corners})
 
     opt = AdamWState.for_weights(psi)
-    initial_loss = None
     with MetricsLog(metrics_path) as log:
         for i in range(train_cfg.iterations):
             xs, masks, prior_crops = [], [], []
@@ -465,13 +466,6 @@ def run_finetuning(
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
                 raise RuntimeError(f"non-finite loss at iteration {i}")
-            if initial_loss is None:
-                initial_loss = loss_val
-            elif loss_val - initial_loss > 10.0 * abs(initial_loss):
-                raise RuntimeError(
-                    f"training diverged at iteration {i}: loss {loss_val:.6g} "
-                    f"grew more than 10x above the initial {initial_loss:.6g}"
-                )
             grads = {k: g.astype(np.float64) for k, g in collect_gradients(step_psi, loss).items()}
             lr_i = lr_schedule(i, train_cfg.iterations, train_cfg.lr)
             wd_i = lr_schedule(i, train_cfg.iterations, train_cfg.weight_decay)

@@ -412,6 +412,15 @@ class TestCliErrors:
     def test_unknown_command_exits_2(self):
         assert cli_dispatch(["transmogrify"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--maps-dir", "m", "--region", "r.nii", "--seed", "3"],
+        ["compare", "--a", "a.nii", "--b", "b.nii", "--out", "t.nii", "--config", "x.yaml"],
+        ["wls", "--volume", "v.nii", "--out-dir", "m", "--seed", "3"],
+    ], ids=["stats-seed", "compare-config", "wls-seed"])
+    def test_flag_the_command_does_not_read_exits_2(self, argv, capsys):
+        assert cli_dispatch(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_missing_dataset_exits_1(self, tmp_path, capsys):
         rc = cli_dispatch([
             "pretrain", "--dataset", str(tmp_path / "no.dset"),

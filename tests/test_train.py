@@ -100,6 +100,27 @@ def phantom_vol(proto_m, constants_m):
 
 
 @pytest.fixture(scope="module")
+def theta16_full(proto_m, constants_m):
+    ds = generate_dataset(3000, PRIOR_PRESETS["uniform"], proto_m, constants_m, FWD1,
+                          NoiseProfile(), np.random.default_rng(100))
+    cfg = NetworkConfig(n_blocks=2, width=16, covariance_mode="full")
+    tc = TrainingConfig.pretrain_defaults(iterations=300, batch_size=128, seed=5)
+    return run_pretraining(cfg, tc, ds)
+
+
+@pytest.fixture(scope="module")
+def high_dbv_vol(proto_m, constants_m):
+    ph = make_phantom((16, 16, 2), (0.55, 0.15), proto_m, constants_m, FWD1, 150.0,
+                      np.random.default_rng(55))
+    vol, _ = normalize_volume(ph, proto_m)
+    return vol
+
+
+def logged_losses(path):
+    return [float(line.split("\t")[1]) for line in path.read_text().strip().split("\n")[1:]]
+
+
+@pytest.fixture(scope="module")
 def phantom_priors(theta16, phantom_vol):
     return compute_prior_maps(theta16, phantom_vol)
 
@@ -592,11 +613,33 @@ class TestRunFinetuning:
             tvs[lam] = float(tv_loss(oef, phantom_vol.mask).data)
         assert tvs[5.0] < tvs[0.0]
 
-    def test_divergence_aborts(self, theta16, phantom_vol, proto_m, constants_m):
-        cfg = self.small_cfg(iterations=200, lr=0.1)
-        with pytest.raises(RuntimeError, match="diverged at iteration"):
-            run_finetuning(theta16, self.GATED, cfg, [phantom_vol], proto_m,
-                           constants_m, FWD1)
+    @pytest.mark.parametrize("theta_name, vol_name, cov, overrides", [
+        ("theta16_full", "high_dbv_vol", "full", dict(iterations=20, seed=0)),
+        ("theta16", "phantom_vol", "diagonal", dict(iterations=200, lr=0.1)),
+    ], ids=["full-default-lr", "diagonal-lr0.1"])
+    def test_runs_past_adams_first_step(self, theta_name, vol_name, cov, overrides, request,
+                                        tmp_path, proto_m, constants_m):
+        # Adam's first update moves every weight by +-lr and lifts the loss far
+        # above its first value for a step; the run goes on and ends below it
+        gated = NetworkConfig(n_blocks=2, width=16, spatial_mode="gated-residual",
+                              covariance_mode=cov)
+        cfg = self.small_cfg(**overrides)
+        path = tmp_path / "ft.tsv"
+        psi = run_finetuning(request.getfixturevalue(theta_name), gated, cfg,
+                             [request.getfixturevalue(vol_name)], proto_m, constants_m, FWD1,
+                             metrics_path=path)
+        losses = logged_losses(path)
+        assert len(losses) == cfg.iterations
+        assert losses[1] - losses[0] > 10.0 * abs(losses[0])
+        assert losses[-1] < losses[0]
+        assert all(np.isfinite(t.data).all() for t in psi.tensors.values())
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    @pytest.mark.parametrize("fwd", [FWD1, ForwardModelConfig()], ids=["asymptotic", "full"])
+    def test_non_finite_loss_stops(self, fwd, theta16, phantom_vol, proto_m, constants_m):
+        cfg = self.small_cfg(lr=1.0)
+        with pytest.raises(RuntimeError, match="non-finite loss at iteration 1$"):
+            run_finetuning(theta16, self.GATED, cfg, [phantom_vol], proto_m, constants_m, fwd)
 
     def test_metrics_file(self, tmp_path, theta16, phantom_vol, proto_m, constants_m):
         path = tmp_path / "ft.tsv"
