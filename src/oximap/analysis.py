@@ -17,7 +17,7 @@ from scipy.ndimage import gaussian_filter
 
 from . import autodiff as ad
 from .distributions import ScaledLogitNormal, cholesky_entries, forward_transform, kl_analytic
-from .nnet import EncoderWeights, encoder_forward, prediction_to_distribution
+from .nnet import COMPUTE_DTYPE, EncoderWeights, encoder_forward, prediction_to_distribution
 from .physics import (
     AcquisitionProtocol,
     ForwardModelConfig,
@@ -143,11 +143,11 @@ def marginal_std(dist: ScaledLogitNormal) -> np.ndarray:
 def _masked_posterior(weights: EncoderWeights, vol: Volume4D):
     """Detached posterior at the masked voxels: (distribution, log_sigma_im)
     with one row per voxel of planes_first(vol.mask), in plane-major order.
-    The encoder runs on the whole grid, since the gated conv reads
-    neighbours."""
+    The encoder runs on a COMPUTE_DTYPE copy of the weights, on the whole
+    grid, since the gated conv reads neighbours."""
     m = planes_first(vol.mask)
     with ad.recording_off():
-        pred = encoder_forward(weights, ad.Tensor(planes_first(vol.data)))
+        pred = encoder_forward(weights.astype(COMPUTE_DTYPE), ad.Tensor(planes_first(vol.data)))
     dist = prediction_to_distribution(pred, weights.config.covariance_mode)
     return ScaledLogitNormal(dist.mu[m], dist.sigma_l_params[m]), pred.log_sigma_im.data[m]
 

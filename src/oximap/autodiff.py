@@ -14,23 +14,26 @@ for a fixed input.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 from scipy.special import expit
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-_recording = True  # False inside recording_off(): new tensors keep no parents and no vjp
+# False inside recording_off(): new tensors keep no parents and no vjp. A
+# context variable, so each thread (and asyncio task) has its own switch.
+_recording = ContextVar("recording", default=True)
 
 
 @contextmanager
 def recording_off():
-    """Build tensors without recording the graph, so intermediates are freed once unused."""
-    global _recording
-    previous, _recording = _recording, False
+    """Build tensors without recording the graph, so intermediates are freed
+    once unused; only the calling thread stops recording."""
+    token = _recording.set(False)
     try:
         yield
     finally:
-        _recording = previous
+        _recording.reset(token)
 
 
 class Tensor:
@@ -44,8 +47,10 @@ class Tensor:
         data = np.asarray(data)
         self.data = data if data.dtype in _FLOAT_DTYPES else data.astype(np.float64)
         self.grad = None
-        self._parents = parents if _recording else ()
-        self._vjp = vjp if _recording else None
+        if _recording.get():
+            self._parents, self._vjp = parents, vjp
+        else:
+            self._parents, self._vjp = (), None
 
     @property
     def shape(self):
@@ -244,7 +249,7 @@ def softplus_parts(x, slope=True):
     np.negative(out, out=out)
     np.exp(out, out=out)
     s = None
-    if slope and _recording:
+    if slope and _recording.get():
         s = np.maximum(out, x >= 0.0)  # 1 where x >= 0, else exp(x)
         s /= 1.0 + out
     np.log1p(out, out=out)

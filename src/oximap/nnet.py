@@ -25,7 +25,11 @@ node with a hand-written vector-Jacobian product (_gated_block).
 The hidden blocks and heads compute in the weights' dtype, float32 or
 float64: the gained input is cast to it on the way in and the three head
 outputs are cast to float64 on the way out, so whatever reads a
-VoxelPrediction computes in float64 either way.
+VoxelPrediction computes in float64 either way. Every encoder pass the
+library runs (pretraining and fine-tuning steps, prior maps, inference)
+runs a COMPUTE_DTYPE copy of weights kept in float64: the optimizer's
+weights, moments and the SWA average stay float64, and a network and its
+float32 checkpoint give the same outputs.
 """
 
 from __future__ import annotations
@@ -50,6 +54,10 @@ _INIT_MU_BIAS = inverse_transform(np.array([0.40, 0.025]))
 _INIT_LOG_NOISE = np.log(0.01)
 
 SIGMA_IM_FLOOR = 1e-4
+
+# the dtype of the weight copy every library encoder pass runs on; the
+# master weights stay float64
+COMPUTE_DTYPE = np.float32
 
 # AdamW moment decay rates and denominator guard
 ADAM_BETA1 = 0.9

@@ -9,6 +9,12 @@ pretrained network, minus the expected diagonal-Gaussian log-likelihood
 of the normalized signals under the biophysical forward model — plus a
 weighted in-plane total-variation penalty on the transformed mean maps,
 with learning rate and weight decay linearly annealed by a factor of 100.
+
+Both stages keep the weights, AdamW moments and the SWA average in
+float64 and run each step's encoder on a nnet.COMPUTE_DTYPE (float32)
+copy, whose gradients are cast back to float64 for the update; the loss
+past the encoder's heads is float64. The prior maps' detached pass runs
+on such a copy too.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .distributions import (
     to_box,
 )
 from .nnet import (
+    COMPUTE_DTYPE,
     SIGMA_IM_FLOOR,
     AdamWState,
     EncoderWeights,
@@ -170,6 +177,9 @@ def run_pretraining(
     The returned weights are initialized from the first draws of
     default_rng(train_cfg.seed), so the starting network is reproducible
     with init_weights under the same generator.
+
+    Each step runs the encoder on a COMPUTE_DTYPE copy of the float64
+    weights, as fine-tuning does; the returned network is float64.
     """
     if dataset.n == 0:
         raise ValueError("dataset is empty")
@@ -189,12 +199,13 @@ def run_pretraining(
     with MetricsLog(metrics_path) as log:
         for i in range(train_cfg.iterations):
             rows = train_rows[rng.integers(0, train_rows.size, train_cfg.batch_size)]
-            pred = encoder_forward(theta, ad.Tensor(dataset.signals[rows]))
+            step_theta = theta.astype(COMPUTE_DTYPE)
+            pred = encoder_forward(step_theta, ad.Tensor(dataset.signals[rows]))
             loss = pretrain_loss(pred, dataset.truths[rows])
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
                 raise RuntimeError(f"non-finite loss at iteration {i}")
-            grads = collect_gradients(theta, loss)
+            grads = {k: g.astype(np.float64) for k, g in collect_gradients(step_theta, loss).items()}
             adamw_step(theta, opt, grads, train_cfg.lr, train_cfg.weight_decay)
             if (i + 1) > train_cfg.iterations // 2:
                 swa_count += 1
@@ -214,12 +225,13 @@ def run_pretraining(
 
 def compute_prior_maps(theta: EncoderWeights, vol: Volume4D) -> PriorMaps:
     """Frozen-network priors of a volume's masked voxels, one row each in
-    planes_first(vol.mask) order; an empty mask gives zero rows."""
+    planes_first(vol.mask) order; an empty mask gives zero rows. The
+    encoder runs on a COMPUTE_DTYPE copy of theta."""
     if theta.config.spatial_mode != "voxelwise":
         raise ValueError("prior maps require a voxelwise (pretrained) network")
     rows = planes_first(vol.data)[planes_first(vol.mask)]
     with ad.recording_off():
-        pred = encoder_forward(theta, ad.Tensor(rows))
+        pred = encoder_forward(theta.astype(COMPUTE_DTYPE), ad.Tensor(rows))
     dist = prediction_to_distribution(pred, theta.config.covariance_mode)
     return PriorMaps(dist.mu, dist.sigma_l_params, vol.mask.copy())
 
@@ -409,9 +421,9 @@ def run_finetuning(
     decayed to 1/100 of their starting values.
 
     The weights and AdamW moments are kept in float64. Each step runs the
-    encoder on a float32 copy of the weights; the loss past the encoder's
-    heads is float64, and the copy's gradients are cast back to float64
-    for the update. The returned network is float64.
+    encoder on a COMPUTE_DTYPE copy of the weights; the loss past the
+    encoder's heads is float64, and the copy's gradients are cast back to
+    float64 for the update. The returned network is float64.
 
     Only a fault stops the run early: a non-finite loss or gradient.
     """
@@ -456,7 +468,7 @@ def run_finetuning(
             mask_arr = np.concatenate(masks, axis=0)
             prior_rows = np.concatenate(prior_crops, axis=0)[mask_arr]
 
-            step_psi = psi.astype(np.float32)
+            step_psi = psi.astype(COMPUTE_DTYPE)
             elbo, kl_mean, ll_mean, mean_maps = _elbo_core(
                 step_psi, x_arr, mask_arr, prior_rows[:, :2], prior_rows[:, 2:],
                 proto, constants, fwd_cfg, train_cfg, rng,

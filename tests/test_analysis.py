@@ -18,6 +18,7 @@ from scipy.integrate import IntegrationWarning
 from oximap import analysis, train
 from oximap import autodiff as ad
 from oximap.analysis import (
+    MAP_FIELDS,
     InferenceConfig,
     ParamMaps,
     elbo_map,
@@ -39,7 +40,9 @@ from oximap.nnet import (
     encoder_forward,
     extend_weights,
     init_weights,
+    load_checkpoint,
     prediction_to_distribution,
+    save_checkpoint,
 )
 from oximap.physics import (
     AcquisitionProtocol,
@@ -143,14 +146,15 @@ class TestElboMap:
     ):
         # the map route (no tape) and the training route (autodiff tape)
         # must agree exactly when driven by identical generator draws; the
-        # fresh full-covariance network meets theta16's priors, so its KL is not zero
+        # map runs a float32 copy of the network, as a fine-tune step does;
+        # the fresh full-covariance network meets theta16's priors, so its KL is not zero
         net = theta16 if cov == "diagonal" else init_weights(
             NetworkConfig(n_blocks=2, width=16, covariance_mode=cov), proto_m.n_t,
             np.random.default_rng(1))
         m = elbo_map(net, phantom_vol, phantom_priors, proto_m, constants_m,
                      FWD1, np.random.default_rng(7), n_samples=n)
         cfg = TrainingConfig.finetune_defaults(n_samples_elbo=n)
-        loss = float(elbo_loss(net, phantom_vol, phantom_priors, proto_m,
+        loss = float(elbo_loss(net.astype(np.float32), phantom_vol, phantom_priors, proto_m,
                                constants_m, FWD1, cfg, np.random.default_rng(7)).data)
         assert abs(np.nanmean(m[phantom_vol.mask]) + loss) < 1e-8
 
@@ -215,7 +219,8 @@ class TestInferMaps:
         cfg = InferenceConfig(forward=FWD1, n_elbo_samples=2)
         maps = infer_maps(theta16, phantom_vol, cfg)
         x = np.moveaxis(phantom_vol.data, 2, 0)
-        pred = encoder_forward(theta16, ad.Tensor(x))
+        # the maps come from a float32 copy of the network
+        pred = encoder_forward(theta16.astype(np.float32), ad.Tensor(x))
         mu = prediction_to_distribution(pred, "diagonal").mu
         point = np.moveaxis(forward_transform(mu), 0, 2)
         mask = phantom_vol.mask
@@ -265,6 +270,28 @@ class TestInferMaps:
                                                                 n_elbo_samples=2))
         assert abs(np.nanmean(maps.oef_point) - 0.4) < 0.07
         assert abs(np.nanmean(maps.dbv_point) - 0.025) < 0.01
+
+    def test_checkpoint_round_trip_gives_identical_maps(self, theta16, phantom_vol, tmp_path):
+        # checkpoints store float32 and every library encoder pass runs a
+        # float32 copy, so a network and its reloaded checkpoint agree bit for bit
+        psi = extend_weights(theta16, np.random.default_rng(3))
+        for b in range(2):
+            gate_w = psi.tensors[f"block{b}.gate.w"].data
+            gate_w[:] = np.random.default_rng(b).normal(0.0, 0.3, gate_w.shape)
+        nets = {}
+        for name, w in (("theta", theta16), ("psi", psi)):
+            save_checkpoint(w, tmp_path / f"{name}.ckpt")
+            nets[name] = load_checkpoint(tmp_path / f"{name}.ckpt")
+        before = compute_prior_maps(theta16, phantom_vol)
+        after = compute_prior_maps(nets["theta"], phantom_vol)
+        assert before.mu.tobytes() == after.mu.tobytes()
+        assert before.sigma_l_params.tobytes() == after.sigma_l_params.tobytes()
+        maps = [
+            infer_maps(p, phantom_vol, InferenceConfig(forward=FWD1, n_elbo_samples=2, prior_weights=t))
+            for p, t in ((psi, theta16), (nets["psi"], nets["theta"]))
+        ]
+        for attr in MAP_FIELDS.values():
+            assert getattr(maps[0], attr).tobytes() == getattr(maps[1], attr).tobytes(), attr
 
 
 class TestMarginalStd:

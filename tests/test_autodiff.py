@@ -1,5 +1,7 @@
 """Finite-difference validation of the reverse-mode tape."""
 
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -228,6 +230,27 @@ class TestGraph:
         assert out._parents
         ad.backward(out)
         assert_allclose(t.grad, np.exp([0.5]))
+
+    def test_recording_off_in_another_thread_leaves_this_one_recording(self):
+        inside, done = threading.Event(), threading.Event()
+
+        def detached():
+            with ad.recording_off():
+                inside.set()
+                done.wait(timeout=10.0)
+
+        other = threading.Thread(target=detached, daemon=True)
+        other.start()
+        try:
+            assert inside.wait(timeout=10.0), "the other thread never entered recording_off"
+            w = ad.Tensor(np.array([1.0, -2.0, 3.0]))
+            ad.backward(ad.tsum(w * 2.0))
+        finally:
+            done.set()
+            other.join(timeout=10.0)
+        assert not other.is_alive()
+        assert w.grad is not None
+        assert_allclose(w.grad, 2.0)
 
 
 class TestDtypes:
