@@ -4,7 +4,18 @@ Forward signal models, a scaled logit-normal parameter distribution,
 synthetic training data, a small self-contained encoder network with
 amortized variational training, and map-level analysis tools, all behind
 one CLI (`oximap`).
+
+Results are bit-reproducible for a fixed config and seed at a fixed BLAS
+thread count. Importing the package first pins OpenBLAS, OpenMP and MKL to
+one thread, unless the environment already sets a count; the pin acts only
+if NumPy is not loaded yet, so a program that imports NumPy before oximap
+must set OPENBLAS_NUM_THREADS=1 (or its BLAS's variable) itself.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .physics import (
     AcquisitionProtocol,

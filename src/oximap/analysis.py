@@ -255,7 +255,6 @@ def wls_fit(
     vol: Volume4D,
     proto: AcquisitionProtocol,
     constants: PhysioConstants,
-    tc_mode: float = 1.5,
 ) -> ParamMaps:
     """Weighted least-squares baseline on normalized log-ratio signals.
 
@@ -266,7 +265,7 @@ def wls_fit(
     delta_omega(1)). Voxels with zeta <= 0 or OEF outside (0, WLS_MAX_OEF]
     get NaN OEF (flagged, so they drop out of statistics).
     """
-    tc = characteristic_time(delta_omega(WLS_CUTOFF_OEF, constants, proto.b0), tc_mode)
+    tc = characteristic_time(delta_omega(WLS_CUTOFF_OEF, constants, proto.b0))
     taus = proto.tau_array
     sel = np.abs(taus) >= tc
     if sel.sum() < 3:

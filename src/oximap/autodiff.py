@@ -56,10 +56,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     # operator sugar -------------------------------------------------
     def __add__(self, other):
         return add(self, other)
@@ -93,17 +89,6 @@ class Tensor:
 
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def as_tensor(x):

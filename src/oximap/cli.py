@@ -5,7 +5,9 @@ pretrain (dataset -> weights), finetune (weights + volumes -> adapted
 weights), infer (weights + volume -> maps), wls (volume -> baseline
 maps), stats (maps + region -> table), compare (two map sets -> paired
 t-statistics). Every command is deterministic for a fixed config and
-seed; errors exit 1 with a single-line `error: ...` message.
+seed at a fixed BLAS thread count: importing oximap pins BLAS to one
+thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is
+set. Errors exit 1 with a single-line `error: ...` message.
 """
 
 from __future__ import annotations
@@ -151,7 +153,7 @@ def _cmd_infer(args) -> int:
 def _cmd_wls(args) -> int:
     cfg = _run_config(args)
     vol = _read_volume(args.volume, args.mask, cfg)
-    maps = wls_fit(vol, cfg.protocol, cfg.constants, tc_mode=cfg.forward.tc_mode)
+    maps = wls_fit(vol, cfg.protocol, cfg.constants)
     _write_maps(maps, vol, args.out_dir)
     print(f"wrote {len(MAP_FIELDS)} maps + mask to {args.out_dir}")
     return 0

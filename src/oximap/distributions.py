@@ -127,11 +127,9 @@ class ScaledLogitNormal:
         with ad.recording_off():
             return -neg_log_density(self.mu, self.sigma_l_params, y).data
 
-    def sample(self, rng: np.random.Generator, n: int | None = None):
-        """Reparameterized draws f(mu + L z), z standard normal."""
-        shape = self.mu.shape if n is None else (n,) + self.mu.shape
-        z = rng.standard_normal(shape)
-        return self.transform_noise(z)
+    def sample(self, rng: np.random.Generator, n: int):
+        """n reparameterized draws f(mu + L z), z standard normal, on a new leading axis."""
+        return self.transform_noise(rng.standard_normal((n,) + self.mu.shape))
 
     def transform_noise(self, z):
         """Push given standard-normal noise through the reparameterization."""
@@ -195,7 +193,7 @@ def kl_monte_carlo(q: ScaledLogitNormal, p: ScaledLogitNormal, rng: np.random.Ge
     return np.mean(q.log_prob(y) - p.log_prob(y), axis=0)
 
 
-def truncated_normal_sample(mean, std, low, high, rng: np.random.Generator, size=None):
+def truncated_normal_sample(mean, std, low, high, rng: np.random.Generator, size):
     """Inverse-CDF sampling of a normal restricted to (low, high).
 
     std = 0 collapses to the clamped mean. Results are nudged strictly
@@ -212,8 +210,7 @@ def truncated_normal_sample(mean, std, low, high, rng: np.random.Generator, size
     inner_lo = np.nextafter(low, high)
     inner_hi = np.nextafter(high, low)
     if std == 0:
-        value = min(max(mean, inner_lo), inner_hi)
-        return np.full(size, value) if size is not None else np.float64(value)
+        return np.full(size, min(max(mean, inner_lo), inner_hi))
     flip = mean < 0.5 * (low + high)
     if flip:
         mean, low, high = -mean, -high, -low

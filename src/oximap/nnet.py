@@ -456,6 +456,8 @@ def load_checkpoint(path) -> EncoderWeights:
             offset += 4 * count
         except struct.error:
             raise CheckpointFormatError("checkpoint truncated inside tensor table") from None
+        except UnicodeDecodeError:
+            raise CheckpointFormatError("checkpoint tensor name is not valid UTF-8") from None
         tensors[name] = ad.Tensor(data.reshape(shape).astype(np.float64))
     # the names and shapes a network of this config has, from the code that builds one
     layout = init_weights(replace(cfg, spatial_mode="voxelwise"), n_t, np.random.default_rng(0))

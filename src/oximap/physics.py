@@ -3,8 +3,10 @@
 The tissue model attenuates the spin-echo signal by exp(-dbv * I(dw * tau))
 where I is the reversible-dephasing integral of the static dephasing regime
 and dw is the characteristic frequency set by deoxygenated blood. A cheaper
-two-regime approximation (quadratic near the spin echo, linear far from it)
-and an optional intravascular blood compartment complete the model family.
+two-regime approximation (quadratic near the spin echo, linear from
+|tau| = TC_FACTOR / dw on) and an optional intravascular blood compartment
+complete the model family. The spin echo is the one zero tau of the
+acquisition's schedule.
 
 All signal functions broadcast over leading axes of oef/dbv arrays and
 return arrays whose trailing axis runs over the acquisition's tau offsets.
@@ -37,18 +39,11 @@ class AcquisitionProtocol:
     tr: float = 3.0
     ti: float = 1.21
     b0: float = 3.0
-    se_index: int = 2
 
     def __post_init__(self):
-        if len(self.tau) == 0:
-            raise ValueError("protocol needs at least one tau offset")
-        if not (0 <= self.se_index < len(self.tau)):
-            raise ValueError(f"se_index {self.se_index} outside tau schedule of length {len(self.tau)}")
         zeros = [i for i, t in enumerate(self.tau) if t == 0.0]
-        if zeros != [self.se_index]:
-            raise ValueError(
-                f"exactly one tau must be 0 and sit at se_index={self.se_index}; zeros found at {zeros}"
-            )
+        if len(zeros) != 1:
+            raise ValueError(f"exactly one tau must be 0 (the spin echo); zeros found at {zeros}")
         for name in ("te", "tr", "ti", "b0"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -58,6 +53,11 @@ class AcquisitionProtocol:
     @property
     def n_t(self) -> int:
         return len(self.tau)
+
+    @property
+    def se_index(self) -> int:
+        """Position of the spin echo: the one zero tau."""
+        return self.tau.index(0.0)
 
     @property
     def tau_array(self) -> np.ndarray:
@@ -111,15 +111,12 @@ class ForwardModelConfig:
 
     variant: str = "full"
     compartments: int = 2
-    tc_mode: float = 1.5
 
     def __post_init__(self):
         if self.variant not in ("full", "asymptotic"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.compartments not in (1, 2):
             raise ValueError("compartments must be 1 or 2")
-        if self.tc_mode not in (1.5, 1.0):
-            raise ValueError("tc_mode must be 1.5 or 1.0")
 
 
 def delta_omega(oef, c: PhysioConstants, b0: float):
@@ -130,15 +127,19 @@ def delta_omega(oef, c: PhysioConstants, b0: float):
     return c.gamma * (4.0 / 3.0) * np.pi * c.delta_chi0 * c.hct * oef * b0
 
 
-def characteristic_time(dw, mode: float = 1.5):
-    """Transition time between the quadratic and linear dephasing regimes.
+# the crossover of the two-regime approximation sits at tau = TC_FACTOR / dw
+TC_FACTOR = 1.5
+
+
+def characteristic_time(dw):
+    """Transition time TC_FACTOR / dw between the quadratic and linear dephasing regimes.
 
     dw == 0 has no transition; infinity is returned so that every tau
     falls in the short regime.
     """
     dw = np.asarray(dw, dtype=np.float64)
     with np.errstate(divide="ignore"):
-        return np.where(dw == 0.0, np.inf, mode / dw)
+        return np.where(dw == 0.0, np.inf, TC_FACTOR / dw)
 
 
 def one_minus_j0(x):
@@ -227,9 +228,11 @@ def _kernel_table(extent: int) -> np.ndarray:
     return np.stack([y[:-1], d[:-1], 3.0 * step - 2.0 * d[:-1] - d[1:], d[:-1] + d[1:] - 2.0 * step])
 
 
-def _tabulated_integral(a, slope: bool = False):
-    """Tabulated I(|a|) and, with slope=True, the derivative in |a| of that same
-    interpolant (else None), both from one lookup of each argument's node interval."""
+# keeps its tape-era name: the benchmark's tracer wraps physics.dephasing_integral_t
+def dephasing_integral_t(a, slope: bool):
+    """The model's read of the kernel table: I(a) and, with slope=True, dI/da of
+    that same interpolant (else None), both from one lookup of each argument's
+    node interval."""
     x = np.abs(a) * _NODES_PER_UNIT
     top = np.fmax.reduce(x, axis=None, initial=0.0) / _NODES_PER_UNIT
     extent = _FIRST_EXTENT
@@ -244,7 +247,9 @@ def _tabulated_integral(a, slope: bool = False):
     t = x - k
     c0, c1, c2, c3 = (np.take(row, k, mode="clip") for row in coef)
     value = c0 + t * (c1 + t * (c2 + t * c3))
-    return value, ((c1 + t * (2.0 * c2 + 3.0 * t * c3)) * _NODES_PER_UNIT if slope else None)
+    if not slope:
+        return value, None
+    return value, (c1 + t * (2.0 * c2 + 3.0 * t * c3)) * _NODES_PER_UNIT * np.sign(a)
 
 
 def mean_square_inhomogeneity(c: PhysioConstants, b0: float):
@@ -320,13 +325,6 @@ def normalize_signal(s, proto: AcquisitionProtocol) -> np.ndarray:
 # the signal model, written once on arrays ----------------------------
 
 
-# keeps its tape-era name: the benchmark's tracer wraps physics.dephasing_integral_t
-def dephasing_integral_t(a, slope: bool = False):
-    """The model's read of the kernel table: I(a) and, with slope=True, also dI/da."""
-    i, di = _tabulated_integral(a, slope)
-    return i, (di * np.sign(a) if slope else None)
-
-
 def _model(oef, dbv, proto, c, cfg: ForwardModelConfig, normalized: bool, grad: bool = False):
     """Model signal per tau, raw or as its spin-echo log-ratio, and with grad=True
     its closed-form partials in oef and dbv: (signal, [d/d oef, d/d dbv] or None).
@@ -347,7 +345,7 @@ def _model(oef, dbv, proto, c, cfg: ForwardModelConfig, normalized: bool, grad: 
         abs_tau = np.abs(taus)
         a = dw * abs_tau
         # a NaN dw fails this test and takes the short branch, whose partials keep the NaN
-        long = abs_tau >= characteristic_time(dw, cfg.tc_mode)
+        long = abs_tau >= characteristic_time(dw)
         log_t = np.where(long, dbv * (1.0 - a), -0.3 * dbv * (a * a))
         if grad:
             d_a = np.where(long, -dbv, -0.6 * dbv * a)  # d log_t / d a

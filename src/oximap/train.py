@@ -109,11 +109,12 @@ class FinetuneConfig(TrainingConfig):
 
 
 class MetricsLog:
-    """Tab-separated training log: one header line, then one row per step."""
+    """Tab-separated training log: one header line, then one row per step;
+    a path of None writes nothing."""
 
     HEADER = "step\tloss\tkl\tloglik\ttv\tlr"
 
-    def __init__(self, path=None):
+    def __init__(self, path):
         self._fh = open(path, "w", encoding="utf-8") if path is not None else None
         if self._fh is not None:
             self._fh.write(self.HEADER + "\n")

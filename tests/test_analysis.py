@@ -545,11 +545,13 @@ class TestWlsFit:
         bias = abs(vals.mean() - 0.4)
         assert 1e-4 < bias < 0.1
 
-    def test_too_few_long_taus_error(self, proto_m, constants_m):
-        ph = make_phantom((2, 2, 1), (0.4, 0.03), proto_m, constants_m, FWD1, None, None)
-        vol, _ = normalize_volume(ph, proto_m)
-        with pytest.raises(ValueError, match="tau points"):
-            wls_fit(vol, proto_m, constants_m, tc_mode=50.0)
+    def test_too_few_long_taus_error(self, constants_m):
+        # t_c at the cutoff OEF is 12.4 ms: only 16 and 24 ms are long
+        short = AcquisitionProtocol(tau=(-0.008, 0.0, 0.008, 0.016, 0.024))
+        ph = make_phantom((2, 2, 1), (0.4, 0.03), short, constants_m, FWD1, None, None)
+        vol, _ = normalize_volume(ph, short)
+        with pytest.raises(ValueError, match="have 2"):
+            wls_fit(vol, short, constants_m)
 
     def test_negative_intercept_flags_oef_only(self, proto_m):
         row = -0.02 + 0.5 * np.abs(proto_m.tau_array)

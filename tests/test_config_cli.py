@@ -3,8 +3,11 @@ handling, round-trip fidelity, end-to-end subcommand smoke runs, seeded
 reproducibility, and exit codes."""
 
 import dataclasses
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +118,11 @@ class TestRunConfig:
         # the forward model has no quadrature setting
         with pytest.raises(ConfigError, match="section 'forward'"):
             config_from_dict({"forward": {"n_intervals": 64}})
+        # the spin echo is the zero tau, and the two-regime crossover is fixed
+        with pytest.raises(ConfigError, match="section 'protocol': se_index"):
+            config_from_dict({"protocol": {"se_index": 2}})
+        with pytest.raises(ConfigError, match="section 'forward': tc_mode"):
+            config_from_dict({"forward": {"tc_mode": 1.5}})
         # SWA and the validation split are fixed parts of pretraining, and
         # the ELBO draws, the TV weight and the crop size are fine-tuning's
         for key, value in (("swa_enabled", True), ("val_fraction", 0.1), ("n_samples_elbo", 7),
@@ -227,6 +235,19 @@ def pipeline(tmp_path_factory):
     assert rc == 0
     return {"root": root, "dataset": ds, "phantom": phantom, "ckpt": ckpt,
             "metrics": metrics, "config": cfg}
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, expected", [({}, ["1", "1", "1"]),
+                                              ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])])
+def test_import_pins_blas_threads_unless_set(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = f"import os, oximap; print(*(os.environ.get(v) for v in {BLAS_THREAD_VARS!r}))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == expected
 
 
 class TestCliPipeline:

@@ -267,7 +267,7 @@ class TestTruncatedNormal:
     def test_std_zero_collapses(self, rng):
         x = truncated_normal_sample(0.4, 0.0, 0.05, 0.85, rng, size=5)
         assert np.all(x == 0.4)
-        assert truncated_normal_sample(2.0, 0.0, 0.05, 0.85, rng) < 0.85
+        assert np.all(truncated_normal_sample(2.0, 0.0, 0.05, 0.85, rng, size=3) < 0.85)
 
     def test_ks_against_analytic_cdf(self):
         cases = [(0.40, 0.20, 0.05, 0.85), (0.60, 0.10, 0.05, 0.85), (0.025, 0.02, 0.001, 0.301)]
@@ -292,6 +292,6 @@ class TestTruncatedNormal:
 
     def test_invalid_arguments(self, rng):
         with pytest.raises(ValueError, match="low"):
-            truncated_normal_sample(0.4, 0.1, 0.9, 0.1, rng)
+            truncated_normal_sample(0.4, 0.1, 0.9, 0.1, rng, size=1)
         with pytest.raises(ValueError, match="std"):
-            truncated_normal_sample(0.4, -0.1, 0.0, 1.0, rng)
+            truncated_normal_sample(0.4, -0.1, 0.0, 1.0, rng, size=1)

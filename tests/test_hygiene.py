@@ -176,7 +176,10 @@ def test_checker_counts_settable_values():
     assert settable_values(source) == 5
 
 
-SETTABLE_VALUES = 119
+# 106 since the spin-echo index became the zero tau, the two-regime crossover a
+# constant, defaults that every caller overrides required, and the tape's
+# reshape/sum/mean sugar was deleted (13 values)
+SETTABLE_VALUES = 106
 
 
 def test_settable_value_count():

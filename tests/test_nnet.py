@@ -613,6 +613,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError, match="truncated"):
             load_checkpoint(path)
 
+    def test_error_name_not_utf8(self, tmp_path):
+        w = small_net()
+        path = tmp_path / "w.ckpt"
+        save_checkpoint(w, path)
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(b"block0.w")] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointFormatError, match="not valid UTF-8"):
+            load_checkpoint(path)
+
     def test_error_invalid_config_code(self, tmp_path):
         w = small_net()
         path = tmp_path / "w.ckpt"

@@ -15,7 +15,6 @@ from oximap.physics import (
     PhysioConstants,
     _kernel_table,
     _model,
-    _tabulated_integral,
     blood_signal,
     blood_volume_weight,
     characteristic_time,
@@ -50,13 +49,14 @@ class TestProtocolAndConstants:
         assert proto.tau[proto.se_index] == 0.0
         assert proto.tau_array[0] == -0.016 and proto.tau_array[-1] == 0.064
 
+    def test_spin_echo_is_the_zero_tau(self):
+        assert AcquisitionProtocol(tau=(-0.016, 0.0, 0.076)).se_index == 1
+        assert AcquisitionProtocol(tau=(0.0, 0.01)).se_index == 0
+
     def test_protocol_validation(self):
-        with pytest.raises(ValueError, match="exactly one tau"):
-            AcquisitionProtocol(tau=(-0.01, 0.01), se_index=0)
-        with pytest.raises(ValueError, match="exactly one tau"):
-            AcquisitionProtocol(tau=(0.0, 0.01, 0.0), se_index=0)
-        with pytest.raises(ValueError, match="se_index"):
-            AcquisitionProtocol(tau=(0.0, 0.01), se_index=5)
+        for tau in ((-0.01, 0.01), (0.0, 0.01, 0.0), ()):
+            with pytest.raises(ValueError, match="exactly one tau"):
+                AcquisitionProtocol(tau=tau)
         with pytest.raises(ValueError, match="ti must be smaller"):
             AcquisitionProtocol(ti=4.0)
 
@@ -85,8 +85,7 @@ class TestScalarQuantities:
 
     def test_characteristic_time(self, constants):
         dw = delta_omega(0.4, constants, 3.0)
-        assert_allclose(characteristic_time(dw, 1.5), 12.428e-3, rtol=1e-3)
-        assert_allclose(characteristic_time(dw, 1.0), 8.285e-3, rtol=1e-3)
+        assert_allclose(characteristic_time(dw), 12.428e-3, rtol=1e-3)
         assert characteristic_time(0.0) == np.inf
 
     def test_mean_square_inhomogeneity(self, constants):
@@ -161,7 +160,7 @@ class TestTabulatedKernel:
         # accuracy near a = 0.01, where 1 - J0 cancels at its lower limit
         a = np.linspace(0.05, 39.95, 120)
         ref = np.array([quad_oracle(x) for x in a])
-        assert np.max(np.abs(_tabulated_integral(a)[0] - ref)) <= 1e-7
+        assert np.max(np.abs(dephasing_integral_t(a, slope=False)[0] - ref)) <= 1e-7
 
     def test_slope_against_difference_of_quadrature(self):
         a = np.linspace(0.01, 30.0, 90)
@@ -169,29 +168,30 @@ class TestTabulatedKernel:
         fd = (
             static_dephasing_integral(a + h, 1.0, 1024) - static_dephasing_integral(a - h, 1.0, 1024)
         ) / (2 * h)
-        assert_allclose(_tabulated_integral(a, slope=True)[1], fd, rtol=0, atol=1e-6)
+        assert_allclose(dephasing_integral_t(a, slope=True)[1], fd, rtol=0, atol=1e-6)
 
     @given(st.floats(-60.0, 60.0))
     def test_even_and_zero_at_zero(self, a):
-        assert _tabulated_integral(np.array(a))[0] == _tabulated_integral(np.array(-a))[0]
-        assert _tabulated_integral(np.array(0.0))[0] == 0.0
+        value = lambda x: dephasing_integral_t(np.array(x), slope=False)[0]
+        assert value(a) == value(-a)
+        assert value(0.0) == 0.0
 
     def test_out_of_range_rejected_and_nan_kept(self):
         for bad in (300.0, np.inf):
             with pytest.raises(ValueError, match="beyond the dephasing table"):
-                _tabulated_integral(np.array([1.0, bad]))
-        got = _tabulated_integral(np.array([np.nan, 1.0]))[0]
-        assert np.isnan(got[0]) and got[1] == _tabulated_integral(np.array(1.0))[0]
+                dephasing_integral_t(np.array([1.0, bad]), slope=False)
+        got = dephasing_integral_t(np.array([np.nan, 1.0]), slope=False)[0]
+        assert np.isnan(got[0]) and got[1] == dephasing_integral_t(np.array(1.0), slope=False)[0]
 
     def test_values_do_not_depend_on_table_growth(self):
         a = np.linspace(0.0, 31.99, 2001)
         grown = np.append(a, 50.0)  # 50 needs the table for a <= 64
         _kernel_table.cache_clear()
-        first = _tabulated_integral(a, slope=True)
-        after = [x[:-1] for x in _tabulated_integral(grown, slope=True)]
+        first = dephasing_integral_t(a, slope=True)
+        after = [x[:-1] for x in dephasing_integral_t(grown, slope=True)]
         _kernel_table.cache_clear()
-        grown_first = [x[:-1] for x in _tabulated_integral(grown, slope=True)]
-        small_after = _tabulated_integral(a, slope=True)
+        grown_first = [x[:-1] for x in dephasing_integral_t(grown, slope=True)]
+        small_after = dephasing_integral_t(a, slope=True)
         for other in (after, grown_first, small_after):
             assert all(x.tobytes() == y.tobytes() for x, y in zip(first, other))
 
@@ -213,7 +213,7 @@ class TestTabulatedKernel:
         slope = (c1 + t * (2.0 * c2 + 3.0 * t * c3)) * 32 * np.sign(a)
         i, di = dephasing_integral_t(a, slope=True)
         assert np.array_equal(i, value) and np.array_equal(di, slope)
-        i_only, none = dephasing_integral_t(a)
+        i_only, none = dephasing_integral_t(a, slope=False)
         assert np.array_equal(i_only, value) and none is None
 
 
@@ -233,7 +233,7 @@ class TestBloodCompartment:
         assert blood_signal(proto, constants).shape == (proto.n_t,)
 
     def test_negative_sqrt_argument_rejected(self, constants):
-        proto = AcquisitionProtocol(tau=(-0.016, 0.0, 0.076), se_index=1)
+        proto = AcquisitionProtocol(tau=(-0.016, 0.0, 0.076))
         with pytest.raises(ValueError, match=r"te-tau negative at tau index 2"):
             blood_signal(proto, constants)
 
@@ -275,7 +275,7 @@ class TestTissueAndTotal:
     def test_boundary_takes_long_branch(self, proto, constants):
         dw = delta_omega(0.4, constants, 3.0)
         tc = 1.5 / dw
-        p = AcquisitionProtocol(tau=(0.0, tc), se_index=0)
+        p = AcquisitionProtocol(tau=(0.0, tc))
         s = total_signal((0.4, 0.03), p, constants, ASYM_1C)
         base = np.exp(-constants.r2_tissue * p.te)
         assert_allclose(s[1], base * np.exp(0.03 * (1.0 - 1.5)), rtol=1e-12)
@@ -287,7 +287,7 @@ class TestTissueAndTotal:
         dbv = 0.03
         dw = delta_omega(oef, constants, 3.0)
         tc = float(characteristic_time(dw))
-        p = AcquisitionProtocol(tau=(0.0, tc), se_index=0)
+        p = AcquisitionProtocol(tau=(0.0, tc))
         linear = dbv * (1.0 - dw * tc)
         s = total_signal((oef, dbv), p, constants, ASYM_1C)
         assert_allclose(np.log(s[1] / s[0]), linear, rtol=1e-9)
@@ -298,7 +298,7 @@ class TestTissueAndTotal:
 
     def test_models_agree_near_spin_echo(self, proto, constants):
         taus = np.array([-0.002, -0.001, 0.0, 0.001, 0.002])
-        p = AcquisitionProtocol(tau=tuple(taus), se_index=2)
+        p = AcquisitionProtocol(tau=tuple(taus))
         for oef in (0.2, 0.4, 0.6):
             for dbv in (0.01, 0.03, 0.05):
                 full = np.log(total_signal((oef, dbv), p, constants, FULL_1C))
@@ -318,7 +318,7 @@ class TestTissueAndTotal:
     def test_total_one_compartment_is_tissue(self, proto, constants):
         dw = delta_omega(0.4, constants, 3.0)
         base = np.exp(-constants.r2_tissue * proto.te)
-        tissue = base * np.exp(-0.025 * _tabulated_integral(dw * proto.tau_array)[0])
+        tissue = base * np.exp(-0.025 * dephasing_integral_t(dw * proto.tau_array, slope=False)[0])
         assert_allclose(total_signal((0.4, 0.025), proto, constants, FULL_1C), tissue, rtol=1e-14)
 
     def test_total_two_compartment_is_convex_mix(self, proto, constants):
@@ -364,7 +364,7 @@ class TestNormalization:
         cfg = ForwardModelConfig(variant="full", compartments=1)
         got = normalized_model_signal(0.4, 0.025, proto, constants, cfg)
         dw = delta_omega(0.4, constants, 3.0)
-        expected = -0.025 * _tabulated_integral(dw * proto.tau_array)[0]
+        expected = -0.025 * dephasing_integral_t(dw * proto.tau_array, slope=False)[0]
         assert_allclose(got, expected, rtol=1e-14)
 
     def test_matches_log_ratio_route(self, proto, constants):
@@ -385,8 +385,8 @@ class TestNormalization:
 def _dephasing_integral_oracle_t(dw_t, proto):
     taus = proto.tau_array
     a = dw_t.data[..., None] * taus
-    value, slope = _tabulated_integral(a, slope=True)
-    slope = slope * np.sign(a) * taus
+    value, slope = dephasing_integral_t(a, slope=True)
+    slope = slope * taus
     return ad.custom(value, (dw_t,), lambda g: ((g * slope).sum(axis=-1),))
 
 
@@ -404,7 +404,7 @@ def _tissue_log_t(oef_t, dbv_t, proto, c, cfg):
     a_t = _expand(dw_t) * abs_tau
     short = -0.3 * dbv_e * (a_t * a_t)
     long = dbv_e * (1.0 - a_t)
-    return ad.where(abs_tau < characteristic_time(dw_t.data[..., None], cfg.tc_mode), short, long)
+    return ad.where(abs_tau < characteristic_time(dw_t.data[..., None]), short, long)
 
 
 def _total_signal_t(oef_t, dbv_t, proto, c, cfg):
@@ -512,8 +512,8 @@ class TestDifferentiableTwins:
             up, dn = dw.copy(), dw.copy()
             up[i] += h
             dn[i] -= h
-            fu = float((dephasing_integral_t(up[:, None] * taus)[0] * r).sum())
-            fd = float((dephasing_integral_t(dn[:, None] * taus)[0] * r).sum())
+            fu = float((dephasing_integral_t(up[:, None] * taus, slope=False)[0] * r).sum())
+            fd = float((dephasing_integral_t(dn[:, None] * taus, slope=False)[0] * r).sum())
             assert_allclose(grad[i], (fu - fd) / (2 * h), rtol=1e-6)
 
     @pytest.mark.parametrize("variant", ["full", "asymptotic"])

@@ -335,11 +335,11 @@ class TestRunPretraining:
         assert lp_post > lp_prior
 
     def test_nonfinite_loss_aborts_with_iteration(self):
-        huge = SynthDataset(np.full((64, 11), 1e200), np.full((64, 2), 0.1), np.full(64, 60.0))
+        nan_rows = SynthDataset(np.full((64, 11), np.nan), np.full((64, 2), 0.1), np.full(64, 60.0))
         cfg = NetworkConfig(n_blocks=1, width=4)
         tc = TrainingConfig.pretrain_defaults(iterations=5, batch_size=8, seed=0)
-        with pytest.raises(RuntimeError, match="non-finite loss at iteration"):
-            run_pretraining(cfg, tc, huge)
+        with pytest.raises(RuntimeError, match="non-finite loss at iteration 0"):
+            run_pretraining(cfg, tc, nan_rows)
 
 
 class TestComputePriorMaps:
