@@ -16,7 +16,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from . import autodiff as ad
-from .distributions import ScaledLogitNormal, cholesky_entries, forward_transform, kl_analytic
+from .distributions import PARAM_SCALE, ScaledLogitNormal, cholesky_entries, forward_transform, kl_analytic
 from .nnet import COMPUTE_DTYPE, EncoderWeights, encoder_forward, prediction_to_distribution
 from .physics import (
     AcquisitionProtocol,
@@ -120,8 +120,12 @@ def marginal_std(dist: ScaledLogitNormal) -> np.ndarray:
     trapezoid rule in z with step 1/8 on |z| <= 8 gives the mean, then the
     centred second moment, with no draws; it converges geometrically for
     these smooth integrands (relative error below 1e-6 for logit means in
-    [-8, 8] and logit stds up to 8). The voxels are taken STD_BLOCK at a
-    time, so the working memory does not grow with their number.
+    [-8, 8] and logit stds up to 8). The rule runs on the tanh form of the
+    logistic, logistic(b) = (1 + tanh(b / 2)) / 2: the box map's offset and
+    the 1/2 shift drop out of a centred moment, and its scale times 1/2
+    multiplies the std once at the end. The voxels are taken STD_BLOCK at a
+    time, one array per block built in place, so the working memory does
+    not grow with their number.
     """
     with ad.recording_off():
         l00, l10, l11, _, _ = cholesky_entries(dist.sigma_l_params)
@@ -132,11 +136,13 @@ def marginal_std(dist: ScaledLogitNormal) -> np.ndarray:
         blk = slice(b, b + STD_BLOCK)
         # (voxel, component, node): the nodes run along contiguous rows, so
         # the weighted sums are matrix-vector products
-        beta = mu[blk, :, None] + scale[blk, :, None] * _STD_NODES
-        y = forward_transform(beta.swapaxes(1, 2)).swapaxes(1, 2)
+        y = (0.5 * scale[blk, :, None]) * _STD_NODES
+        y += 0.5 * mu[blk, :, None]
+        np.tanh(y, out=y)
         y -= (y @ _STD_WEIGHTS)[..., None]
         y *= y
         out[blk] = np.sqrt(y @ _STD_WEIGHTS)
+    out *= 0.5 * PARAM_SCALE
     return out.reshape(dist.mu.shape)
 
 

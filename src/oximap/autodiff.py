@@ -222,14 +222,22 @@ def logistic(a):
     return Tensor(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
+# elements per pass of softplus_parts's max(x, 0) add
+SOFTPLUS_CHUNK = 1 << 15
+
+
 def softplus_parts(x, slope=True):
     """softplus(x) = log(1 + exp(x)) of a float array, and its slope logistic(x).
 
-    The value is max(x, 0) + log1p(exp(-|x|)), so large |x| never
-    overflows; the slope reuses the same exp(-|x|). The slope is None when
-    not asked for or with recording off.
+    The value is log1p(exp(-|x|)) + max(x, 0), so large |x| never
+    overflows; the slope reuses the same exp(-|x|). The max(x, 0) is added
+    everywhere, SOFTPLUS_CHUNK elements at a time: log1p(exp(-|x|)) >= 0,
+    so adding its +-0 where x <= 0 changes no bit, and no temporary the
+    size of x is made. The slope is None when not asked for or with
+    recording off.
     """
-    # in place, in the output array: a value-only pass allocates nothing else
+    # in place, in the output array: a value-only pass allocates nothing
+    # else but one chunk
     out = np.abs(x, out=np.empty_like(x))
     np.negative(out, out=out)
     np.exp(out, out=out)
@@ -238,8 +246,23 @@ def softplus_parts(x, slope=True):
         s = np.maximum(out, x >= 0.0)  # 1 where x >= 0, else exp(x)
         s /= 1.0 + out
     np.log1p(out, out=out)
-    np.add(out, x, out=out, where=x > 0.0)
+    _add_positive_part(np.atleast_1d(out), np.atleast_1d(x))
     return out, s
+
+
+def _add_positive_part(out, x):
+    """out += max(x, 0) over row blocks of the leading axis of about
+    SOFTPLUS_CHUNK elements; the blocks are views, so the sums land in out
+    whatever its layout. A row longer than a chunk is split the same way."""
+    row = x[0].size if len(x) else 0
+    if row > SOFTPLUS_CHUNK:
+        for o, xr in zip(out, x):
+            _add_positive_part(o, xr)
+        return
+    step = SOFTPLUS_CHUNK // max(row, 1)
+    for b in range(0, len(x), step):
+        o = out[b : b + step]
+        o += np.maximum(x[b : b + step], 0.0)
 
 
 def softplus(a):

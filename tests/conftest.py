@@ -1,6 +1,18 @@
 import math
+import os
+
+# Pin BLAS to one thread before NumPy loads, as `import oximap` does, so the
+# tests run at the documented thread count; a value the environment sets wins.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BLAS_THREADS_ASKED = {v: os.environ[v] for v in BLAS_THREAD_VARS if v in os.environ}
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
+
+# threads of this process once NumPy and its BLAS are loaded; None without /proc
+TASKS_AFTER_NUMPY = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+
 import pytest
 from hypothesis import settings
 from scipy.integrate import quad

@@ -294,19 +294,51 @@ class TestInferMaps:
             assert getattr(maps[0], attr).tobytes() == getattr(maps[1], attr).tobytes(), attr
 
 
+def std_grid():
+    """Logit means in [-8, 8] and logit stds in [1e-3, 8], the oef mean
+    mirrored for dbv; the dbv scale is split over l10 and l11, so the
+    full-covariance path is exercised. Returns (mu, s, distribution)."""
+    mu, s = (g.ravel() for g in np.meshgrid(np.linspace(-8, 8, 9), np.geomspace(1e-3, 8, 9)))
+    chol = np.zeros(s.shape + (2, 2))
+    chol[:, 0, 0] = s
+    chol[:, 1, 0] = 0.6 * s
+    chol[:, 1, 1] = 0.8 * s
+    return mu, s, ScaledLogitNormal(np.stack([mu, -mu], axis=-1), chol_params(chol))
+
+
 class TestMarginalStd:
     @pytest.mark.filterwarnings("ignore", category=IntegrationWarning)
     def test_matches_adaptive_quadrature(self):
-        # logit means in [-8, 8], logit stds in [1e-3, 8]; the dbv scale is
-        # split over l10 and l11, so the full-covariance path is exercised
-        mu, s = (g.ravel() for g in np.meshgrid(np.linspace(-8, 8, 9), np.geomspace(1e-3, 8, 9)))
-        chol = np.zeros(s.shape + (2, 2))
-        chol[:, 0, 0] = s
-        chol[:, 1, 0] = 0.6 * s
-        chol[:, 1, 1] = 0.8 * s
-        got = marginal_std(ScaledLogitNormal(np.stack([mu, -mu], axis=-1), chol_params(chol)))
+        mu, s, dist = std_grid()
         ref = np.array([[quad_std(m, v, 0), quad_std(-m, v, 1)] for m, v in zip(mu, s)])
-        assert_allclose(got, ref, rtol=1e-6, atol=0)
+        assert_allclose(marginal_std(dist), ref, rtol=1e-6, atol=0)
+
+    def test_tanh_form_matches_the_box_map_rule(self):
+        # the same nodes and weights through forward_transform, the box map
+        # itself: only the rounding of the logistic's tanh form may differ
+        # (the dbv scale hypot(0.6 s, 0.8 s) is s up to rounding)
+        mu, s, dist = std_grid()
+        scale = np.stack([s, s], axis=-1)
+        beta = np.stack([mu, -mu], axis=-1)[..., None] + scale[..., None] * analysis._STD_NODES
+        y = forward_transform(beta.swapaxes(1, 2)).swapaxes(1, 2)
+        y -= (y @ analysis._STD_WEIGHTS)[..., None]
+        ref = np.sqrt((y * y) @ analysis._STD_WEIGHTS)
+        assert_allclose(marginal_std(dist), ref, rtol=1e-10, atol=0)
+
+    def test_one_block_holds_one_node_array(self):
+        n = 1631
+        chol = np.zeros((n, 2, 2))
+        chol[:, 0, 0] = chol[:, 1, 1] = 0.5
+        dist = ScaledLogitNormal(np.random.default_rng(0).normal(0.0, 1.0, (n, 2)), chol_params(chol))
+        tracemalloc.start()
+        try:
+            marginal_std(dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        node_array = n * 2 * analysis._STD_NODES.size * 8
+        assert n <= analysis.STD_BLOCK
+        assert peak <= 1.25 * node_array, (peak, node_array)
 
     @settings(max_examples=25)
     @given(

@@ -1,6 +1,7 @@
 """Finite-difference validation of the reverse-mode tape."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,54 @@ class TestElementwise:
     def test_neg_rsub_rdiv_sugar(self, rng):
         x = rng.uniform(0.5, 2.0, size=(4,))
         check_gradient(lambda t: ad.tsum(1.0 - (-t) + 2.0 / t), x)
+
+
+def softplus_reference(x):
+    """softplus_parts's value and slope by their masked formulas."""
+    e = np.exp(-np.abs(x))
+    lg = np.log1p(e)
+    return np.where(x > 0, x + lg, lg), np.maximum(e, x >= 0) / (1.0 + e)
+
+
+SOFTPLUS_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-30, -1e-30, 88.0, -104.0, 710.0, -745.0]
+
+
+class TestSoftplusParts:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: np.array(SOFTPLUS_SPECIALS),
+            lambda rng: rng.normal(0.0, 4.0, 2 * ad.SOFTPLUS_CHUNK + 7),  # 1-D, not a chunk multiple
+            lambda rng: rng.normal(0.0, 4.0, (1000, 61)),
+            lambda rng: rng.normal(0.0, 4.0, (61, 1000)).T,  # not C-contiguous
+            lambda rng: rng.normal(0.0, 4.0, (2, 300, 200))[:, ::2],  # rows longer than a chunk
+            lambda rng: np.array(-3.0),
+        ],
+        ids=["specials", "1d", "2d", "transposed", "long-rows", "0d"],
+    )
+    @pytest.mark.parametrize("slope", [True, False])
+    def test_bit_identical_to_the_masked_formula(self, make, dtype, slope, rng):
+        x = make(rng).astype(dtype)
+        out, s = ad.softplus_parts(x, slope=slope)
+        value, ref_slope = softplus_reference(x)
+        assert out.dtype == dtype and out.shape == x.shape
+        assert np.ascontiguousarray(out).tobytes() == np.ascontiguousarray(value).tobytes()
+        if slope:
+            assert np.ascontiguousarray(s).tobytes() == np.ascontiguousarray(ref_slope).tobytes()
+        else:
+            assert s is None
+
+    def test_value_pass_allocates_one_output(self, rng):
+        x = rng.normal(0.0, 4.0, (4000, 60))
+        tracemalloc.start()
+        try:
+            ad.softplus_parts(x, slope=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output plus one chunk of max(x, 0); an x-sized temporary would double it
+        assert peak <= 1.25 * x.nbytes, (peak, x.nbytes)
 
 
 class TestBroadcasting:

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from conftest import BLAS_THREAD_VARS, BLAS_THREADS_ASKED, TASKS_AFTER_NUMPY
 
 from oximap.analysis import paired_tstat
 from oximap.autodiff import Tensor
@@ -237,9 +238,6 @@ def pipeline(tmp_path_factory):
             "metrics": metrics, "config": cfg}
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 @pytest.mark.parametrize("preset, expected", [({}, ["1", "1", "1"]),
                                               ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])])
 def test_import_pins_blas_threads_unless_set(preset, expected):
@@ -248,6 +246,15 @@ def test_import_pins_blas_threads_unless_set(preset, expected):
     code = f"import os, oximap; print(*(os.environ.get(v) for v in {BLAS_THREAD_VARS!r}))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == expected
+
+
+@pytest.mark.skipif(TASKS_AFTER_NUMPY is None, reason="no /proc/self/task to count threads")
+def test_suite_runs_at_one_blas_thread():
+    # conftest pins the count before NumPy loads, so the suite's byte
+    # identities and printed margins hold at the documented thread count
+    if any(v != "1" for v in BLAS_THREADS_ASKED.values()):
+        pytest.skip(f"the environment asks for {BLAS_THREADS_ASKED}")
+    assert TASKS_AFTER_NUMPY == 1
 
 
 class TestCliPipeline:
