@@ -184,10 +184,11 @@ def elbo_map(
 
     Analytic KL against the priors (one row per masked voxel, as from
     compute_prior_maps) plus the expected_loglik of n_samples >= 1 draws,
-    the code the training loss runs: a generator seeded like the training
-    loss replays its draws, and the masked mean of this map equals minus
-    the training loss on the same inputs. `_posterior` passes in the
-    posterior infer_maps has already computed, so the encoder runs once.
+    the code the training loss runs, here off the tape and given the model
+    signal without partials: a generator seeded like the training loss
+    replays its draws, and the masked mean of this map equals minus the
+    training loss on the same inputs. `_posterior` passes in the posterior
+    infer_maps has already computed, so the encoder runs once.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -201,7 +202,7 @@ def elbo_map(
         chol = cholesky_entries(dist.sigma_l_params)
         ll_vox = expected_loglik(
             planes_first(vol.data)[m], log_sigma, dist.mu, chol, m,
-            lambda oef, dbv: normalized_model_signal(oef.data, dbv.data, proto, constants, fwd_cfg),
+            lambda oef, dbv: (normalized_model_signal(oef, dbv, proto, constants, fwd_cfg), None),
             rng, n_samples,
         )
     return _scatter(ll_vox.data - kl_analytic(dist, priors), vol)

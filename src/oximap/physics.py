@@ -12,8 +12,9 @@ All signal functions broadcast over leading axes of oef/dbv arrays and
 return arrays whose trailing axis runs over the acquisition's tau offsets.
 The model is written once, on arrays (_model), with closed-form partials in
 oef and dbv: the plain-array functions return its signal, and
-normalized_model_signal_t records it as one tape node per draw whose adjoint
-applies the partials, so training and analysis evaluate the same arithmetic.
+normalized_model_signal_t returns the signal with its partials, which the
+training loss contracts with the likelihood's gradient inside one tape node
+per draw; so training and analysis evaluate the same arithmetic.
 I and dI/da are read from a table built by static_dephasing_integral's rule.
 """
 
@@ -24,8 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import j0, j1
-
-from . import autodiff as ad
 
 DEFAULT_TAUS = tuple(np.round(np.arange(-16, 65, 8) * 1e-3, 6))
 
@@ -371,16 +370,13 @@ def _model(oef, dbv, proto, c, cfg: ForwardModelConfig, normalized: bool, grad: 
     return log_s - log_s[..., se], parts
 
 
-def normalized_model_signal_t(
-    oef_t: ad.Tensor,
-    dbv_t: ad.Tensor,
-    proto: AcquisitionProtocol,
-    c: PhysioConstants,
-    cfg: ForwardModelConfig,
-) -> ad.Tensor:
-    """Clean model signal in normalized (spin-echo log-ratio) space, as one tape node."""
-    s, (d_oef, d_dbv) = _model(oef_t.data, dbv_t.data, proto, c, cfg, normalized=True, grad=True)
-    return ad.custom(s, (oef_t, dbv_t), lambda g: ((g * d_oef).sum(-1), (g * d_dbv).sum(-1)))
+# keeps its tape-era name: the benchmark's tracer wraps train.normalized_model_signal_t
+def normalized_model_signal_t(oef, dbv, proto, c, cfg: ForwardModelConfig):
+    """Clean model signal in normalized (spin-echo log-ratio) space and its
+    partials in oef and dbv, from arrays: (signal, (d/d oef, d/d dbv)), each
+    (..., n_t) and freshly allocated. The training loss contracts them with
+    the likelihood's gradient in its own tape node."""
+    return _model(oef, dbv, proto, c, cfg, normalized=True, grad=True)
 
 
 # plain-array entry points ----------------------------------------------

@@ -240,36 +240,68 @@ def compute_prior_maps(theta: EncoderWeights, vol: Volume4D) -> PriorMaps:
 # negative ELBO --------------------------------------------------------
 
 
-def signal_loglik(x, log_sigma_im):
-    """The per-voxel diagonal-Gaussian log-likelihood of normalized signals x,
-    summed over tau, as a function of the model signal. The noise std is
-    exp(log_sigma_im) floored at SIGMA_IM_FLOOR; it is evaluated once, not
-    per draw. Arrays or tape tensors in, tape tensors out."""
-    sigma = ad.clip_min(ad.exp(log_sigma_im), SIGMA_IM_FLOOR)
-    log_norm = -0.5 * LOG_2PI - ad.log(sigma)
+def _draw_loglik(x, s, parts, oef, dbv, sigma, log_norm):
+    """One draw's per-voxel diagonal-Gaussian log-likelihood of the normalized
+    signals x, summed over tau, given the model signal s (overwritten) and
+    its partials parts = (d/d oef, d/d dbv), or None off the tape.
 
-    def loglik(s_model):
-        res = (x - s_model) / sigma
-        return ad.tsum(log_norm - 0.5 * (res * res), axis=-1)
-
-    return loglik
+    With partials it is one tape node on (oef, dbv, sigma): the partials are
+    contracted with the likelihood's gradient q = (x - s) / sigma^2 at once,
+    so the node keeps a_oef = sum_t q d_oef, a_dbv = sum_t q d_dbv and, in
+    the residual's buffer, w = (res^2 - 1) / sigma, where -1/sigma is
+    log_norm's share; the partials and every other temporary are freed.
+    """
+    res = np.subtract(x, s, out=s)
+    res /= sigma.data
+    half = res * res
+    half *= 0.5
+    ll = np.subtract(log_norm, half, out=half).sum(axis=-1)
+    if parts is None:
+        return ad.Tensor(ll)
+    q = np.divide(res, sigma.data, out=half)
+    a_oef, a_dbv = (np.einsum("...t,...t->...", q, p) for p in parts)
+    w = res
+    w *= res
+    w -= 1.0
+    w /= sigma.data
+    return ad.custom(ll, (oef, dbv, sigma), lambda g: (g * a_oef, g * a_dbv, g[..., None] * w))
 
 
 def expected_loglik(x, log_sigma_im, mu, chol, mask, model, rng, n):
-    """Mean over n reparameterized draws of the per-voxel signal_loglik of
-    the masked rows x, log_sigma_im and mu, whose factor chol is what
-    cholesky_entries returns; model(oef, dbv) gives the model signal. Each
-    draw's noise is drawn on mask's whole grid and gathered to its masked
-    rows, so generators seeded alike replay the same draws. The training
-    loss runs it on the tape, the ELBO map under ad.recording_off()."""
-    loglik = signal_loglik(x, log_sigma_im)
+    """Mean over n reparameterized draws of the per-voxel diagonal-Gaussian
+    log-likelihood of the masked rows x, summed over tau, given the per-tau
+    log noise levels log_sigma_im and mu, whose factor chol is what
+    cholesky_entries returns.
+
+    model(oef, dbv) takes the draw's arrays and returns a fresh model signal
+    with its partials in oef and dbv, or with None in their place off the
+    tape; each draw is then one tape node on (oef, dbv, sigma). The noise
+    std sigma is exp(log_sigma_im) floored at SIGMA_IM_FLOOR, evaluated once,
+    not per draw. Each draw's noise is drawn on mask's whole grid and
+    gathered to its masked rows, so generators seeded alike replay the same
+    draws. The training loss runs it on the tape, the ELBO map under
+    ad.recording_off().
+    """
+    sigma = ad.clip_min(ad.exp(log_sigma_im), SIGMA_IM_FLOOR)
+    log_norm = -0.5 * LOG_2PI - np.log(sigma.data)
     acc = None
     for _ in range(n):
         z = rng.standard_normal(mask.shape + (2,))[mask]
         oef, dbv = reparameterize(mu, *chol[:3], z)
-        ll = loglik(model(oef, dbv))
+        # no name here holds the signal or its partials: they are freed with the draw
+        ll = _draw_loglik(x, *model(oef.data, dbv.data), oef, dbv, sigma, log_norm)
         acc = ll if acc is None else acc + ll
     return acc * (1.0 / n)
+
+
+def _masked_rows(a, mask):
+    """The rows of a (planes, h, w, k) array or tape tensor at mask's voxels,
+    in C order. When every voxel is masked they are a reshape view, so no
+    gather copies them and no vjp scatters their gradient into a zero grid."""
+    if not mask.all():
+        return a[mask]
+    shape = (mask.size, a.shape[-1])
+    return ad.reshape(a, shape) if isinstance(a, ad.Tensor) else a.reshape(shape)
 
 
 def _elbo_core(psi, x_arr, mask_arr, prior_mu, prior_params, proto, constants, fwd_cfg, cfg, rng):
@@ -278,7 +310,7 @@ def _elbo_core(psi, x_arr, mask_arr, prior_mu, prior_params, proto, constants, f
 
     The encoder runs on the whole grid, since the gated conv reads
     neighbours; the KL and expected_loglik run on the masked voxels only,
-    gathered on the tape so the gradient is scattered back.
+    taken by _masked_rows on the tape so the gradient flows back.
 
     Returns (loss, kl_mean, loglik_mean, mean_maps) where mean_maps is the
     tape tensor of transformed posterior means, shape (planes, h, w, 2).
@@ -287,12 +319,12 @@ def _elbo_core(psi, x_arr, mask_arr, prior_mu, prior_params, proto, constants, f
     if n_masked == 0:
         raise ValueError("batch contains no masked voxels")
     pred = encoder_forward(psi, ad.Tensor(x_arr))
-    mu_m = pred.mu_l[mask_arr]
-    chol = cholesky_entries(pred.sigma_l_params[mask_arr])
+    mu_m = _masked_rows(pred.mu_l, mask_arr)
+    chol = cholesky_entries(_masked_rows(pred.sigma_l_params, mask_arr))
     kl_vox = kl_cholesky(mu_m, *chol, prior_mu, prior_params)
     ll_vox = expected_loglik(
-        x_arr[mask_arr], pred.log_sigma_im[mask_arr], mu_m, chol, mask_arr,
-        lambda oef, dbv: normalized_model_signal_t(oef, dbv, proto, constants, fwd_cfg),
+        _masked_rows(x_arr, mask_arr), _masked_rows(pred.log_sigma_im, mask_arr), mu_m, chol,
+        mask_arr, lambda oef, dbv: normalized_model_signal_t(oef, dbv, proto, constants, fwd_cfg),
         rng, cfg.n_samples_elbo,
     )
 

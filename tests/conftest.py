@@ -18,8 +18,10 @@ from hypothesis import settings
 from scipy.integrate import quad
 from scipy.special import expit
 
-from oximap.distributions import PARAM_OFFSET, PARAM_SCALE
-from oximap.physics import AcquisitionProtocol, PhysioConstants
+from oximap import autodiff as ad
+from oximap.distributions import LOG_2PI, PARAM_OFFSET, PARAM_SCALE
+from oximap.nnet import SIGMA_IM_FLOOR
+from oximap.physics import AcquisitionProtocol, PhysioConstants, normalized_model_signal_t
 
 settings.register_profile("pkg", deadline=None, max_examples=60, derandomize=True)
 settings.load_profile("pkg")
@@ -62,3 +64,36 @@ def quad_std(mu, s, k):
     mean = quad(lambda z: f(z) * pdf(z), -np.inf, np.inf, **kw)[0]
     var = quad(lambda z: (f(z) - mean) ** 2 * pdf(z), -np.inf, np.inf, **kw)[0]
     return np.sqrt(var)
+
+
+def model_node(oef, dbv, proto, constants, fwd):
+    """The model signal as a tape node on the draw (oef, dbv), whose vjp
+    contracts the closed-form partials with the cotangent."""
+    s, (d_oef, d_dbv) = normalized_model_signal_t(oef.data, dbv.data, proto, constants, fwd)
+    return ad.custom(s, (oef, dbv), lambda g: ((g * d_oef).sum(-1), (g * d_dbv).sum(-1)))
+
+
+def signal_loglik(x, log_sigma_im):
+    """The per-voxel diagonal-Gaussian log-likelihood of x summed over tau,
+    composed of elementary tape ops, as a function of the model signal: the
+    oracle of the loss's one node per draw. The noise std is exp(log_sigma_im)
+    floored at SIGMA_IM_FLOOR."""
+    sigma = ad.clip_min(ad.exp(log_sigma_im), SIGMA_IM_FLOOR)
+    log_norm = -0.5 * LOG_2PI - ad.log(sigma)
+
+    def loglik(s_model):
+        res = (x - s_model) / sigma
+        return ad.tsum(log_norm - 0.5 * (res * res), axis=-1)
+
+    return loglik
+
+
+def tape_nodes(*outs):
+    """Every node reachable from outs, each once."""
+    nodes, stack = {}, list(outs)
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from conftest import chol_params, quad_std
+from conftest import chol_params, model_node, quad_std, signal_loglik
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
@@ -49,7 +49,6 @@ from oximap.physics import (
     ForwardModelConfig,
     PhysioConstants,
     delta_omega,
-    normalized_model_signal_t,
 )
 from oximap.synthgen import PRIOR_PRESETS, NoiseProfile, generate_dataset, make_phantom
 from oximap.train import (
@@ -58,7 +57,6 @@ from oximap.train import (
     compute_prior_maps,
     elbo_loss,
     run_pretraining,
-    signal_loglik,
 )
 from oximap.volume import Volume4D, normalize_volume
 
@@ -382,8 +380,8 @@ class TestMarginalStd:
 
 def full_grid_loss(psi, x, mask, prior_mu, prior_params, proto, constants, fwd, n_draws, rng):
     """Reference negative ELBO: every grid voxel goes through the KL, the
-    draws, the forward model and the likelihood, then a 0/1 mask weights the
-    sums. Same generator calls as the training loss."""
+    draws, the forward model and the composed likelihood, then a 0/1 mask
+    weights the sums. Same generator calls as the training loss."""
     pred = encoder_forward(psi, ad.Tensor(x))
     mu, p = pred.mu_l, pred.sigma_l_params
     q0, q1 = p[..., 0], p[..., 1]
@@ -394,7 +392,7 @@ def full_grid_loss(psi, x, mask, prior_mu, prior_params, proto, constants, fwd, 
     ll = 0.0
     for _ in range(n_draws):
         oef, dbv = reparameterize(mu, l00, l10, l11, rng.standard_normal(mask.shape + (2,)))
-        ll = ll + loglik(normalized_model_signal_t(oef, dbv, proto, constants, fwd))
+        ll = ll + loglik(model_node(oef, dbv, proto, constants, fwd))
     w = mask.astype(np.float64) / mask.sum()
     return ad.tsum(kl * w) - ad.tsum(ll * (1.0 / n_draws) * w)
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import tape_nodes
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -73,17 +74,6 @@ def composed_encoder_forward(weights, x):
         ad.matmul(h, t["cov.w"]) + t["cov.b"],
         ad.matmul(h, t["noise.w"]) + t["noise.b"],
     )
-
-
-def tape_nodes(*outs):
-    """Every node reachable from outs, each once."""
-    nodes, stack = {}, list(outs)
-    while stack:
-        node = stack.pop()
-        if id(node) not in nodes:
-            nodes[id(node)] = node
-            stack.extend(node._parents)
-    return list(nodes.values())
 
 
 class TestNetworkConfig:

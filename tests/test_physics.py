@@ -283,7 +283,7 @@ class TestTissueAndTotal:
     @given(st.floats(0.05, 0.85))
     def test_boundary_takes_long_branch_for_any_oef(self, constants, oef):
         # tau exactly at characteristic_time(delta_omega(oef)) is linear, in
-        # the plain-array model and on the tape alike
+        # the plain-array model and in the training entry alike
         dbv = 0.03
         dw = delta_omega(oef, constants, 3.0)
         tc = float(characteristic_time(dw))
@@ -291,10 +291,8 @@ class TestTissueAndTotal:
         linear = dbv * (1.0 - dw * tc)
         s = total_signal((oef, dbv), p, constants, ASYM_1C)
         assert_allclose(np.log(s[1] / s[0]), linear, rtol=1e-9)
-        out = normalized_model_signal_t(
-            ad.Tensor(np.array([oef])), ad.Tensor(np.array([dbv])), p, constants, ASYM_1C
-        )
-        assert_allclose(out.data[0, 1], linear, rtol=1e-9)
+        out, _ = normalized_model_signal_t(np.array([oef]), np.array([dbv]), p, constants, ASYM_1C)
+        assert_allclose(out[0, 1], linear, rtol=1e-9)
 
     def test_models_agree_near_spin_echo(self, proto, constants):
         taus = np.array([-0.002, -0.001, 0.0, 0.001, 0.002])
@@ -379,7 +377,7 @@ class TestNormalization:
 
 
 # the signal model composed of elementary tape ops: the oracle for the
-# closed-form body and its one-node adjoint ---------------------------------
+# closed-form body and its partials -----------------------------------------
 
 
 def _dephasing_integral_oracle_t(dw_t, proto):
@@ -440,27 +438,30 @@ class TestDifferentiableTwins:
 
     @pytest.mark.parametrize("cfg", VARIANTS, ids=lambda f: f"{f.variant}-{f.compartments}")
     def test_one_node_vjp_matches_the_tape_oracle(self, proto, constants, rng, cfg):
+        # the partials, contracted with a cotangent as the likelihood's node
+        # does, against the gradient of the composed tape oracle
         oef = rng.uniform(0.0, 0.95, 400)
         dbv = rng.uniform(0.001, 0.2, 400)
         oef[0] = 0.0
         g = rng.normal(size=(400, proto.n_t))
-        grads = []
-        for model in (normalized_model_signal_t, _normalized_oracle_t):
-            to, td = ad.Tensor(oef.copy()), ad.Tensor(dbv.copy())
-            out = model(to, td, proto, constants, cfg)
-            ad.backward(ad.tsum(out * g))
-            grads.append((out.data, to.grad, td.grad))
-        (s, go, gd), (s_ref, go_ref, gd_ref) = grads
-        assert np.array_equal(s, s_ref)
-        assert_allclose(go, go_ref, rtol=1e-10, atol=0)
-        assert_allclose(gd, gd_ref, rtol=1e-10, atol=0)
+        s, (d_oef, d_dbv) = normalized_model_signal_t(oef.copy(), dbv.copy(), proto, constants, cfg)
+        to, td = ad.Tensor(oef.copy()), ad.Tensor(dbv.copy())
+        ref = _normalized_oracle_t(to, td, proto, constants, cfg)
+        ad.backward(ad.tsum(ref * g))
+        assert np.array_equal(s, ref.data)
+        assert_allclose((g * d_oef).sum(-1), to.grad, rtol=1e-10, atol=0)
+        assert_allclose((g * d_dbv).sum(-1), td.grad, rtol=1e-10, atol=0)
 
     def test_tape_output_is_one_node_on_oef_and_dbv(self, proto, constants):
+        # one partial per model parent of the likelihood's node, oef and dbv,
+        # each the signal's shape and in its own buffer: the likelihood
+        # overwrites the signal in place
         for cfg in VARIANTS:
-            oef_t, dbv_t = ad.Tensor(np.array([0.3, 0.5])), ad.Tensor(np.array([0.02, 0.04]))
-            out = normalized_model_signal_t(oef_t, dbv_t, proto, constants, cfg)
-            assert len(out._parents) == 2
-            assert out._parents[0] is oef_t and out._parents[1] is dbv_t
+            oef, dbv = np.array([0.3, 0.5]), np.array([0.02, 0.04])
+            s, parts = normalized_model_signal_t(oef, dbv, proto, constants, cfg)
+            assert len(parts) == 2
+            for a in (s, *parts):
+                assert a.shape == (2, proto.n_t) and a.flags.owndata
 
     @pytest.mark.parametrize("cfg", VARIANTS, ids=lambda f: f"{f.variant}-{f.compartments}")
     def test_nan_oef_stays_in_its_row(self, proto, constants, cfg):
@@ -481,24 +482,20 @@ class TestDifferentiableTwins:
         assert plain[keep].tobytes() == normalized_model_signal(oef, dbv, proto, constants, cfg)[keep].tobytes()
 
     def test_tape_forward_matches_numpy(self, proto, constants):
-        # the plain-array entry point and the tape node share one body:
+        # the plain-array entry point and the training entry share one body:
         # analysis reports exactly the numbers training optimizes
         oef = np.array([0.2, 0.4, 0.6])
         dbv = np.array([0.01, 0.025, 0.05])
         for cfg in VARIANTS:
-            out = normalized_model_signal_t(
-                ad.Tensor(oef.copy()), ad.Tensor(dbv.copy()), proto, constants, cfg
-            )
-            assert np.array_equal(out.data, normalized_model_signal(oef, dbv, proto, constants, cfg))
+            out, _ = normalized_model_signal_t(oef.copy(), dbv.copy(), proto, constants, cfg)
+            assert np.array_equal(out, normalized_model_signal(oef, dbv, proto, constants, cfg))
 
     def test_negative_oef_rejected_by_both_entry_points(self, proto, constants):
         cfg = ForwardModelConfig()
         with pytest.raises(ValueError, match="non-negative"):
             normalized_model_signal(np.array([-0.1]), np.array([0.02]), proto, constants, cfg)
         with pytest.raises(ValueError, match="non-negative"):
-            normalized_model_signal_t(
-                ad.Tensor(np.array([-0.1])), ad.Tensor(np.array([0.02])), proto, constants, cfg
-            )
+            normalized_model_signal_t(np.array([-0.1]), np.array([0.02]), proto, constants, cfg)
 
     def test_dephasing_integral_gradient(self, proto, rng):
         # dI/da read from the table, against a central difference of I in dw
@@ -525,23 +522,19 @@ class TestDifferentiableTwins:
         r = rng.normal(size=(2, proto.n_t))
 
         def value(o_arr, d_arr):
-            out = normalized_model_signal_t(
-                ad.Tensor(o_arr.copy()), ad.Tensor(d_arr.copy()), proto, constants, cfg
-            )
-            return float(ad.tsum(out * ad.Tensor(r)).data)
+            return float((normalized_model_signal_t(o_arr, d_arr, proto, constants, cfg)[0] * r).sum())
 
-        to, td = ad.Tensor(oef.copy()), ad.Tensor(dbv.copy())
-        out = normalized_model_signal_t(to, td, proto, constants, cfg)
-        ad.backward(ad.tsum(out * ad.Tensor(r)))
+        _, (d_oef, d_dbv) = normalized_model_signal_t(oef.copy(), dbv.copy(), proto, constants, cfg)
+        grad_o, grad_d = (r * d_oef).sum(-1), (r * d_dbv).sum(-1)
         h = 1e-7
         for i in range(2):
             up, dn = oef.copy(), oef.copy()
             up[i] += h
             dn[i] -= h
             fd_o = (value(up, dbv) - value(dn, dbv)) / (2 * h)
-            assert_allclose(to.grad[i], fd_o, rtol=3e-5, atol=1e-10)
+            assert_allclose(grad_o[i], fd_o, rtol=3e-5, atol=1e-10)
             up, dn = dbv.copy(), dbv.copy()
             up[i] += h
             dn[i] -= h
             fd_d = (value(oef, up) - value(oef, dn)) / (2 * h)
-            assert_allclose(td.grad[i], fd_d, rtol=3e-5, atol=1e-10)
+            assert_allclose(grad_d[i], fd_d, rtol=3e-5, atol=1e-10)

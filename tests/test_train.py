@@ -1,23 +1,29 @@
 """Training-stage tests: losses against density oracles, closed-form ELBO cases,
 total-variation hand values, and end-to-end recovery at unit scale."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import chol_params
+from conftest import chol_params, model_node, signal_loglik, tape_nodes
 from numpy.testing import assert_allclose
 from scipy import stats
 
 from oximap import autodiff as ad
 from oximap import train
 from oximap.distributions import (
+    LOG_2PI,
     PARAM_OFFSET,
     PARAM_SCALE,
     ScaledLogitNormal,
+    cholesky_entries,
     forward_transform,
     inverse_transform,
     kl_monte_carlo,
+    reparameterize,
 )
 from oximap.nnet import (
+    SIGMA_IM_FLOOR,
     NetworkConfig,
     VoxelPrediction,
     collect_gradients,
@@ -30,6 +36,7 @@ from oximap.physics import (
     AcquisitionProtocol,
     ForwardModelConfig,
     PhysioConstants,
+    normalized_model_signal_t,
 )
 from oximap.synthgen import (
     PRIOR_PRESETS,
@@ -776,3 +783,210 @@ class TestFinetunePrecision:
         assert set(step_dtypes) == {np.dtype(np.float32)}
         assert set(update_dtypes) == {np.dtype(np.float64)}
         assert all(t.data.dtype == np.float64 for t in psi.tensors.values())
+
+
+VARIANTS = [ForwardModelConfig(variant=v, compartments=n) for v in ("full", "asymptotic") for n in (1, 2)]
+
+
+def likelihood_inputs(rng, proto, n=300):
+    """Normalized rows, per-tau log noise levels with a stretch of voxels
+    floored at SIGMA_IM_FLOOR, and draws of (oef, dbv) inside the box."""
+    x = rng.normal(-0.1, 0.05, (n, proto.n_t))
+    log_sigma = rng.normal(np.log(0.03), 0.5, (n, proto.n_t))
+    log_sigma[: n // 10] = np.log(SIGMA_IM_FLOOR) - 3.0
+    return x, log_sigma, rng.uniform(0.05, 0.9, n), rng.uniform(0.005, 0.15, n)
+
+
+def held_arrays(node):
+    """The arrays a node keeps: its value and the arrays in its vjp's closure."""
+    cells = node._vjp.__closure__ or () if node._vjp is not None else ()
+    return [node.data] + [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
+
+
+def gated_step_inputs(proto, grid, mask=None, width=8):
+    """A float32 gated network with open gates, a batch on grid with its mask
+    (all voxels by default) and prior rows for the masked voxels."""
+    rng = np.random.default_rng(4)
+    cfg = NetworkConfig(width=width, covariance_mode="full")
+    psi = extend_weights(init_weights(cfg, proto.n_t, rng), rng)
+    for b in range(cfg.n_blocks):
+        gate_w = psi.tensors[f"block{b}.gate.w"].data
+        gate_w[:] = rng.normal(0.0, 0.3, gate_w.shape)
+    mask = np.ones(grid, bool) if mask is None else mask
+    n = int(mask.sum())
+    prior_mu = rng.normal(0.0, 1.0, (n, 2))
+    prior_params = rng.normal(0.0, 0.3, (n, 3))
+    x = rng.normal(-0.1, 0.05, grid + (proto.n_t,))
+    return psi.astype(np.float32), x, mask, prior_mu, prior_params
+
+
+class TestLikelihoodNode:
+    # each ELBO draw is one tape node on (oef, dbv, sigma) whose vjp applies
+    # the model's partials contracted with the Gaussian likelihood's gradient;
+    # the oracle is the likelihood composed of elementary tape ops
+
+    @pytest.mark.parametrize("fwd", VARIANTS, ids=lambda f: f"{f.variant}-{f.compartments}")
+    def test_gradients_match_the_composed_oracle(self, fwd, proto_m, constants_m):
+        rng = np.random.default_rng(11)
+        x, log_sigma, oef, dbv = likelihood_inputs(rng, proto_m)
+        g = rng.normal(size=oef.shape)
+        runs = []
+        for fused in (True, False):
+            o, d, ls = ad.Tensor(oef.copy()), ad.Tensor(dbv.copy()), ad.Tensor(log_sigma.copy())
+            if fused:
+                sigma = ad.clip_min(ad.exp(ls), SIGMA_IM_FLOOR)
+                s, parts = normalized_model_signal_t(o.data, d.data, proto_m, constants_m, fwd)
+                log_norm = -0.5 * LOG_2PI - np.log(sigma.data)
+                ll = train._draw_loglik(x, s, parts, o, d, sigma, log_norm)
+                assert len(ll._parents) == 3 and ll._parents[:2] == (o, d)
+            else:
+                ll = signal_loglik(x, ls)(model_node(o, d, proto_m, constants_m, fwd))
+            ad.backward(ad.tsum(ll * g))
+            runs.append((ll.data, o.grad, d.grad, ls.grad))
+        (ll, go, gd, gs), (ll_ref, go_ref, gd_ref, gs_ref) = runs
+        assert ll.tobytes() == ll_ref.tobytes()
+        assert_allclose(go, go_ref, rtol=1e-12, atol=0)
+        assert_allclose(gd, gd_ref, rtol=1e-12, atol=0)
+        assert_allclose(gs, gs_ref, rtol=1e-12, atol=0)
+        floor = np.exp(log_sigma) <= SIGMA_IM_FLOOR
+        assert floor.any() and not np.any(gs[floor])
+
+    @pytest.mark.parametrize("cov", ["diagonal", "full"])
+    def test_expected_loglik_matches_the_composed_draws(self, cov, proto_m, constants_m):
+        # three draws through the public loop: same value bytes, the
+        # gradients of mu, the factor and the noise head within 1e-12
+        rng = np.random.default_rng(12)
+        x, log_sigma, _, _ = likelihood_inputs(rng, proto_m)
+        n = x.shape[0]
+        mask = np.ones(n, bool)
+        mu0 = rng.normal(0.0, 0.5, (n, 2))
+        p0 = rng.normal(-1.0, 0.2, (n, 3 if cov == "full" else 2))
+        fwd = ForwardModelConfig()
+        runs = []
+        for fused in (True, False):
+            mu, p, ls = ad.Tensor(mu0.copy()), ad.Tensor(p0.copy()), ad.Tensor(log_sigma.copy())
+            chol = cholesky_entries(p)
+            draws = np.random.default_rng(5)
+            if fused:
+                ll = train.expected_loglik(
+                    x, ls, mu, chol, mask,
+                    lambda o, d: normalized_model_signal_t(o, d, proto_m, constants_m, fwd), draws, 3)
+            else:
+                loglik, acc = signal_loglik(x, ls), None
+                for _ in range(3):
+                    o, d = reparameterize(mu, *chol[:3], draws.standard_normal((n, 2)))
+                    term = loglik(model_node(o, d, proto_m, constants_m, fwd))
+                    acc = term if acc is None else acc + term
+                ll = acc * (1.0 / 3)
+            ad.backward(ad.tsum(ll))
+            runs.append((ll.data, mu.grad, p.grad, ls.grad))
+        (ll, *grads), (ll_ref, *grads_ref) = runs
+        assert ll.tobytes() == ll_ref.tobytes()
+        for got, ref in zip(grads, grads_ref):
+            assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("fwd", VARIANTS, ids=lambda f: f"{f.variant}-{f.compartments}")
+    def test_nan_oef_stays_in_its_row(self, fwd, proto_m, constants_m):
+        # a diverged draw must reach the non-finite-loss check, and only its
+        # own voxel's value and gradients turn NaN
+        rng = np.random.default_rng(13)
+        x, log_sigma, oef, dbv = likelihood_inputs(rng, proto_m, n=6)
+        bad = oef.copy()
+        bad[2] = np.nan
+        runs = []
+        for o_arr in (oef, bad):
+            o, d, ls = ad.Tensor(o_arr.copy()), ad.Tensor(dbv.copy()), ad.Tensor(log_sigma.copy())
+            sigma = ad.clip_min(ad.exp(ls), SIGMA_IM_FLOOR)
+            s, parts = normalized_model_signal_t(o.data, d.data, proto_m, constants_m, fwd)
+            ll = train._draw_loglik(x, s, parts, o, d, sigma, -0.5 * LOG_2PI - np.log(sigma.data))
+            ad.backward(ad.tsum(ll))
+            runs.append((ll.data, o.grad, d.grad, ls.grad))
+        keep = [0, 1, 3, 4, 5]
+        for clean, got in zip(*runs):
+            assert np.all(np.isnan(got[2]))
+            assert got[keep].tobytes() == clean[keep].tobytes()
+        assert not np.isfinite(runs[1][0].sum())
+
+    def test_one_node_per_draw_and_one_array_per_draw_on_the_tape(self, proto_m, constants_m):
+        # the tape of the step's loss: per draw, one node on (oef, dbv, sigma),
+        # and at most one more distinct (masked voxels, taus) array held in the
+        # nodes' values and vjp closures; the composed chain held eight more
+        mask = np.ones((2, 7, 6), bool)
+        mask[0, :3, :2] = False
+        psi, x, mask, prior_mu, prior_params = gated_step_inputs(proto_m, mask.shape, mask)
+        shape = (int(mask.sum()), proto_m.n_t)
+        counts = {}
+        for n_draws in (1, 3):
+            cfg = TrainingConfig.finetune_defaults(n_samples_elbo=n_draws)
+            loss = train._elbo_core(psi, x, mask, prior_mu, prior_params, proto_m, constants_m,
+                                    ForwardModelConfig(), cfg, np.random.default_rng(1))[0]
+            nodes = tape_nodes(loss)
+            draws = [n for n in nodes if len(n._parents) == 3 and n.data.shape == shape[:1]]
+            assert len(draws) == n_draws
+            sigma = draws[0]._parents[2]
+            assert sigma.data.shape == shape
+            for node in draws:
+                oef, dbv, sig = node._parents
+                assert sig is sigma and oef.data.shape == dbv.data.shape == shape[:1]
+            held = {id(a): a for node in nodes for a in held_arrays(node)
+                    if a.shape == shape and a.dtype == np.float64}
+            counts[n_draws] = len(held)
+        assert counts[3] - counts[1] <= 2, counts
+
+    def test_tape_memory_grows_by_at_most_one_and_a_half_arrays_per_draw(self, constants_m):
+        # the tracemalloc peak of a step's ELBO and backward, 1 against 8
+        # draws. A draw also keeps (masked voxels,) vectors that do not scale
+        # with the tau count: the noise, the reparameterization's nodes, the
+        # node's two contractions and value, the running sum. So the growth
+        # per added draw is measured at two tau counts, and its part that
+        # scales with them is counted in (masked voxels, taus) float64 arrays.
+        # Measured: 0.9-1.0 arrays with one node per draw, 8.9 for the chain
+        # of tape ops it replaced.
+        fwd = ForwardModelConfig()
+
+        def growth(proto):
+            psi, x, mask, prior_mu, prior_params = gated_step_inputs(proto, (4, 25, 25))
+
+            def peak(n_draws):
+                cfg = TrainingConfig.finetune_defaults(n_samples_elbo=n_draws)
+                tracemalloc.start()
+                try:
+                    loss = train._elbo_core(psi, x, mask, prior_mu, prior_params, proto,
+                                            constants_m, fwd, cfg, np.random.default_rng(1))[0]
+                    collect_gradients(psi, loss)
+                    del loss
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+            peak(1)  # the kernel table and any lazy set-up, outside the measure
+            return (peak(8) - peak(1)) / 7 / (mask.sum() * 8)  # float64 vectors per draw
+
+        short = AcquisitionProtocol()
+        long = AcquisitionProtocol(tau=tuple(np.round(np.arange(-16, 72, 4) * 1e-3, 6)))
+        per_tau = (growth(long) - growth(short)) / (long.n_t - short.n_t)
+        assert per_tau <= 1.5, per_tau
+
+
+class TestFullMaskRows:
+    def test_full_mask_takes_views_with_identical_results(self, proto_m, constants_m,
+                                                          monkeypatch):
+        # every voxel masked: the rows are reshape views, and the loss and
+        # gradients are byte-identical to gathering them by the mask
+        psi, x, mask, prior_mu, prior_params = gated_step_inputs(proto_m, (3, 6, 5))
+        cfg = TrainingConfig.finetune_defaults(n_samples_elbo=2)
+
+        def step():
+            loss = train._elbo_core(psi, x, mask, prior_mu, prior_params, proto_m, constants_m,
+                                    ForwardModelConfig(), cfg, np.random.default_rng(1))[0]
+            gathers = [n for n in tape_nodes(loss) if any(
+                a.dtype == bool and a.shape == mask.shape for a in held_arrays(n)[1:])]
+            return loss.data.tobytes(), collect_gradients(psi, loss), len(gathers)
+
+        loss, grads, gathers = step()
+        monkeypatch.setattr(train, "_masked_rows", lambda a, m: a[m])
+        loss_ref, grads_ref, gathers_ref = step()
+        assert gathers == 0 and gathers_ref > 0
+        assert loss == loss_ref
+        for name, g in grads_ref.items():
+            assert grads[name].tobytes() == g.tobytes(), name
