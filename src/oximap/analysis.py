@@ -194,14 +194,12 @@ def elbo_map(
         raise ValueError("n_samples must be >= 1")
     if not np.array_equal(priors.mask, vol.mask):
         raise ValueError("priors are not aligned with the volume grid and mask")
-    if not vol.mask.any():
-        return np.full(vol.grid_shape, np.nan)
     dist, log_sigma = _masked_posterior(weights, vol) if _posterior is None else _posterior
     m = planes_first(vol.mask)
     with ad.recording_off():
         chol = cholesky_entries(dist.sigma_l_params)
         ll_vox = expected_loglik(
-            planes_first(vol.data)[m], log_sigma, dist.mu, chol, m,
+            planes_first(vol.data)[m], log_sigma, dist.mu, chol,
             lambda oef, dbv: (normalized_model_signal(oef, dbv, proto, constants, fwd_cfg), None),
             rng, n_samples,
         )

@@ -10,10 +10,11 @@ Two such distributions share the box, so their KL divergence equals the
 Gaussian KL of their bases, which is available in closed form; a Monte
 Carlo estimate is kept as a cross-check.
 
-The box map, the reparameterized draw, the log-density, the Cholesky
-read-out of the encoder's covariance head and the KL each have one body
-that takes arrays or tape tensors: training runs them on the tape, analysis
-under ad.recording_off().
+The box map, the log-density, the Cholesky read-out of the encoder's
+covariance head and the KL each have one body that takes arrays or tape
+tensors: training runs them on the tape, analysis under ad.recording_off().
+The reparameterized draw and the box map's slope take arrays, in training
+too, where the ELBO's likelihood node carries their gradient.
 """
 
 from __future__ import annotations
@@ -42,6 +43,13 @@ def forward_transform(beta):
     """Map logit-space coordinates into the open parameter box (arrays)."""
     with ad.recording_off():
         return to_box(np.asarray(beta, dtype=np.float64)).data
+
+
+def box_slope(y):
+    """The box map's slope d y / d beta = PARAM_SCALE * yhat * (1 - yhat) at
+    box coordinates y (..., 2), yhat = (y - PARAM_OFFSET) / PARAM_SCALE."""
+    yhat = (y - PARAM_OFFSET) / PARAM_SCALE
+    return PARAM_SCALE * yhat * (1.0 - yhat)
 
 
 def inverse_transform(y):
@@ -84,8 +92,7 @@ def neg_log_density(mu, p, y):
     """
     y = np.asarray(y, dtype=np.float64)
     beta = inverse_transform(y)
-    yhat = (y - PARAM_OFFSET) / PARAM_SCALE
-    log_jac = np.log(PARAM_SCALE * yhat * (1.0 - yhat)).sum(axis=-1)
+    log_jac = np.log(box_slope(y)).sum(axis=-1)
 
     q0 = p[..., 0]
     q1 = p[..., 1]
@@ -133,28 +140,17 @@ class ScaledLogitNormal:
 
     def transform_noise(self, z):
         """Push given standard-normal noise through the reparameterization."""
-        z = np.asarray(z, dtype=np.float64)
         with ad.recording_off():
             l00, l10, l11, _, _ = cholesky_entries(self.sigma_l_params)
-            y0, y1 = reparameterize(self.mu, l00, l10, l11, z)
-        return np.stack([y0.data, y1.data], axis=-1)
+        return reparameterize(self.mu, l00.data, l10, l11.data, np.asarray(z, dtype=np.float64))
 
 
 def reparameterize(mu, l00, l10, l11, z):
-    """The reparameterized draw y = to_box(mu + L z), per component.
-
-    L = [[l00, 0], [l10, l11]] and z is standard-normal noise with a
-    trailing axis of 2. mu and the entries of L may be arrays or tape
-    tensors; returns the two box coordinates (oef, dbv) as tape tensors.
-    """
-    b0 = mu[..., 0] + l00 * z[..., 0]
-    b1 = mu[..., 1] + l10 * z[..., 0] + l11 * z[..., 1]
-    # the box map per component: stacking b0 and b1 for to_box would copy
-    # every draw once more and add two tape nodes per training draw
-    return (
-        PARAM_SCALE[0] * ad.logistic(b0) + PARAM_OFFSET[0],
-        PARAM_SCALE[1] * ad.logistic(b1) + PARAM_OFFSET[1],
-    )
+    """The reparameterized draw y = to_box(mu + L z) on arrays: box
+    coordinates (..., 2) of standard-normal noise z (..., 2), with
+    L = [[l00, 0], [l10, l11]] given by its entries."""
+    beta = np.stack([mu[..., 0] + l00 * z[..., 0], mu[..., 1] + l10 * z[..., 0] + l11 * z[..., 1]], axis=-1)
+    return forward_transform(beta)
 
 
 def kl_cholesky(mu_q, l00, l10, l11, log_l00, log_l11, mu_p, p_params):

@@ -458,7 +458,11 @@ def load_checkpoint(path) -> EncoderWeights:
             raise CheckpointFormatError("checkpoint truncated inside tensor table") from None
         except UnicodeDecodeError:
             raise CheckpointFormatError("checkpoint tensor name is not valid UTF-8") from None
+        if name in tensors:
+            raise CheckpointFormatError(f"checkpoint repeats tensor {name!r}")
         tensors[name] = ad.Tensor(data.reshape(shape).astype(np.float64))
+    if offset != len(raw):
+        raise CheckpointFormatError(f"checkpoint has {len(raw) - offset} bytes after its tensor table")
     # the names and shapes a network of this config has, from the code that builds one
     layout = init_weights(replace(cfg, spatial_mode="voxelwise"), n_t, np.random.default_rng(0))
     if cfg.spatial_mode == "gated-residual":

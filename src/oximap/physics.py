@@ -12,9 +12,9 @@ All signal functions broadcast over leading axes of oef/dbv arrays and
 return arrays whose trailing axis runs over the acquisition's tau offsets.
 The model is written once, on arrays (_model), with closed-form partials in
 oef and dbv: the plain-array functions return its signal, and
-normalized_model_signal_t returns the signal with its partials, which the
-training loss contracts with the likelihood's gradient inside one tape node
-per draw; so training and analysis evaluate the same arithmetic.
+normalized_model_signal_t the signal with its partials, which the ELBO's one
+likelihood node contracts with the likelihood's gradient; so training and
+analysis evaluate the same arithmetic.
 I and dI/da are read from a table built by static_dephasing_integral's rule.
 """
 
@@ -290,7 +290,7 @@ def blood_signal(proto: AcquisitionProtocol, c: PhysioConstants) -> np.ndarray:
 
 def blood_volume_weight(dbv, proto: AcquisitionProtocol, c: PhysioConstants):
     """Effective blood signal fraction: steady-state magnetization * spin density * dbv
-    (a number, an array or a tape tensor)."""
+    (a number or an array)."""
     mb = steady_state_magnetization(proto.tr, proto.ti, c.t1_blood)
     return float(mb * c.blood_spin_density) * dbv
 
@@ -374,8 +374,7 @@ def _model(oef, dbv, proto, c, cfg: ForwardModelConfig, normalized: bool, grad: 
 def normalized_model_signal_t(oef, dbv, proto, c, cfg: ForwardModelConfig):
     """Clean model signal in normalized (spin-echo log-ratio) space and its
     partials in oef and dbv, from arrays: (signal, (d/d oef, d/d dbv)), each
-    (..., n_t) and freshly allocated. The training loss contracts them with
-    the likelihood's gradient in its own tape node."""
+    (..., n_t) and freshly allocated, as train.expected_loglik takes them."""
     return _model(oef, dbv, proto, c, cfg, normalized=True, grad=True)
 
 

@@ -288,6 +288,8 @@ def load_dataset(path) -> SynthDataset:
     need = _HEADER.size + 4 * (n * n_t + 2 * n + n)
     if len(raw) < need:
         raise DatasetFormatError(f"dataset file truncated: {len(raw)} bytes < {need} expected")
+    if len(raw) > need:
+        raise DatasetFormatError(f"dataset file has {len(raw) - need} bytes after its data")
     body = np.frombuffer(raw, dtype="<f4", count=n * n_t + 3 * n, offset=_HEADER.size)
     signals = body[: n * n_t].reshape(n, n_t).astype(np.float64)
     truths = body[n * n_t : n * n_t + 2 * n].reshape(n, 2).astype(np.float64)

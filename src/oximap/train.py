@@ -27,6 +27,7 @@ from . import autodiff as ad
 from .distributions import (
     LOG_2PI,
     ScaledLogitNormal,
+    box_slope,
     cholesky_entries,
     kl_cholesky,
     neg_log_density,
@@ -240,58 +241,57 @@ def compute_prior_maps(theta: EncoderWeights, vol: Volume4D) -> PriorMaps:
 # negative ELBO --------------------------------------------------------
 
 
-def _draw_loglik(x, s, parts, oef, dbv, sigma, log_norm):
-    """One draw's per-voxel diagonal-Gaussian log-likelihood of the normalized
-    signals x, summed over tau, given the model signal s (overwritten) and
-    its partials parts = (d/d oef, d/d dbv), or None off the tape.
-
-    With partials it is one tape node on (oef, dbv, sigma): the partials are
-    contracted with the likelihood's gradient q = (x - s) / sigma^2 at once,
-    so the node keeps a_oef = sum_t q d_oef, a_dbv = sum_t q d_dbv and, in
-    the residual's buffer, w = (res^2 - 1) / sigma, where -1/sigma is
-    log_norm's share; the partials and every other temporary are freed.
-    """
-    res = np.subtract(x, s, out=s)
-    res /= sigma.data
-    half = res * res
-    half *= 0.5
-    ll = np.subtract(log_norm, half, out=half).sum(axis=-1)
-    if parts is None:
-        return ad.Tensor(ll)
-    q = np.divide(res, sigma.data, out=half)
-    a_oef, a_dbv = (np.einsum("...t,...t->...", q, p) for p in parts)
-    w = res
-    w *= res
-    w -= 1.0
-    w /= sigma.data
-    return ad.custom(ll, (oef, dbv, sigma), lambda g: (g * a_oef, g * a_dbv, g[..., None] * w))
-
-
-def expected_loglik(x, log_sigma_im, mu, chol, mask, model, rng, n):
+def expected_loglik(x, log_sigma_im, mu, chol, model, rng, n):
     """Mean over n reparameterized draws of the per-voxel diagonal-Gaussian
-    log-likelihood of the masked rows x, summed over tau, given the per-tau
-    log noise levels log_sigma_im and mu, whose factor chol is what
-    cholesky_entries returns.
+    log-likelihood of the rows x, summed over tau, given their per-tau log
+    noise levels log_sigma_im (sigma, floored at SIGMA_IM_FLOOR) and mu with
+    the factor chol that cholesky_entries returns.
 
-    model(oef, dbv) takes the draw's arrays and returns a fresh model signal
-    with its partials in oef and dbv, or with None in their place off the
-    tape; each draw is then one tape node on (oef, dbv, sigma). The noise
-    std sigma is exp(log_sigma_im) floored at SIGMA_IM_FLOOR, evaluated once,
-    not per draw. Each draw's noise is drawn on mask's whole grid and
-    gathered to its masked rows, so generators seeded alike replay the same
-    draws. The training loss runs it on the tape, the ELBO map under
-    ad.recording_off().
+    Each draw runs on arrays, its noise drawn per row, so generators seeded
+    alike replay the same draws. model(oef, dbv) returns a fresh model
+    signal and its partials in oef and dbv, or None for them off the tape.
+    On the tape the result is one node on (mu, l00, l10, l11, sigma) for any
+    n: each draw carries the partials' contraction with the likelihood's
+    gradient through the box map's slope and L z into per-row sums, and
+    adds res^2 - 1 (sigma times its gradient in sigma) into one (rows, taus)
+    array.
     """
     sigma = ad.clip_min(ad.exp(log_sigma_im), SIGMA_IM_FLOOR)
     log_norm = -0.5 * LOG_2PI - np.log(sigma.data)
-    acc = None
+    mu_a, l00, l10, l11 = (ad.as_tensor(t).data for t in (mu, *chol[:3]))
+    acc = sums = None
     for _ in range(n):
-        z = rng.standard_normal(mask.shape + (2,))[mask]
-        oef, dbv = reparameterize(mu, *chol[:3], z)
-        # no name here holds the signal or its partials: they are freed with the draw
-        ll = _draw_loglik(x, *model(oef.data, dbv.data), oef, dbv, sigma, log_norm)
+        z = rng.standard_normal(mu_a.shape)
+        y = reparameterize(mu_a, l00, l10, l11, z)
+        res, parts = model(y[..., 0], y[..., 1])
+        np.subtract(x, res, out=res)
+        res /= sigma.data
+        q = res * res
+        q *= 0.5
+        ll = np.subtract(log_norm, q, out=q).sum(axis=-1)
         acc = ll if acc is None else acc + ll
-    return acc * (1.0 / n)
+        if parts is not None:
+            np.divide(res, sigma.data, out=q)
+            # d ll / d (mu + L z), then its products with z for L's entries
+            c = np.stack([np.einsum("...t,...t->...", q, p) for p in parts], axis=-1) * box_slope(y)
+            res *= res
+            res -= 1.0
+            terms = (c, c[..., :, None] * z[..., None, :], res)
+            sums = terms if sums is None else [np.add(t, u, out=t) for t, u in zip(sums, terms)]
+        del res, parts, q  # freed before the next draw's model call
+    ll = acc * (1.0 / n)
+    if sums is None:
+        return ad.Tensor(ll)
+    g_mu, g_l, w = sums
+    w /= sigma.data
+
+    def vjp(g):
+        g = g * (1.0 / n)
+        g_lz = g[..., None, None] * g_l  # a diagonal factor's l10 is the number 0.0: no gradient
+        return (g[..., None] * g_mu, g_lz[..., 0, 0], g_lz[..., 1, 0] if np.ndim(l10) else None,
+                g_lz[..., 1, 1], g[..., None] * w)
+
+    return ad.custom(ll, (mu, *chol[:3], sigma), vjp)
 
 
 def _masked_rows(a, mask):
@@ -324,7 +324,7 @@ def _elbo_core(psi, x_arr, mask_arr, prior_mu, prior_params, proto, constants, f
     kl_vox = kl_cholesky(mu_m, *chol, prior_mu, prior_params)
     ll_vox = expected_loglik(
         _masked_rows(x_arr, mask_arr), _masked_rows(pred.log_sigma_im, mask_arr), mu_m, chol,
-        mask_arr, lambda oef, dbv: normalized_model_signal_t(oef, dbv, proto, constants, fwd_cfg),
+        lambda oef, dbv: normalized_model_signal_t(oef, dbv, proto, constants, fwd_cfg),
         rng, cfg.n_samples_elbo,
     )
 

@@ -76,7 +76,7 @@ def model_node(oef, dbv, proto, constants, fwd):
 def signal_loglik(x, log_sigma_im):
     """The per-voxel diagonal-Gaussian log-likelihood of x summed over tau,
     composed of elementary tape ops, as a function of the model signal: the
-    oracle of the loss's one node per draw. The noise std is exp(log_sigma_im)
+    oracle of the loss's likelihood node. The noise std is exp(log_sigma_im)
     floored at SIGMA_IM_FLOOR."""
     sigma = ad.clip_min(ad.exp(log_sigma_im), SIGMA_IM_FLOOR)
     log_norm = -0.5 * LOG_2PI - ad.log(sigma)
@@ -86,6 +86,21 @@ def signal_loglik(x, log_sigma_im):
         return ad.tsum(log_norm - 0.5 * (res * res), axis=-1)
 
     return loglik
+
+
+def composed_expected_loglik(x, log_sigma_im, mu, l00, l10, l11, noise, proto, constants, fwd):
+    """The oracle of train.expected_loglik, composed of elementary tape ops:
+    the mean of signal_loglik over the draws to_box(mu + L z), one per
+    standard-normal array z in noise, with L = [[l00, 0], [l10, l11]]."""
+    loglik, acc = signal_loglik(x, log_sigma_im), None
+    for z in noise:
+        b0 = mu[..., 0] + l00 * z[..., 0]
+        b1 = mu[..., 1] + l10 * z[..., 0] + l11 * z[..., 1]
+        oef = PARAM_SCALE[0] * ad.logistic(b0) + PARAM_OFFSET[0]
+        dbv = PARAM_SCALE[1] * ad.logistic(b1) + PARAM_OFFSET[1]
+        term = loglik(model_node(oef, dbv, proto, constants, fwd))
+        acc = term if acc is None else acc + term
+    return acc * (1.0 / len(noise))
 
 
 def tape_nodes(*outs):

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from conftest import chol_params, model_node, quad_std, signal_loglik
+from conftest import chol_params, composed_expected_loglik, quad_std
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
@@ -32,7 +32,6 @@ from oximap.distributions import (
     ScaledLogitNormal,
     forward_transform,
     kl_cholesky,
-    reparameterize,
 )
 from oximap.nnet import (
     NetworkConfig,
@@ -166,6 +165,14 @@ class TestElboMap:
                      np.random.default_rng(0), 4)
         assert np.isnan(m[~mask]).all()
         assert np.isfinite(m[mask]).all()
+
+    @pytest.mark.parametrize("fwd", [ForwardModelConfig(), FWD1], ids=["full", "asymptotic"])
+    def test_empty_mask_gives_all_nan(self, theta16, proto_m, constants_m, fwd):
+        # zero masked rows run the same code as any other count
+        vol = Volume4D(np.zeros((3, 3, 2, 11)), np.zeros((3, 3, 2), bool))
+        m = elbo_map(theta16, vol, compute_prior_maps(theta16, vol), proto_m, constants_m, fwd,
+                     np.random.default_rng(0), 4)
+        assert m.shape == vol.grid_shape and np.isnan(m).all()
 
     def test_artifact_voxels_score_low(self, theta16, phantom_vol, proto_m, constants_m):
         rng = np.random.default_rng(3)
@@ -381,20 +388,22 @@ class TestMarginalStd:
 def full_grid_loss(psi, x, mask, prior_mu, prior_params, proto, constants, fwd, n_draws, rng):
     """Reference negative ELBO: every grid voxel goes through the KL, the
     draws, the forward model and the composed likelihood, then a 0/1 mask
-    weights the sums. Same generator calls as the training loss."""
+    weights the sums. Same generator calls as the training loss: each draw's
+    noise per masked row, and none off the mask."""
     pred = encoder_forward(psi, ad.Tensor(x))
     mu, p = pred.mu_l, pred.sigma_l_params
     q0, q1 = p[..., 0], p[..., 1]
     l00, l11 = ad.exp(q0), ad.exp(q1)
     l10 = p[..., 2] if psi.config.covariance_mode == "full" else 0.0
     kl = kl_cholesky(mu, l00, l10, l11, q0, q1, prior_mu, prior_params)
-    loglik = signal_loglik(x, pred.log_sigma_im)
-    ll = 0.0
+    noise = []
     for _ in range(n_draws):
-        oef, dbv = reparameterize(mu, l00, l10, l11, rng.standard_normal(mask.shape + (2,)))
-        ll = ll + loglik(model_node(oef, dbv, proto, constants, fwd))
+        z = np.zeros(mask.shape + (2,))
+        z[mask] = rng.standard_normal((int(mask.sum()), 2))
+        noise.append(z)
+    ll = composed_expected_loglik(x, pred.log_sigma_im, mu, l00, l10, l11, noise, proto, constants, fwd)
     w = mask.astype(np.float64) / mask.sum()
-    return ad.tsum(kl * w) - ad.tsum(ll * (1.0 / n_draws) * w)
+    return ad.tsum(kl * w) - ad.tsum(ll * w)
 
 
 GRID = (2, 4, 4)  # planes, h, w

@@ -1,5 +1,7 @@
 """Encoder network, optimizer, and checkpoint tests against hand-computed oracles."""
 
+import struct
+
 import numpy as np
 import pytest
 from conftest import tape_nodes
@@ -11,6 +13,7 @@ from oximap import autodiff as ad
 from oximap import train
 from oximap.distributions import inverse_transform
 from oximap.nnet import (
+    _CKPT_HEAD,
     CHECKPOINT_MAGIC,
     INPUT_GAIN,
     AdamWState,
@@ -601,6 +604,26 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 6])
         with pytest.raises(CheckpointFormatError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_error_repeated_tensor(self, tmp_path):
+        w = small_net()
+        path = tmp_path / "w.ckpt"
+        save_checkpoint(w, path)
+        raw = bytearray(path.read_bytes())
+        count = _CKPT_HEAD.size - 4  # the u32 tensor count ends the header
+        raw[count:] = (len(w.tensors) + 1).to_bytes(4, "little") + raw[count + 4 :]
+        b = w.tensors["mu.b"].data
+        raw += struct.pack("<H", 4) + b"mu.b" + struct.pack("<BI", 1, b.size) + b.astype("<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointFormatError, match="repeats tensor 'mu.b'"):
+            load_checkpoint(path)
+
+    def test_error_bytes_after_the_table(self, tmp_path):
+        path = tmp_path / "w.ckpt"
+        save_checkpoint(small_net(), path)
+        path.write_bytes(path.read_bytes() + bytes(16))
+        with pytest.raises(CheckpointFormatError, match="16 bytes after"):
             load_checkpoint(path)
 
     def test_error_name_not_utf8(self, tmp_path):

@@ -323,5 +323,12 @@ class TestDatasetContainer:
         with pytest.raises(DatasetFormatError, match="truncated"):
             load_dataset(path)
 
+    def test_error_bytes_after_the_data(self, tmp_path, proto, constants):
+        path = tmp_path / "long.bin"
+        save_dataset(self.make_ds(proto, constants, n=10), path)
+        path.write_bytes(path.read_bytes() + bytes(4))
+        with pytest.raises(DatasetFormatError, match="4 bytes after"):
+            load_dataset(path)
+
     def test_magic_value(self):
         assert DATASET_MAGIC == b"OXIDSET1"
