@@ -153,7 +153,7 @@ def _masked_posterior(weights: EncoderWeights, vol: Volume4D):
     grid, since the gated conv reads neighbours."""
     m = planes_first(vol.mask)
     with ad.recording_off():
-        pred = encoder_forward(weights.astype(COMPUTE_DTYPE), ad.Tensor(planes_first(vol.data)))
+        pred = encoder_forward(weights.astype(COMPUTE_DTYPE), planes_first(vol.data))
     dist = prediction_to_distribution(pred, weights.config.covariance_mode)
     return ScaledLogitNormal(dist.mu[m], dist.sigma_l_params[m]), pred.log_sigma_im.data[m]
 

@@ -4,7 +4,7 @@ A Tensor wraps a float32 or float64 ndarray plus the closure needed to
 push a cotangent back to its parents; any other input, Python numbers
 included, becomes float64. Ops compute under NumPy's promotion rules, so
 a float64 operand, even a 0-d one made from a Python number, upcasts a
-float32 graph; `cast` moves a value between the two dtypes on the tape.
+float32 graph.
 Graphs are built eagerly by the op functions below and differentiated by
 `backward`. The op set is exactly what the encoder, losses, and forward
 models need; everything runs on plain numpy so results are deterministic
@@ -147,20 +147,6 @@ def zero_grads(tensors):
     """Clear .grad on an iterable of tensors."""
     for t in tensors:
         t.grad = None
-
-
-def cast(a, dtype):
-    """a as float32 or float64; a itself when it already has that dtype, so a
-    graph in one precision gains no node. The vjp returns the cotangent in
-    a's own dtype."""
-    a = as_tensor(a)
-    dtype = np.dtype(dtype)
-    if dtype not in _FLOAT_DTYPES:
-        raise ValueError(f"cast supports float32 and float64, not {dtype}")
-    if a.data.dtype == dtype:
-        return a
-    source = a.data.dtype
-    return Tensor(a.data.astype(dtype), (a,), lambda g: (g.astype(source),))
 
 
 # elementwise arithmetic ---------------------------------------------

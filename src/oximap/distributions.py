@@ -12,14 +12,16 @@ Carlo estimate is kept as a cross-check.
 
 The box map, the log-density, the Cholesky read-out of the encoder's
 covariance head and the KL each have one body that takes arrays or tape
-tensors: training runs them on the tape, analysis under ad.recording_off().
-The reparameterized draw and the box map's slope take arrays, in training
-too, where the ELBO's likelihood node carries their gradient.
+tensors: training runs them on the tape, analysis under ad.recording_off();
+on the tape the log-density is one node with a closed-form vjp. The
+reparameterized draw and the box map's slope take arrays, in training too,
+where the ELBO's likelihood node carries their gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -82,28 +84,55 @@ def cholesky_entries(p):
     return l00, l10, l11, log_l00, log_l11
 
 
-def neg_log_density(mu, p, y):
+class BoxLogits(NamedTuple):
+    """Box coordinates as the log-density reads them: their logits beta
+    (..., 2) and the log-Jacobian log|dy/dbeta| summed over (oef, dbv)."""
+
+    beta: np.ndarray
+    log_jac: np.ndarray
+
+
+def box_logits(y) -> BoxLogits:
+    """The BoxLogits of box coordinates y (..., 2); raises if y leaves the open box."""
+    y = np.asarray(y, dtype=np.float64)
+    return BoxLogits(inverse_transform(y), np.log(box_slope(y)).sum(axis=-1))
+
+
+def neg_log_density(mu, p, y, *, mean):
     """Exact -log q(y) at box coordinates y (..., 2) of the scaled
     logit-normal with logit mean mu and Cholesky factor p in the layout of
-    cholesky_entries; broadcasts over leading axes.
+    cholesky_entries; broadcasts over leading axes. With mean, the result
+    is the mean over every leading axis.
 
-    mu and p may be arrays or tape tensors; the result is a tape tensor.
-    Raises if y leaves the open box.
+    y may also be the BoxLogits of the coordinates, computed once for
+    reuse. mu and p may be arrays or tape tensors; the result is one tape
+    node on (mu, p) whose vjp is the closed-form gradient. Raises if y
+    leaves the open box.
     """
-    y = np.asarray(y, dtype=np.float64)
-    beta = inverse_transform(y)
-    log_jac = np.log(box_slope(y)).sum(axis=-1)
+    beta, log_jac = y if isinstance(y, BoxLogits) else box_logits(y)
+    mu, p = ad.as_tensor(mu), ad.as_tensor(p)
+    m, q = mu.data, p.data
+    full = q.shape[-1] == 3
+    # whitened residuals w = L^-1 (beta - mu), L = [[e^q0, 0], [l10, e^q1]]
+    e0 = np.exp(-q[..., 0])
+    e1 = np.exp(-q[..., 1])
+    w0 = (beta[..., 0] - m[..., 0]) * e0
+    r1 = beta[..., 1] - m[..., 1]
+    w1 = (r1 - q[..., 2] * w0 if full else r1) * e1
+    out = LOG_2PI + q[..., 0] + q[..., 1] + 0.5 * (w0 * w0 + w1 * w1) + log_jac
+    if mean:
+        out = out.sum() * (1.0 / out.size)
 
-    q0 = p[..., 0]
-    q1 = p[..., 1]
-    r0 = ad.as_tensor(beta[..., 0]) - mu[..., 0]
-    r1 = ad.as_tensor(beta[..., 1]) - mu[..., 1]
-    w0 = r0 * ad.exp(-q0)
-    if p.shape[-1] == 3:
-        w1 = (r1 - p[..., 2] * w0) * ad.exp(-q1)
-    else:
-        w1 = r1 * ad.exp(-q1)
-    return LOG_2PI + q0 + q1 + 0.5 * (w0 * w0 + w1 * w1) + log_jac
+    def vjp(g):
+        if mean:
+            g = g * (1.0 / w0.size)
+        # d/dw0 through w0 itself and, on a full factor, through w1
+        a0 = w0 - w1 * q[..., 2] * e1 if full else w0
+        g_mu = np.stack([-a0 * e0, -w1 * e1], axis=-1)
+        cols = [1.0 - a0 * w0, 1.0 - w1 * w1] + ([-w1 * w0 * e1] if full else [])
+        return g[..., None] * g_mu, g[..., None] * np.stack(cols, axis=-1)
+
+    return ad.custom(out, (mu, p), vjp)
 
 
 @dataclass
@@ -132,7 +161,7 @@ class ScaledLogitNormal:
     def log_prob(self, y):
         """Exact log-density at box coordinates y (broadcast over leading axes)."""
         with ad.recording_off():
-            return -neg_log_density(self.mu, self.sigma_l_params, y).data
+            return -neg_log_density(self.mu, self.sigma_l_params, y, mean=False).data
 
     def sample(self, rng: np.random.Generator, n: int):
         """n reparameterized draws f(mu + L z), z standard normal, on a new leading axis."""

@@ -19,17 +19,22 @@ of the grid, in or out of the mask. A voxel's output then depends on the
 batch it is evaluated with and on the field of view.
 
 Gate parameters start at zero, so a freshly extended network stays close to
-the voxelwise one (g = logistic(gate_offset)). Each gated block is one tape
-node with a hand-written vector-Jacobian product (_gated_block).
+the voxelwise one (g = logistic(gate_offset)).
+
+Every block, voxelwise or gated, is one tape node with a hand-written
+vector-Jacobian product (_block), and the three heads are one more
+(_heads), read through one slice per head. The encoder's input is a
+constant: it is gained and cast as an array, and the first block returns
+no input gradient.
 
 The hidden blocks and heads compute in the weights' dtype, float32 or
-float64: the gained input is cast to it on the way in and the three head
-outputs are cast to float64 on the way out, so whatever reads a
-VoxelPrediction computes in float64 either way. Every encoder pass the
-library runs (pretraining and fine-tuning steps, prior maps, inference)
-runs a COMPUTE_DTYPE copy of weights kept in float64: the optimizer's
-weights, moments and the SWA average stay float64, and a network and its
-float32 checkpoint give the same outputs.
+float64: the gained input is cast to it on the way in and the heads node
+casts its output to float64, so whatever reads a VoxelPrediction computes
+in float64 either way. Every encoder pass the library runs (pretraining
+and fine-tuning steps, prior maps, inference) runs a COMPUTE_DTYPE copy of
+weights kept in float64. The optimizer runs on flat float64 vectors (the
+weights, gradient, moments and SWA average; EncoderWeights.flatten and
+on_flat), and a network and its float32 checkpoint give the same outputs.
 """
 
 from __future__ import annotations
@@ -106,11 +111,23 @@ class EncoderWeights:
     def arrays(self) -> dict[str, np.ndarray]:
         return {k: t.data for k, t in self.tensors.items()}
 
+    def flatten(self, dtype) -> np.ndarray:
+        """Every tensor's values, in order, concatenated into one new vector
+        of dtype."""
+        return np.concatenate([t.data.ravel() for t in self.tensors.values()], dtype=dtype)
+
+    def on_flat(self, flat: np.ndarray) -> "EncoderWeights":
+        """The same network on the values of a vector laid out as flatten
+        lays them out: each tensor views its slice, in the vector's dtype."""
+        tensors, start = {}, 0
+        for k, t in self.tensors.items():
+            tensors[k] = ad.Tensor(flat[start : start + t.data.size].reshape(t.data.shape))
+            start += t.data.size
+        return EncoderWeights(self.config, self.n_t, tensors)
+
     def astype(self, dtype) -> "EncoderWeights":
         """A copy with every tensor in dtype (float32 or float64)."""
-        return EncoderWeights(
-            self.config, self.n_t, {k: ad.Tensor(t.data.astype(dtype)) for k, t in self.tensors.items()}
-        )
+        return self.on_flat(self.flatten(dtype))
 
     @property
     def dtype(self) -> np.dtype:
@@ -195,84 +212,123 @@ def _tap_windows(h: int, w: int):
     return taps
 
 
-def _gated_block(h: ad.Tensor, t: dict, b: int, cfg: NetworkConfig) -> ad.Tensor:
-    """One gated-residual block as a single tape node:
-    softplus(h W + b) + g * conv3x3x1(h), on (B, h, w, C) input.
+def _block(h, t: dict, b: int, cfg: NetworkConfig) -> ad.Tensor:
+    """Hidden block b as a single tape node: softplus(h W + b), plus
+    g * conv3x3x1(h) on (B, h, w, C) input in gated-residual mode.
 
-    The conv and gate weights of each tap sit side by side in one (C, F + 1)
-    matrix, so the nine shifted window products accumulate the conv output
-    and the gate pre-activation (last column) together; no zero-padded copy
-    and no (..., 9C) neighbourhood array is formed, forward or backward.
+    h is a tape tensor or, for the first block, the gained input array,
+    which gets no gradient. The conv and gate weights of each tap sit side
+    by side in one (C, F + 1) matrix, so the nine shifted window products
+    accumulate the conv output and the gate pre-activation (last column)
+    together; no zero-padded copy and no (..., 9C) neighbourhood array is
+    formed, forward or backward.
     """
-    params = [t[f"block{b}.{n}"] for n in ("w", "b", "conv.w", "gate.w", "gate.b")]
-    w, bias, conv_w, gate_w, gate_b = (p.data for p in params)
-    x = h.data
+    gated = cfg.spatial_mode == "gated-residual"
+    params = [t[f"block{b}.{n}"] for n in (("w", "b", "conv.w", "gate.w", "gate.b") if gated else ("w", "b"))]
+    w, bias = params[0].data, params[1].data
+    on_tape = isinstance(h, ad.Tensor)
+    x = h.data if on_tape else h
     n_c, n_f = w.shape
-    taps = _tap_windows(*x.shape[1:3])
-    tap_w = np.concatenate([conv_w, gate_w], axis=1)
 
-    base, slope = ad.softplus_parts(x @ w + bias)
-    acc = x @ tap_w[4 * n_c : 5 * n_c]  # the centre tap covers the whole grid
-    for k, (out_ix, src_ix) in enumerate(taps):
-        if k != 4:
-            acc[out_ix] += x[src_ix] @ tap_w[k * n_c : (k + 1) * n_c]
-    conv = acc[..., :n_f]
-    gate_pre = acc[..., n_f] + gate_b[0]
-    if cfg.gate_scope == "scalar":
-        gate_pre = gate_pre.mean()
-    g = expit(gate_pre + cfg.gate_offset)
-    g_col = g if cfg.gate_scope == "scalar" else g[..., None]
-    out = base + g_col * conv
-    if slope is None:
-        return ad.Tensor(out)
+    pre = x @ w
+    pre += bias
+    # the gated output adds the conv path, so only there is the softplus
+    # slope kept; a voxelwise node rebuilds it from its output in the vjp,
+    # logistic(x) = -expm1(-softplus(x)), and holds no second array
+    out, slope = ad.softplus_parts(pre, slope=gated)
+    del pre
+    if gated:
+        gate_b = params[4].data
+        taps = _tap_windows(*x.shape[1:3])
+        tap_w = np.concatenate([params[2].data, params[3].data], axis=1)
+        acc = x @ tap_w[4 * n_c : 5 * n_c]  # the centre tap covers the whole grid
+        for k, (out_ix, src_ix) in enumerate(taps):
+            if k != 4:
+                acc[out_ix] += x[src_ix] @ tap_w[k * n_c : (k + 1) * n_c]
+        conv = acc[..., :n_f]
+        gate_pre = acc[..., n_f] + gate_b[0]
+        if cfg.gate_scope == "scalar":
+            gate_pre = gate_pre.mean()
+        g = expit(gate_pre + cfg.gate_offset)
+        g_col = g if cfg.gate_scope == "scalar" else g[..., None]
+        out += g_col * conv
 
     def vjp(grad):
-        d_pre = grad * slope
-        d_g = np.einsum("...f,...f->...", grad, conv)
-        if cfg.gate_scope == "scalar":
-            d_g = d_g.sum() / d_g.size  # the mean spreads one gate's gradient evenly
-        d_acc = np.empty_like(acc)
-        np.multiply(grad, g_col, out=d_acc[..., :n_f])
-        d_acc[..., n_f] = d_g * (g * (1.0 - g))
+        d_pre = grad * (slope if gated else -np.expm1(-out))
         # contiguous transposed weights keep the products on the fast BLAS path
-        dx = d_pre @ np.ascontiguousarray(w.T)
-        d_tap_w = np.empty_like(tap_w)
-        for k, (out_ix, src_ix) in enumerate(taps):
-            rows = slice(k * n_c, (k + 1) * n_c)
-            d_win = d_acc[out_ix]
-            dx[src_ix] += d_win @ np.ascontiguousarray(tap_w[rows].T)
-            d_tap_w[rows] = np.ascontiguousarray(x[src_ix]).reshape(-1, n_c).T @ d_win.reshape(-1, n_f + 1)
-        d_w = x.reshape(-1, n_c).T @ d_pre.reshape(-1, n_f)
-        d_b = d_pre.reshape(-1, n_f).sum(axis=0)
-        d_gate_b = np.array([d_acc[..., n_f].sum()])
-        return dx, d_w, d_b, d_tap_w[:, :n_f], d_tap_w[:, n_f:], d_gate_b
+        dx = d_pre @ np.ascontiguousarray(w.T) if on_tape else None
+        grads = [x.reshape(-1, n_c).T @ d_pre.reshape(-1, n_f), d_pre.reshape(-1, n_f).sum(axis=0)]
+        if gated:
+            d_g = np.einsum("...f,...f->...", grad, conv)
+            if cfg.gate_scope == "scalar":
+                d_g = d_g.sum() / d_g.size  # the mean spreads one gate's gradient evenly
+            d_acc = np.empty_like(acc)
+            np.multiply(grad, g_col, out=d_acc[..., :n_f])
+            d_acc[..., n_f] = d_g * (g * (1.0 - g))
+            d_tap_w = np.empty_like(tap_w)
+            for k, (out_ix, src_ix) in enumerate(taps):
+                rows = slice(k * n_c, (k + 1) * n_c)
+                d_win = d_acc[out_ix]
+                if on_tape:
+                    dx[src_ix] += d_win @ np.ascontiguousarray(tap_w[rows].T)
+                d_tap_w[rows] = np.ascontiguousarray(x[src_ix]).reshape(-1, n_c).T @ d_win.reshape(-1, n_f + 1)
+            grads += [d_tap_w[:, :n_f], d_tap_w[:, n_f:], np.array([d_acc[..., n_f].sum()])]
+        return ([dx] if on_tape else []) + grads
 
-    return ad.custom(out, (h, *params), vjp)
+    return ad.custom(out, ([h] if on_tape else []) + params, vjp)
 
 
-def encoder_forward(weights: EncoderWeights, x: ad.Tensor) -> VoxelPrediction:
-    """Forward pass; x has channels (the voxel's n_t samples) on the trailing axis.
+def _heads(h: ad.Tensor, t: dict) -> VoxelPrediction:
+    """The three output heads as one tape node: a single product with the
+    heads' weights side by side, cast to float64, then sliced per head.
+
+    The vjp works head by head and sums the input's gradient in the order
+    mu, cov, noise, so it equals that of three separate affine maps summed
+    in that order bit for bit."""
+    params = [t[f"{n}.{p}"] for n in ("mu", "cov", "noise") for p in ("w", "b")]
+    ws = [p.data for p in params[::2]]
+    x = h.data
+    out = x @ np.concatenate(ws, axis=1)
+    out += np.concatenate([p.data for p in params[1::2]])
+    ends = np.cumsum([w.shape[1] for w in ws])
+    spans = [slice(a, e) for a, e in zip((0, *ends[:-1]), ends)]
+
+    def vjp(grad):
+        grad = grad.astype(x.dtype, copy=False)
+        rows = x.reshape(-1, x.shape[-1]).T
+        dx, grads = None, []
+        for s, w in zip(spans, ws):
+            g = grad[..., s]
+            part = g @ w.T
+            dx = part if dx is None else dx + part
+            g = g.reshape(-1, g.shape[-1])
+            grads += [rows @ g, g.sum(axis=0)]
+        return [dx, *grads]
+
+    node = ad.custom(out.astype(np.float64, copy=False), [h, *params], vjp)
+    return VoxelPrediction(*(node[..., s] for s in spans))
+
+
+def encoder_forward(weights: EncoderWeights, x) -> VoxelPrediction:
+    """Forward pass; x (an array or tape tensor) has channels (the voxel's
+    n_t samples) on the trailing axis.
 
     Voxelwise mode accepts any leading shape; gated-residual mode requires
     (B, h, w, n_t) so the in-plane convolution is defined. The network runs
-    in its weights' dtype; the outputs are float64.
+    in its weights' dtype; the outputs are float64. The input is a constant:
+    it gets no gradient.
     """
     cfg = weights.config
-    if x.data.shape[-1] != weights.n_t:
-        raise ValueError(f"input has {x.data.shape[-1]} channels, network expects {weights.n_t}")
-    t = weights.tensors
-    # the gain multiplies before the cast, and the cast is on the tape, so x keeps its gradient
-    h = ad.cast(x * INPUT_GAIN, weights.dtype)
-    if cfg.spatial_mode == "gated-residual":
-        if x.data.ndim != 4:
-            raise ValueError("gated-residual mode needs (batch, h, w, channels) input")
-        for b in range(cfg.n_blocks):
-            h = _gated_block(h, t, b, cfg)
-    else:
-        for b in range(cfg.n_blocks):
-            h = ad.softplus(ad.matmul(h, t[f"block{b}.w"]) + t[f"block{b}.b"])
-    heads = [ad.matmul(h, t[f"{n}.w"]) + t[f"{n}.b"] for n in ("mu", "cov", "noise")]
-    return VoxelPrediction(*(ad.cast(head, np.float64) for head in heads))
+    x = ad.as_tensor(x).data
+    if x.shape[-1] != weights.n_t:
+        raise ValueError(f"input has {x.shape[-1]} channels, network expects {weights.n_t}")
+    if cfg.spatial_mode == "gated-residual" and x.ndim != 4:
+        raise ValueError("gated-residual mode needs (batch, h, w, channels) input")
+    # the gain multiplies in float64 before the cast, whatever the input's dtype
+    h = np.multiply(x, INPUT_GAIN, dtype=np.float64).astype(weights.dtype, copy=False)
+    for b in range(cfg.n_blocks):
+        h = _block(h, weights.tensors, b, cfg)
+    return _heads(h, weights.tensors)
 
 
 def prediction_to_distribution(pred: VoxelPrediction, covariance_mode: str) -> ScaledLogitNormal:
@@ -284,50 +340,47 @@ def prediction_to_distribution(pred: VoxelPrediction, covariance_mode: str) -> S
     return ScaledLogitNormal(pred.mu_l.data, p)
 
 
-def collect_gradients(weights: EncoderWeights, loss: ad.Tensor) -> dict[str, np.ndarray]:
-    """Run backward from a scalar loss and return finite per-tensor gradients.
+def collect_gradients(weights: EncoderWeights, loss: ad.Tensor) -> np.ndarray:
+    """Run backward from a scalar loss and return its finite gradient as one
+    vector in the weights' dtype, laid out as weights.flatten lays out the
+    values; a FloatingPointError names a tensor with a non-finite entry.
 
     The weights' gradients from any earlier backward are cleared first, so
     each call returns this loss's gradient alone.
     """
     ad.zero_grads(weights.tensors.values())
     ad.backward(loss)
-    grads = {}
-    for name, t in weights.tensors.items():
-        g = t.grad if t.grad is not None else np.zeros_like(t.data)
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient in tensor {name!r}")
-        grads[name] = g
-    return grads
+    grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in weights.tensors.values()]
+    flat = np.concatenate([g.ravel() for g in grads])
+    if not np.isfinite(flat).all():
+        name = next(k for k, g in zip(weights.tensors, grads) if not np.isfinite(g).all())
+        raise FloatingPointError(f"non-finite gradient in tensor {name!r}")
+    return flat
 
 
 # optimizer -----------------------------------------------------------
+#
+# The optimizer runs on flat vectors: the master weights, the gradient, the
+# moments and the SWA mean are each one float64 array, updated elementwise,
+# so any layout gives the per-tensor result bit for bit.
 
 
 @dataclass
 class AdamWState:
     """First/second moment accumulators and the shared step counter."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
-    def for_weights(cls, weights: EncoderWeights) -> "AdamWState":
-        return cls(
-            {k: np.zeros_like(t.data) for k, t in weights.tensors.items()},
-            {k: np.zeros_like(t.data) for k, t in weights.tensors.items()},
-        )
+    def for_weights(cls, weights: np.ndarray) -> "AdamWState":
+        return cls(np.zeros_like(weights), np.zeros_like(weights))
 
 
-def adamw_step(
-    weights: EncoderWeights,
-    state: AdamWState,
-    grads: dict[str, np.ndarray],
-    lr: float,
-    weight_decay: float,
-) -> None:
-    """One AdamW update in place: bias-corrected moments, decoupled decay.
+def adamw_step(weights: np.ndarray, state: AdamWState, grad: np.ndarray, lr: float, weight_decay: float) -> None:
+    """One AdamW update of a weight vector in place: bias-corrected moments,
+    decoupled decay.
 
     The decay term is applied directly to the weights (w -= lr * wd * w),
     never through the gradient.
@@ -335,21 +388,17 @@ def adamw_step(
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1**state.step
     bc2 = 1.0 - ADAM_BETA2**state.step
-    for name, t in weights.tensors.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m += (1.0 - ADAM_BETA1) * (g - m)
-        v += (1.0 - ADAM_BETA2) * (g * g - v)
-        t.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS) + lr * weight_decay * t.data
+    m, v = state.m, state.v
+    m += (1.0 - ADAM_BETA1) * (grad - m)
+    v += (1.0 - ADAM_BETA2) * (grad * grad - v)
+    weights -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS) + lr * weight_decay * weights
 
 
-def swa_update(avg: dict[str, np.ndarray], current: EncoderWeights, k: int) -> None:
-    """Running arithmetic mean over weight snapshots: avg += (current - avg)/k."""
+def swa_update(avg: np.ndarray, current: np.ndarray, k: int) -> None:
+    """Running arithmetic mean of weight vectors in place: avg += (current - avg)/k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    for name, t in current.tensors.items():
-        avg[name] += (t.data - avg[name]) / k
+    avg += (current - avg) / k
 
 
 def lr_schedule(step: int, total_steps: int, base: float) -> float:

@@ -10,15 +10,17 @@ of the normalized signals under the biophysical forward model — plus a
 weighted in-plane total-variation penalty on the transformed mean maps,
 with learning rate and weight decay linearly annealed by a factor of 100.
 
-Both stages keep the weights, AdamW moments and the SWA average in
-float64 and run each step's encoder on a nnet.COMPUTE_DTYPE (float32)
-copy, whose gradients are cast back to float64 for the update; the loss
-past the encoder's heads is float64. The prior maps' detached pass runs
-on such a copy too.
+Both stages keep the weights, the gradient, the AdamW moments and the SWA
+average each in one flat float64 vector and run each step's encoder on a
+nnet.COMPUTE_DTYPE (float32) copy of it, made by one cast, whose gradient
+vector is cast back to float64 for the update; the loss past the encoder's
+heads is float64. The prior maps' detached pass runs on such a copy too.
+Each step's wall time goes into the metrics log's step_ms column.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,9 @@ import numpy as np
 from . import autodiff as ad
 from .distributions import (
     LOG_2PI,
+    BoxLogits,
     ScaledLogitNormal,
+    box_logits,
     box_slope,
     cholesky_entries,
     kl_cholesky,
@@ -111,19 +115,23 @@ class FinetuneConfig(TrainingConfig):
 
 class MetricsLog:
     """Tab-separated training log: one header line, then one row per step;
-    a path of None writes nothing."""
+    a path of None writes nothing. step_ms is the wall time since the
+    previous row, or since the log was opened for the first."""
 
-    HEADER = "step\tloss\tkl\tloglik\ttv\tlr"
+    HEADER = "step\tloss\tkl\tloglik\ttv\tlr\tstep_ms"
 
     def __init__(self, path):
         self._fh = open(path, "w", encoding="utf-8") if path is not None else None
         if self._fh is not None:
             self._fh.write(self.HEADER + "\n")
+        self._last = time.perf_counter()
 
     def write(self, step, loss, kl=np.nan, loglik=np.nan, tv=np.nan, lr=np.nan):
+        now = time.perf_counter()
+        step_ms, self._last = 1e3 * (now - self._last), now
         if self._fh is None:
             return
-        row = "\t".join(f"{float(v):.10g}" for v in (loss, kl, loglik, tv, lr))
+        row = "\t".join(f"{float(v):.10g}" for v in (loss, kl, loglik, tv, lr, step_ms))
         self._fh.write(f"{int(step)}\t{row}\n")
 
     def close(self):
@@ -159,12 +167,13 @@ class PriorMaps(ScaledLogitNormal):
 
 
 def pretrain_loss(pred: VoxelPrediction, truth) -> ad.Tensor:
-    """Mean negative log-density of the true (oef, dbv) under the prediction.
+    """Mean negative log-density of the true (oef, dbv) under the prediction,
+    as one tape node.
 
-    `truth` is an array (..., 2) matching the prediction's leading shape;
-    values must lie strictly inside the parameter box.
+    `truth` is an array (..., 2) matching the prediction's leading shape,
+    or its BoxLogits; values must lie strictly inside the parameter box.
     """
-    return ad.tmean(neg_log_density(pred.mu_l, pred.sigma_l_params, truth))
+    return neg_log_density(pred.mu_l, pred.sigma_l_params, truth, mean=True)
 
 
 def run_pretraining(
@@ -181,45 +190,49 @@ def run_pretraining(
     with init_weights under the same generator.
 
     Each step runs the encoder on a COMPUTE_DTYPE copy of the float64
-    weights, as fine-tuning does; the returned network is float64.
+    weights, as fine-tuning does; the returned network is float64. The
+    weights, AdamW moments, SWA mean and gradient are each one flat float64
+    vector (EncoderWeights.flatten). Raises ValueError before the first
+    step if a training row's truth leaves the open box.
     """
     if dataset.n == 0:
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(train_cfg.seed)
     n_t = dataset.signals.shape[1]
     theta = init_weights(net_cfg, n_t, rng)
-    opt = AdamWState.for_weights(theta)
+    master = theta.flatten(np.float64)
+    opt = AdamWState.for_weights(master)
 
     # the first n_val rows of the permutation are the held-out validation split;
     # VAL_FRACTION < 0.5, so at least one row is left to train on
     perm = rng.permutation(dataset.n)
     n_val = int(round(VAL_FRACTION * dataset.n))
     train_rows = perm[n_val:]
+    truths = box_logits(dataset.truths[train_rows])
 
-    swa_avg = {k: np.zeros_like(t.data) for k, t in theta.tensors.items()}
+    swa_avg = np.zeros_like(master)
     swa_count = 0
     with MetricsLog(metrics_path) as log:
         for i in range(train_cfg.iterations):
-            rows = train_rows[rng.integers(0, train_rows.size, train_cfg.batch_size)]
-            step_theta = theta.astype(COMPUTE_DTYPE)
-            pred = encoder_forward(step_theta, ad.Tensor(dataset.signals[rows]))
-            loss = pretrain_loss(pred, dataset.truths[rows])
+            pick = rng.integers(0, train_rows.size, train_cfg.batch_size)
+            step_theta = theta.on_flat(master.astype(COMPUTE_DTYPE))
+            pred = encoder_forward(step_theta, dataset.signals[train_rows[pick]])
+            loss = pretrain_loss(pred, BoxLogits(truths.beta[pick], truths.log_jac[pick]))
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
                 raise RuntimeError(f"non-finite loss at iteration {i}")
-            grads = {k: g.astype(np.float64) for k, g in collect_gradients(step_theta, loss).items()}
-            adamw_step(theta, opt, grads, train_cfg.lr, train_cfg.weight_decay)
+            grad = collect_gradients(step_theta, loss).astype(np.float64)
+            adamw_step(master, opt, grad, train_cfg.lr, train_cfg.weight_decay)
             if (i + 1) > train_cfg.iterations // 2:
                 swa_count += 1
-                swa_update(swa_avg, theta, swa_count)
+                swa_update(swa_avg, master, swa_count)
             log.write(i, loss_val, lr=train_cfg.lr)
 
-    # iterations >= 1, so the second half holds at least the last step
-    theta = EncoderWeights(net_cfg, n_t, {k: ad.Tensor(v) for k, v in swa_avg.items()})
+    # iterations >= 1, so the second half holds at least the last step;
     # fail loudly if training left the weights unusable
-    if not all(np.all(np.isfinite(t.data)) for t in theta.tensors.values()):
+    if not np.isfinite(swa_avg).all():
         raise RuntimeError("non-finite weights after pretraining")
-    return theta
+    return theta.on_flat(swa_avg)
 
 
 # adaptive priors ------------------------------------------------------
@@ -233,7 +246,7 @@ def compute_prior_maps(theta: EncoderWeights, vol: Volume4D) -> PriorMaps:
         raise ValueError("prior maps require a voxelwise (pretrained) network")
     rows = planes_first(vol.data)[planes_first(vol.mask)]
     with ad.recording_off():
-        pred = encoder_forward(theta.astype(COMPUTE_DTYPE), ad.Tensor(rows))
+        pred = encoder_forward(theta.astype(COMPUTE_DTYPE), rows)
     dist = prediction_to_distribution(pred, theta.config.covariance_mode)
     return PriorMaps(dist.mu, dist.sigma_l_params, vol.mask.copy())
 
@@ -318,7 +331,7 @@ def _elbo_core(psi, x_arr, mask_arr, prior_mu, prior_params, proto, constants, f
     n_masked = int(mask_arr.sum())
     if n_masked == 0:
         raise ValueError("batch contains no masked voxels")
-    pred = encoder_forward(psi, ad.Tensor(x_arr))
+    pred = encoder_forward(psi, x_arr)
     mu_m = _masked_rows(pred.mu_l, mask_arr)
     chol = cholesky_entries(_masked_rows(pred.sigma_l_params, mask_arr))
     kl_vox = kl_cholesky(mu_m, *chol, prior_mu, prior_params)
@@ -453,10 +466,10 @@ def run_finetuning(
     applies AdamW with both learning rate and weight decay linearly
     decayed to 1/100 of their starting values.
 
-    The weights and AdamW moments are kept in float64. Each step runs the
-    encoder on a COMPUTE_DTYPE copy of the weights; the loss past the
-    encoder's heads is float64, and the copy's gradients are cast back to
-    float64 for the update. The returned network is float64.
+    The weights and AdamW moments are each one flat float64 vector. Each
+    step runs the encoder on a COMPUTE_DTYPE copy of the weights; the loss
+    past the encoder's heads is float64, and the copy's gradient vector is
+    cast back to float64 for the update. The returned network is float64.
 
     Only a fault stops the run early: a non-finite loss or gradient.
     """
@@ -466,10 +479,11 @@ def run_finetuning(
     rng = np.random.default_rng(train_cfg.seed)
 
     if net_cfg.spatial_mode == "gated-residual":
-        psi = extend_weights(theta, rng)
-        psi = EncoderWeights(net_cfg, psi.n_t, psi.tensors)
+        psi = EncoderWeights(net_cfg, theta.n_t, extend_weights(theta, rng).tensors)
     else:
-        psi = theta.astype(np.float64)
+        psi = theta
+    master = psi.flatten(np.float64)
+    psi = psi.on_flat(master)
 
     size = train_cfg.crop_xy
     planes = []
@@ -485,7 +499,7 @@ def run_finetuning(
         prior[mask] = np.concatenate([priors.mu, priors.sigma_l_params], axis=-1)
         planes.append({"x": planes_first(vol.data), "mask": mask, "prior": prior, "corners": corners})
 
-    opt = AdamWState.for_weights(psi)
+    opt = AdamWState.for_weights(master)
     with MetricsLog(metrics_path) as log:
         for i in range(train_cfg.iterations):
             xs, masks, prior_crops = [], [], []
@@ -501,7 +515,7 @@ def run_finetuning(
             mask_arr = np.concatenate(masks, axis=0)
             prior_rows = np.concatenate(prior_crops, axis=0)[mask_arr]
 
-            step_psi = psi.astype(COMPUTE_DTYPE)
+            step_psi = psi.on_flat(master.astype(COMPUTE_DTYPE))
             elbo, kl_mean, ll_mean, mean_maps = _elbo_core(
                 step_psi, x_arr, mask_arr, prior_rows[:, :2], prior_rows[:, 2:],
                 proto, constants, fwd_cfg, train_cfg, rng,
@@ -511,10 +525,10 @@ def run_finetuning(
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
                 raise RuntimeError(f"non-finite loss at iteration {i}")
-            grads = {k: g.astype(np.float64) for k, g in collect_gradients(step_psi, loss).items()}
+            grad = collect_gradients(step_psi, loss).astype(np.float64)
             lr_i = lr_schedule(i, train_cfg.iterations, train_cfg.lr)
             wd_i = lr_schedule(i, train_cfg.iterations, train_cfg.weight_decay)
-            adamw_step(psi, opt, grads, lr_i, wd_i)
+            adamw_step(master, opt, grad, lr_i, wd_i)
             log.write(
                 i,
                 loss_val,

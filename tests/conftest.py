@@ -20,7 +20,7 @@ from scipy.special import expit
 
 from oximap import autodiff as ad
 from oximap.distributions import LOG_2PI, PARAM_OFFSET, PARAM_SCALE
-from oximap.nnet import SIGMA_IM_FLOOR
+from oximap.nnet import SIGMA_IM_FLOOR, collect_gradients
 from oximap.physics import AcquisitionProtocol, PhysioConstants, normalized_model_signal_t
 
 settings.register_profile("pkg", deadline=None, max_examples=60, derandomize=True)
@@ -101,6 +101,12 @@ def composed_expected_loglik(x, log_sigma_im, mu, l00, l10, l11, noise, proto, c
         term = loglik(model_node(oef, dbv, proto, constants, fwd))
         acc = term if acc is None else acc + term
     return acc * (1.0 / len(noise))
+
+
+def named_gradients(weights, loss):
+    """collect_gradients's flat gradient as a name -> array dict, each array
+    a view in the weights' dtype and shape."""
+    return weights.on_flat(collect_gradients(weights, loss)).arrays()
 
 
 def tape_nodes(*outs):

@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 import yaml
-from conftest import chol_params
+from conftest import chol_params, named_gradients
 
 from oximap import autodiff as ad
 from oximap.analysis import InferenceConfig, elbo_map, infer_maps, wls_fit
@@ -32,7 +32,6 @@ from oximap.distributions import (
 from oximap.nifti import write_nifti
 from oximap.nnet import (
     NetworkConfig,
-    collect_gradients,
     encoder_forward,
     extend_weights,
     init_weights,
@@ -55,6 +54,7 @@ from oximap.synthgen import (
     make_phantom,
 )
 from oximap.train import (
+    MetricsLog,
     TrainingConfig,
     compute_prior_maps,
     elbo_loss,
@@ -242,7 +242,7 @@ def test_02_distribution_correctness():
 
 
 def _fd_worst(weights, loss_fn, coords, rng):
-    grads = collect_gradients(weights, loss_fn())
+    grads = named_gradients(weights, loss_fn())
     names = list(weights.tensors)
     worst = 0.0
     for _ in range(coords):
@@ -547,6 +547,15 @@ def _run_pipeline(root, region):
     assert rc == 0
 
 
+def _comparable_bytes(path):
+    """A file's bytes; a metrics log's without its last column, step_ms,
+    the one wall-clock value a rerun does not repeat."""
+    raw = path.read_bytes()
+    if not raw.startswith(MetricsLog.HEADER.encode()):
+        return raw
+    return b"\n".join(line.rsplit(b"\t", 1)[0] for line in raw.split(b"\n"))
+
+
 def test_11_end_to_end_determinism(tmp_path):
     region = tmp_path / "region.nii"
     write_nifti(np.ones((8, 8, 2)), region)
@@ -558,7 +567,7 @@ def test_11_end_to_end_determinism(tmp_path):
     diffs = [
         str(rel)
         for rel in files1
-        if (tmp_path / "run1" / rel).read_bytes() != (tmp_path / "run2" / rel).read_bytes()
+        if _comparable_bytes(tmp_path / "run1" / rel) != _comparable_bytes(tmp_path / "run2" / rel)
     ] if same_names else ["<file lists differ>"]
     ok = same_names and not diffs
     _conclude(

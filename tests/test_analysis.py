@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from conftest import chol_params, composed_expected_loglik, quad_std
+from conftest import chol_params, composed_expected_loglik, named_gradients, quad_std
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
@@ -35,7 +35,6 @@ from oximap.distributions import (
 )
 from oximap.nnet import (
     NetworkConfig,
-    collect_gradients,
     encoder_forward,
     extend_weights,
     init_weights,
@@ -440,11 +439,11 @@ class TestMaskedOnlyEvaluation:
         ad.zero_grads(psi.tensors.values())
         loss = _elbo_core(psi, x, mask, prior_mu[mask], prior_params[mask], proto_m, constants_m,
                           fwd, cfg, np.random.default_rng(3))[0]
-        grads = collect_gradients(psi, loss)
+        grads = named_gradients(psi, loss)
         ad.zero_grads(psi.tensors.values())
         ref = full_grid_loss(psi, x, mask, prior_mu, prior_params, proto_m, constants_m, fwd, 2,
                              np.random.default_rng(3))
-        ref_grads = collect_gradients(psi, ref)
+        ref_grads = named_gradients(psi, ref)
         assert_allclose(loss.data, ref.data, rtol=1e-12)
         for name, g in ref_grads.items():
             assert_allclose(grads[name], g, rtol=1e-12, err_msg=name)

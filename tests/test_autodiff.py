@@ -317,24 +317,3 @@ class TestDtypes:
         t = ad.Tensor(value)
         assert t.data.dtype == np.float64
         assert_allclose(t.data, np.asarray(value, dtype=np.float64))
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_cast_is_identity_when_dtype_matches(self, dtype):
-        t = ad.Tensor(np.ones(3, dtype=dtype))
-        assert ad.cast(t, dtype) is t
-
-    @pytest.mark.parametrize("source,target", [(np.float64, np.float32), (np.float32, np.float64)])
-    def test_cast_vjp_returns_cotangent_in_source_dtype(self, source, target, rng):
-        x = rng.normal(size=(2, 3)).astype(source)
-        t = ad.Tensor(x)
-        out = ad.cast(t, target)
-        assert out.data.dtype == target
-        assert out.data.tobytes() == x.astype(target).tobytes()
-        w = ad.Tensor(rng.normal(size=(2, 3)).astype(target))
-        ad.backward(ad.tsum(out * w))
-        assert t.grad.dtype == source
-        assert t.grad.tobytes() == w.data.astype(source).tobytes()
-
-    def test_cast_rejects_other_dtypes(self):
-        with pytest.raises(ValueError, match="float32 and float64"):
-            ad.cast(ad.Tensor(np.ones(2)), np.int64)

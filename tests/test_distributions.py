@@ -10,15 +10,19 @@ from scipy import stats
 from scipy.integrate import IntegrationWarning
 from scipy.special import ndtr
 
+from oximap import autodiff as ad
 from oximap.analysis import marginal_std
 from oximap.distributions import (
+    LOG_2PI,
     PARAM_OFFSET,
     PARAM_SCALE,
     ScaledLogitNormal,
+    box_logits,
     forward_transform,
     inverse_transform,
     kl_analytic,
     kl_monte_carlo,
+    neg_log_density,
     truncated_normal_sample,
 )
 
@@ -295,3 +299,78 @@ class TestTruncatedNormal:
             truncated_normal_sample(0.4, 0.1, 0.9, 0.1, rng, size=1)
         with pytest.raises(ValueError, match="std"):
             truncated_normal_sample(0.4, -0.1, 0.0, 1.0, rng, size=1)
+
+
+def composed_neg_log_density(mu, p, y):
+    """-log q(y) written with the generic tape ops: the oracle of the
+    log-density node."""
+    beta, log_jac = box_logits(y)
+    q0, q1 = p[..., 0], p[..., 1]
+    w0 = (ad.as_tensor(beta[..., 0]) - mu[..., 0]) * ad.exp(-q0)
+    r1 = ad.as_tensor(beta[..., 1]) - mu[..., 1]
+    w1 = ((r1 - p[..., 2] * w0) if p.shape[-1] == 3 else r1) * ad.exp(-q1)
+    return LOG_2PI + q0 + q1 + 0.5 * (w0 * w0 + w1 * w1) + log_jac
+
+
+def density_rows(rng, n, k):
+    mu = rng.normal(0.0, 1.5, (n, 2))
+    p = np.column_stack([rng.normal(-0.5, 0.8, (n, 2)), rng.normal(0.0, 0.7, (n, k - 2))])
+    y = np.column_stack([rng.uniform(0.06, 0.84, n), rng.uniform(0.002, 0.3, n)])
+    return mu, p, y
+
+
+class TestLogDensityNode:
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.sampled_from([2, 3]), n=st.integers(1, 40), seed=st.integers(0, 2**31))
+    def test_matches_the_composed_ops(self, k, n, seed):
+        # values and gradients per row, and the mean, within 1e-12 of the
+        # size of the terms summed into each
+        rng = np.random.default_rng(seed)
+        mu, p, y = density_rows(rng, n, k)
+        cot = rng.normal(size=n)
+        runs = []
+        for node in (lambda m, q: neg_log_density(m, q, y, mean=False), lambda m, q: composed_neg_log_density(m, q, y)):
+            m, q = ad.Tensor(mu), ad.Tensor(p)
+            out = node(m, q)
+            ad.backward(ad.tsum(out * cot))
+            runs.append((out.data, m.grad, q.grad))
+        (val, g_mu, g_p), (val_ref, g_mu_ref, g_p_ref) = runs
+
+        beta, log_jac = box_logits(y)
+        e0, e1 = np.exp(-p[:, 0]), np.exp(-p[:, 1])
+        l10 = np.abs(p[:, 2]) if k == 3 else 0.0
+        w0 = np.abs((beta[:, 0] - mu[:, 0]) * e0)
+        s0 = (np.abs(beta[:, 0]) + np.abs(mu[:, 0])) * e0  # rounding scale of w0
+        s1 = (np.abs(beta[:, 1]) + np.abs(mu[:, 1]) + l10 * (w0 + s0)) * e1
+        w1 = s1  # |w1| <= its rounding scale
+        size_val = LOG_2PI + np.abs(p[:, :2]).sum(1) + (w0 + s0) ** 2 + (w1 + s1) ** 2 + np.abs(log_jac)
+        a0 = w0 + s0 + (w1 + s1) * l10 * e1
+        c = np.abs(cot)
+        size_mu = np.column_stack([a0 * e0, (w1 + s1) * e1]) * c[:, None]
+        cols = [1.0 + a0 * (w0 + s0), 1.0 + (w1 + s1) ** 2] + ([(w1 + s1) * (w0 + s0) * e1] if k == 3 else [])
+        size_p = np.column_stack(cols) * c[:, None]
+        for got, ref, size, what in ((val, val_ref, size_val, "value"), (g_mu, g_mu_ref, size_mu, "mu"),
+                                     (g_p, g_p_ref, size_p, "p")):
+            assert got.shape == ref.shape, what
+            assert np.all(np.abs(got - ref) <= 1e-12 * size), what
+
+        mean = neg_log_density(mu, p, y, mean=True).data
+        assert abs(mean - val_ref.mean()) <= 1e-12 * size_val.mean()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_mean_gradient_by_central_differences(self, k):
+        rng = np.random.default_rng(11 + k)
+        mu, p, y = density_rows(rng, 6, k)
+        m, q = ad.Tensor(mu), ad.Tensor(p)
+        ad.backward(neg_log_density(m, q, box_logits(y), mean=True))
+        for arr, grad in ((mu, m.grad), (p, q.grad)):
+            for ix in np.ndindex(arr.shape):
+                step = 1e-6 * max(1.0, abs(arr[ix]))
+                vals = []
+                for sign in (1.0, -1.0):
+                    shifted = arr.copy()
+                    shifted[ix] += sign * step
+                    args = (shifted, p) if arr is mu else (mu, shifted)
+                    vals.append(float(neg_log_density(*args, y, mean=True).data))
+                fd = (vals[0] - vals[1]) / (2.0 * step)
+                assert abs(fd - grad[ix]) <= 1e-7 * max(1.0, abs(grad[ix])), (ix, fd, grad[ix])

@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import tape_nodes
+from conftest import named_gradients, tape_nodes
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -14,6 +14,8 @@ from oximap import train
 from oximap.distributions import inverse_transform
 from oximap.nnet import (
     _CKPT_HEAD,
+    _block,
+    _heads,
     CHECKPOINT_MAGIC,
     INPUT_GAIN,
     AdamWState,
@@ -32,7 +34,7 @@ from oximap.nnet import (
     swa_update,
 )
 from oximap.physics import AcquisitionProtocol, ForwardModelConfig, PhysioConstants
-from oximap.synthgen import make_phantom
+from oximap.synthgen import SynthDataset, make_phantom
 from oximap.train import TrainingConfig, pretrain_loss
 from oximap.volume import normalize_volume
 
@@ -58,25 +60,35 @@ def _neighborhood(x):
     return ad.concat([padded[:, i : i + h, j : j + w, :] for i in range(3) for j in range(3)], axis=-1)
 
 
+def composed_block(h, t, b, cfg):
+    """Hidden block b written with the generic tape ops, one op per step of
+    the block formula: the oracle of the fused block node."""
+    out = ad.softplus(ad.matmul(h, t[f"block{b}.w"]) + t[f"block{b}.b"])
+    if cfg.spatial_mode == "voxelwise":
+        return out
+    neigh = _neighborhood(h)
+    conv = ad.matmul(neigh, t[f"block{b}.conv.w"])
+    gate_pre = ad.matmul(neigh, t[f"block{b}.gate.w"]) + t[f"block{b}.gate.b"]
+    if cfg.gate_scope == "scalar":
+        gate_pre = ad.tmean(gate_pre)
+    g = ad.logistic(gate_pre + cfg.gate_offset)
+    return out + g * conv
+
+
+def composed_heads(h, t):
+    """The three heads written with the generic tape ops: the oracle of the
+    heads node."""
+    return tuple(ad.matmul(h, t[f"{n}.w"]) + t[f"{n}.b"] for n in ("mu", "cov", "noise"))
+
+
 def composed_encoder_forward(weights, x):
-    """The gated-residual encoder written with the generic tape ops, one op
-    per step of the block formula: the oracle of the fused block."""
+    """The encoder written with the generic tape ops: the oracle of the
+    block and heads nodes."""
     cfg, t = weights.config, weights.tensors
     h = x * INPUT_GAIN
     for b in range(cfg.n_blocks):
-        base = ad.softplus(ad.matmul(h, t[f"block{b}.w"]) + t[f"block{b}.b"])
-        neigh = _neighborhood(h)
-        conv = ad.matmul(neigh, t[f"block{b}.conv.w"])
-        gate_pre = ad.matmul(neigh, t[f"block{b}.gate.w"]) + t[f"block{b}.gate.b"]
-        if cfg.gate_scope == "scalar":
-            gate_pre = ad.tmean(gate_pre)
-        g = ad.logistic(gate_pre + cfg.gate_offset)
-        h = base + g * conv
-    return (
-        ad.matmul(h, t["mu.w"]) + t["mu.b"],
-        ad.matmul(h, t["cov.w"]) + t["cov.b"],
-        ad.matmul(h, t["noise.w"]) + t["noise.b"],
-    )
+        h = composed_block(h, t, b, cfg)
+    return composed_heads(h, t)
 
 
 class TestNetworkConfig:
@@ -244,6 +256,7 @@ class TestEncoderForward:
 class TestFusedGatedBlock:
     @settings(max_examples=40, deadline=None)
     @given(
+        spatial=st.sampled_from(["voxelwise", "gated-residual"]),
         scope=st.sampled_from(["scalar", "voxelwise"]),
         cov=st.sampled_from(["diagonal", "full"]),
         n_blocks=st.integers(1, 2),
@@ -252,38 +265,41 @@ class TestFusedGatedBlock:
         w=st.integers(1, 5),
         seed=st.integers(0, 2**31),
     )
-    @example(scope="scalar", cov="diagonal", n_blocks=2, batch=1, h=1, w=1, seed=0)
-    @example(scope="voxelwise", cov="full", n_blocks=2, batch=2, h=2, w=1, seed=1)
-    @example(scope="scalar", cov="full", n_blocks=1, batch=3, h=1, w=2, seed=2)
-    def test_matches_the_composed_oracle(self, scope, cov, n_blocks, batch, h, w, seed):
-        # values, the input gradient and every weight gradient, to 1e-12 of
-        # each tensor's largest entry, with random non-zero gate weights
+    @example(spatial="gated-residual", scope="scalar", cov="diagonal", n_blocks=2, batch=1, h=1, w=1, seed=0)
+    @example(spatial="gated-residual", scope="voxelwise", cov="full", n_blocks=2, batch=2, h=2, w=1, seed=1)
+    @example(spatial="gated-residual", scope="scalar", cov="full", n_blocks=1, batch=3, h=1, w=2, seed=2)
+    @example(spatial="voxelwise", scope="scalar", cov="full", n_blocks=2, batch=2, h=3, w=2, seed=3)
+    def test_matches_the_composed_oracle(self, spatial, scope, cov, n_blocks, batch, h, w, seed):
+        # values, every weight gradient and, for a block on a tape input, the
+        # input gradient, to 1e-12 of each tensor's largest entry, with
+        # random non-zero gate weights
         rng = np.random.default_rng(seed)
         base = NetworkConfig(n_blocks=n_blocks, width=7, covariance_mode=cov,
                              gate_offset=float(rng.uniform(-3.0, 1.0)), gate_scope=scope)
-        net = extend_weights(init_weights(base, N_T, rng), rng)
-        for b in range(n_blocks):
-            gate_w = net.tensors[f"block{b}.gate.w"].data
-            gate_w[:] = rng.normal(0.0, 0.3, gate_w.shape)
-            net.tensors[f"block{b}.gate.b"].data[:] = rng.normal(0.0, 0.5, 1)
+        net = init_weights(base, N_T, rng)
+        if spatial == "gated-residual":
+            net = extend_weights(net, rng)
+            for b in range(n_blocks):
+                gate_w = net.tensors[f"block{b}.gate.w"].data
+                gate_w[:] = rng.normal(0.0, 0.3, gate_w.shape)
+                net.tensors[f"block{b}.gate.b"].data[:] = rng.normal(0.0, 0.5, 1)
         x = rng.normal(-0.1, 0.05, (batch, h, w, N_T))
         cotangents = [rng.normal(size=(batch, h, w, n)) for n in (2, base.n_cov_params, N_T)]
 
         def run(forward):
             ad.zero_grads(net.tensors.values())
-            x_t = ad.Tensor(x)
-            outs = forward(x_t)
+            outs = forward(x)
             loss = sum(ad.tsum(o * c) for o, c in zip(outs, cotangents))
             ad.backward(loss)
             grads = {k: t.grad.copy() for k, t in net.tensors.items()}
-            return [o.data for o in outs], x_t.grad, grads
+            return [o.data for o in outs], grads
 
-        def pred_tuple(x_t):
-            pred = encoder_forward(net, x_t)
+        def pred_tuple(x):
+            pred = encoder_forward(net, x)
             return pred.mu_l, pred.sigma_l_params, pred.log_sigma_im
 
         fused = run(pred_tuple)
-        oracle = run(lambda x_t: composed_encoder_forward(net, x_t))
+        oracle = run(lambda x: composed_encoder_forward(net, ad.Tensor(x)))
 
         def close(a, b, what):
             assert a.shape == b.shape, what
@@ -291,9 +307,19 @@ class TestFusedGatedBlock:
 
         for k, (a, b) in enumerate(zip(fused[0], oracle[0])):
             close(a, b, f"output {k}")
-        close(fused[1], oracle[1], "input gradient")
-        for name, g in oracle[2].items():
-            close(fused[2][name], g, name)
+        for name, g in oracle[1].items():
+            close(fused[1][name], g, name)
+
+        # the encoder's input is a constant; a block on a tape input returns its gradient
+        h_in = INPUT_GAIN * x
+        block_cot = rng.normal(size=(batch, h, w, base.width))
+
+        def input_gradient(block):
+            h_t = ad.Tensor(h_in)
+            ad.backward(ad.tsum(block(h_t, net.tensors, 0, net.config) * block_cot))
+            return h_t.grad
+
+        close(input_gradient(_block), input_gradient(composed_block), "input gradient")
 
     def test_one_tape_node_per_block_and_no_neighbourhood_arrays(self, monkeypatch):
         # the loss of a fine-tune step records each gated block as one node,
@@ -325,7 +351,9 @@ class TestFusedGatedBlock:
             params = [psi.tensors[f"block{b}.{n}"] for n in ("w", "b", "conv.w", "gate.w", "gate.b")]
             users = [n for n in nodes if any(p is params[2] for p in n._parents)]
             assert len(users) == 1
-            assert all(p is q for p, q in zip(users[0]._parents[1:], params, strict=True))
+            # the first block's input is the constant encoder input, not a parent
+            assert len(users[0]._parents) == (5 if b == 0 else 6)
+            assert all(p is q for p, q in zip(users[0]._parents[-5:], params, strict=True))
         wide = {9 * proto.n_t, 9 * width}
         padded = (crop + 2, crop + 2)
         for node in nodes:
@@ -337,6 +365,136 @@ class TestFusedGatedBlock:
                     assert a.ndim < 3 or a.shape[1:3] != padded, a.shape
 
 
+def term_sizes(net, b, h, cot):
+    """Per element, the size of the terms summed into block b's output and
+    into each gradient for cotangent cot: the same sums over absolute values,
+    with every slope (logistic <= 1, its derivative <= 1/4) at its bound."""
+    cfg, t = net.config, {k: np.abs(v.data) for k, v in net.tensors.items()}
+    g = np.abs(cot)
+    rows, g_rows = np.abs(h).reshape(-1, h.shape[-1]), g.reshape(-1, g.shape[-1])
+    out = np.abs(h) @ t[f"block{b}.w"] + t[f"block{b}.b"]
+    sizes = {"out": out + np.logaddexp(0.0, out), "dx": g @ t[f"block{b}.w"].T,
+             "w": rows.T @ g_rows, "b": g_rows.sum(axis=0)}
+    if cfg.spatial_mode == "voxelwise":
+        return sizes
+    h_abs = ad.Tensor(np.abs(h))
+    neigh = _neighborhood(h_abs)
+    conv = neigh.data @ t[f"block{b}.conv.w"]
+    gate = neigh.data @ t[f"block{b}.gate.w"] + t[f"block{b}.gate.b"]
+    d_gate = 0.25 * np.einsum("...f,...f->...", g, 2.0 * conv)[..., None]
+    if cfg.gate_scope == "scalar":
+        gate, d_gate = gate.mean(), np.full_like(d_gate, d_gate.mean())
+    sizes["out"] = sizes["out"] + conv + 0.25 * 2.0 * conv * gate
+    n_rows = neigh.data.reshape(-1, neigh.data.shape[-1])
+    sizes["conv.w"] = n_rows.T @ g_rows
+    sizes["gate.w"] = n_rows.T @ d_gate.reshape(-1, 1)
+    sizes["gate.b"] = d_gate.sum(keepdims=True).reshape(1)
+    # the neighbourhood's transpose, a sum of shifted copies, on the taps' terms
+    ad.backward(ad.tsum(neigh * (g @ t[f"block{b}.conv.w"].T + d_gate * t[f"block{b}.gate.w"].T)))
+    sizes["dx"] = sizes["dx"] + h_abs.grad
+    return sizes
+
+
+class TestNodesAgainstComposedOps:
+    """The block and heads nodes against the generic tape ops they replace,
+    within 1e-12 of the size of the terms summed into each element."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        spatial=st.sampled_from(["voxelwise", "gated-residual"]),
+        scope=st.sampled_from(["scalar", "voxelwise"]),
+        cov=st.sampled_from(["diagonal", "full"]),
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)),
+        seed=st.integers(0, 2**31),
+    )
+    def test_block_and_heads(self, spatial, scope, cov, shape, seed):
+        rng = np.random.default_rng(seed)
+        cfg = NetworkConfig(width=7, covariance_mode=cov, gate_scope=scope,
+                            gate_offset=float(rng.uniform(-3.0, 1.0)))
+        net = init_weights(cfg, N_T, rng)
+        if spatial == "gated-residual":
+            net = extend_weights(net, rng)
+            for b in range(cfg.n_blocks):
+                for name in ("gate.w", "gate.b"):
+                    a = net.tensors[f"block{b}.{name}"].data
+                    a[:] = rng.normal(0.0, 0.5, a.shape)
+        t = net.tensors
+
+        def run(node, h, cot):
+            ad.zero_grads(t.values())
+            h_t = ad.Tensor(h)
+            outs = node(h_t)
+            outs = outs if isinstance(outs, tuple) else (outs,)
+            ad.backward(sum(ad.tsum(o * c) for o, c in zip(outs, cot)))
+            return [o.data for o in outs], h_t.grad, {k: v.grad for k, v in t.items() if v.grad is not None}
+
+        def close(a, b, size, what):
+            assert a.shape == b.shape, what
+            assert np.all(np.abs(a - b) <= 1e-12 * size), what
+
+        for b in range(cfg.n_blocks):
+            h = rng.normal(0.0, 1.0, shape + (N_T if b == 0 else cfg.width,))
+            cot = rng.normal(size=shape + (cfg.width,))
+            fused = run(lambda h_t: _block(h_t, t, b, cfg), h, [cot])
+            oracle = run(lambda h_t: composed_block(h_t, t, b, cfg), h, [cot])
+            sizes = term_sizes(net, b, h, cot)
+            close(fused[0][0], oracle[0][0], sizes["out"], f"block {b} output")
+            close(fused[1], oracle[1], sizes["dx"], f"block {b} input gradient")
+            assert fused[2].keys() == oracle[2].keys()
+            for name, g in oracle[2].items():
+                close(fused[2][name], g, sizes[name.split(".", 1)[1]], name)
+
+        h = rng.normal(0.0, 1.0, shape + (cfg.width,))
+        cots = [rng.normal(size=shape + (n,)) for n in (2, cfg.n_cov_params, N_T)]
+        pred = lambda h_t: (lambda p: (p.mu_l, p.sigma_l_params, p.log_sigma_im))(_heads(h_t, t))
+        fused = run(pred, h, cots)
+        oracle = run(lambda h_t: composed_heads(h_t, t), h, cots)
+        h_abs, rows = np.abs(h), np.abs(h).reshape(-1, cfg.width)
+        dx_size = 0.0
+        for k, name in enumerate(("mu", "cov", "noise")):
+            w, c = np.abs(t[f"{name}.w"].data), np.abs(cots[k])
+            close(fused[0][k], oracle[0][k], h_abs @ w + np.abs(t[f"{name}.b"].data), name)
+            close(fused[2][f"{name}.w"], oracle[2][f"{name}.w"], rows.T @ c.reshape(-1, c.shape[-1]), f"{name}.w")
+            close(fused[2][f"{name}.b"], oracle[2][f"{name}.b"], c.reshape(-1, c.shape[-1]).sum(0), f"{name}.b")
+            dx_size = dx_size + c @ w.T
+        close(fused[1], oracle[1], dx_size, "heads input gradient")
+
+    @pytest.mark.parametrize("cov", ["diagonal", "full"])
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    def test_pretraining_loss_records_one_node_per_layer(self, cov, n_blocks, monkeypatch):
+        # a pretraining step's loss: one node per block, the heads node, the
+        # head slices it reads and the loss node, on the weights as leaves
+        rng = np.random.default_rng(2)
+        y = np.column_stack([rng.uniform(0.2, 0.6, 40), rng.uniform(0.01, 0.1, 40)])
+        ds = SynthDataset(rng.normal(-0.1, 0.05, (40, N_T)), y, np.full(40, 60.0))
+        seen = []
+
+        def grab(weights, loss):
+            seen.append((weights, loss))
+            return collect_gradients(weights, loss)
+
+        monkeypatch.setattr(train, "collect_gradients", grab)
+        cfg = NetworkConfig(n_blocks=n_blocks, width=8, covariance_mode=cov)
+        train.run_pretraining(cfg, TrainingConfig.pretrain_defaults(iterations=1, batch_size=16), ds)
+        (theta, loss), = seen
+        nodes = tape_nodes(loss)
+        leaves = [n for n in nodes if not n._parents]
+        assert {id(n) for n in leaves} == {id(v) for v in theta.tensors.values()}
+        inner = [n for n in nodes if n._parents]
+        assert len(inner) == n_blocks + 4
+        slices = loss._parents
+        assert len(slices) == 2 and all(len(s._parents) == 1 for s in slices)
+        (heads,) = {id(s._parents[0]): s._parents[0] for s in slices}.values()
+        assert heads._parents[1:] == tuple(theta.tensors[f"{n}.{p}"] for n in ("mu", "cov", "noise")
+                                           for p in ("w", "b"))
+        h = heads._parents[0]
+        for b in reversed(range(n_blocks)):
+            params = (theta.tensors[f"block{b}.w"], theta.tensors[f"block{b}.b"])
+            assert h._parents[-2:] == params
+            h = h._parents[0] if b else None
+        assert loss.data.shape == ()
+
+
 class TestEncoderDtype:
     @pytest.mark.parametrize("spatial", ["voxelwise", "gated-residual"])
     def test_float64_weights_keep_every_node_float64(self, spatial, rng):
@@ -345,8 +503,8 @@ class TestEncoderDtype:
         pred = encoder_forward(net, x)
         outs = (pred.mu_l, pred.sigma_l_params, pred.log_sigma_im)
         assert all(n.data.dtype == np.float64 for n in tape_nodes(*outs))
-        grads = collect_gradients(net, sum(ad.tsum(o) for o in outs))
-        assert all(g.dtype == np.float64 for g in grads.values())
+        grad = collect_gradients(net, sum(ad.tsum(o) for o in outs))
+        assert grad.dtype == np.float64
 
     @pytest.mark.parametrize("scope", ["scalar", "voxelwise"])
     def test_float32_weights_keep_blocks_and_gradients_float32(self, scope, rng):
@@ -365,9 +523,12 @@ class TestEncoderDtype:
             (block,) = [n for n in nodes if any(p is conv_w for p in n._parents)]
             assert block.data.dtype == np.float32
         cotangents = [rng.normal(size=o.shape) for o in outs]
-        grads = collect_gradients(net, sum(ad.tsum(o * c) for o, c in zip(outs, cotangents)))
+        grads = named_gradients(net, sum(ad.tsum(o * c) for o, c in zip(outs, cotangents)))
         assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
-        assert x.grad.dtype == np.float64 and np.abs(x.grad).max() > 0
+        # a block on a tape input returns the input's gradient in the input's dtype
+        h = ad.Tensor((INPUT_GAIN * x.data).astype(np.float32))
+        ad.backward(ad.tsum(_block(h, net.tensors, 0, net.config)))
+        assert h.grad.dtype == np.float32 and np.abs(h.grad).max() > 0
 
     def test_astype_copies_in_the_new_dtype(self):
         net = small_net("gated-residual")
@@ -423,10 +584,10 @@ class TestGradients:
         # the first backward left on them
         w = small_net()
         x = rng.normal(-0.1, 0.05, (4, N_T))
-        first = collect_gradients(w, ad.tsum(encoder_forward(w, ad.Tensor(x)).mu_l))
-        second = collect_gradients(w, ad.tsum(encoder_forward(w, ad.Tensor(x)).log_sigma_im))
+        first = named_gradients(w, ad.tsum(encoder_forward(w, ad.Tensor(x)).mu_l))
+        second = named_gradients(w, ad.tsum(encoder_forward(w, ad.Tensor(x)).log_sigma_im))
         fresh = w.astype(np.float64)
-        ref = collect_gradients(fresh, ad.tsum(encoder_forward(fresh, ad.Tensor(x)).log_sigma_im))
+        ref = named_gradients(fresh, ad.tsum(encoder_forward(fresh, ad.Tensor(x)).log_sigma_im))
         assert np.all(first["mu.b"] == len(x))  # one per row of the summed mu_l
         for name in w.tensors:
             assert np.array_equal(second[name], ref[name]), name
@@ -451,7 +612,7 @@ class TestGradients:
 
         loss = loss_value()
         ad.zero_grads(w.tensors.values())
-        grads = collect_gradients(w, loss_value())
+        grads = named_gradients(w, loss_value())
         names = list(w.tensors)
         checked = 0
         h = 1e-5
@@ -477,65 +638,98 @@ class TestGradients:
 
 class TestAdamW:
     def test_zero_gradient_zero_decay_is_identity(self):
-        w = small_net()
-        before = {k: t.data.copy() for k, t in w.tensors.items()}
+        w = small_net().flatten(np.float64)
+        before = w.copy()
         state = AdamWState.for_weights(w)
-        adamw_step(w, state, {k: np.zeros_like(v) for k, v in before.items()}, 0.1, 0.0)
-        for k, t in w.tensors.items():
-            assert np.array_equal(t.data, before[k])
+        adamw_step(w, state, np.zeros_like(w), 0.1, 0.0)
+        assert np.array_equal(w, before)
 
     def test_first_step_closed_form(self):
         # g=1, lr=0.1: bias correction makes the very first step exactly -lr/(1+eps)
-        cfg = NetworkConfig(n_blocks=1, width=1)
-        w = EncoderWeights(cfg, 1, {"p": ad.Tensor(np.array([2.0]))})
+        w = np.array([2.0])
         state = AdamWState.for_weights(w)
-        adamw_step(w, state, {"p": np.array([1.0])}, lr=0.1, weight_decay=0.0)
-        assert_allclose(w.tensors["p"].data[0], 2.0 - 0.1 / (1.0 + 1e-8), rtol=1e-12)
+        adamw_step(w, state, np.array([1.0]), lr=0.1, weight_decay=0.0)
+        assert_allclose(w[0], 2.0 - 0.1 / (1.0 + 1e-8), rtol=1e-12)
 
     def test_decay_only_decouples(self):
-        cfg = NetworkConfig(n_blocks=1, width=1)
-        w = EncoderWeights(cfg, 1, {"p": ad.Tensor(np.array([3.0]))})
+        w = np.array([3.0])
         state = AdamWState.for_weights(w)
-        adamw_step(w, state, {"p": np.zeros(1)}, lr=0.01, weight_decay=0.5)
-        assert_allclose(w.tensors["p"].data[0], 3.0 * (1.0 - 0.01 * 0.5), rtol=1e-12)
+        adamw_step(w, state, np.zeros(1), lr=0.01, weight_decay=0.5)
+        assert_allclose(w[0], 3.0 * (1.0 - 0.01 * 0.5), rtol=1e-12)
 
     def test_step_counter_shared(self):
-        w = small_net()
+        w = small_net().flatten(np.float64)
         state = AdamWState.for_weights(w)
-        zeros = {k: np.zeros_like(t.data) for k, t in w.tensors.items()}
-        adamw_step(w, state, zeros, 0.1, 0.0)
-        adamw_step(w, state, zeros, 0.1, 0.0)
+        adamw_step(w, state, np.zeros_like(w), 0.1, 0.0)
+        adamw_step(w, state, np.zeros_like(w), 0.1, 0.0)
         assert state.step == 2
+
+    def test_flat_vector_matches_the_per_tensor_formula(self):
+        # several AdamW steps with weight decay and a running SWA mean on one
+        # flat vector give the per-tensor update of every tensor bit for bit
+        net = small_net("gated-residual", cov="full")
+        rng = np.random.default_rng(5)
+        ref = {k: t.data.copy() for k, t in net.tensors.items()}
+        m = {k: np.zeros_like(a) for k, a in ref.items()}
+        v = {k: np.zeros_like(a) for k, a in ref.items()}
+        avg_ref = {k: np.zeros_like(a) for k, a in ref.items()}
+        flat = net.flatten(np.float64)
+        state = AdamWState.for_weights(flat)
+        avg = np.zeros_like(flat)
+        for step in range(1, 7):
+            grads = {k: rng.normal(0.0, 10.0 ** rng.integers(-4, 2), a.shape) for k, a in ref.items()}
+            lr, wd = lr_schedule(step - 1, 6, 5e-3), lr_schedule(step - 1, 6, 2e-4)
+            bc1, bc2 = 1.0 - 0.9**step, 1.0 - 0.999**step
+            for k, g in grads.items():
+                m[k] += (1.0 - 0.9) * (g - m[k])
+                v[k] += (1.0 - 0.999) * (g * g - v[k])
+                ref[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + 1e-8) + lr * wd * ref[k]
+                avg_ref[k] += (ref[k] - avg_ref[k]) / step
+            adamw_step(flat, state, np.concatenate([g.ravel() for g in grads.values()]), lr, wd)
+            swa_update(avg, flat, step)
+        for k, t in net.on_flat(flat).tensors.items():
+            assert t.data.tobytes() == ref[k].tobytes(), k
+        for k, t in net.on_flat(avg).tensors.items():
+            assert t.data.tobytes() == avg_ref[k].tobytes(), k
+
+
+class TestFlatWeights:
+    def test_on_flat_views_the_vector(self):
+        net = small_net("gated-residual")
+        flat = net.flatten(np.float64)
+        assert flat.dtype == np.float64 and flat.size == net.n_parameters()
+        view = net.on_flat(flat)
+        for k, t in view.tensors.items():
+            assert t.data.shape == net.tensors[k].data.shape
+            assert np.array_equal(t.data, net.tensors[k].data), k
+            assert np.shares_memory(t.data, flat), k
+        flat[:] = 0.0
+        assert all(np.all(t.data == 0.0) for t in view.tensors.values())
+        assert np.all(net.tensors["mu.b"].data != 0.0)
 
 
 class TestSWA:
     def test_k1_copies(self):
-        w = small_net()
-        avg = {k: np.zeros_like(t.data) for k, t in w.tensors.items()}
+        w = small_net().flatten(np.float64)
+        avg = np.zeros_like(w)
         swa_update(avg, w, 1)
-        for k, t in w.tensors.items():
-            assert_allclose(avg[k], t.data)
+        assert_allclose(avg, w)
 
     def test_stream_mean(self):
-        cfg = NetworkConfig(n_blocks=1, width=1)
-        w0 = EncoderWeights(cfg, 1, {"p": ad.Tensor(np.array([0.0]))})
-        w2 = EncoderWeights(cfg, 1, {"p": ad.Tensor(np.array([2.0]))})
-        avg = {"p": np.zeros(1)}
-        swa_update(avg, w0, 1)
-        swa_update(avg, w2, 2)
-        assert_allclose(avg["p"], [1.0])
+        avg = np.zeros(1)
+        swa_update(avg, np.array([0.0]), 1)
+        swa_update(avg, np.array([2.0]), 2)
+        assert_allclose(avg, [1.0])
 
     def test_constant_stream(self):
-        cfg = NetworkConfig(n_blocks=1, width=1)
-        w = EncoderWeights(cfg, 1, {"p": ad.Tensor(np.array([5.0]))})
-        avg = {"p": np.array([5.0])}
+        avg = np.array([5.0])
         for k in range(1, 6):
-            swa_update(avg, w, k)
-        assert_allclose(avg["p"], [5.0])
+            swa_update(avg, np.array([5.0]), k)
+        assert_allclose(avg, [5.0])
 
     def test_k_validation(self):
         with pytest.raises(ValueError, match="k"):
-            swa_update({}, small_net(), 0)
+            swa_update(np.zeros(1), small_net().flatten(np.float64), 0)
 
 
 class TestLrSchedule:

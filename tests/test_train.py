@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import chol_params, composed_expected_loglik, tape_nodes
+from conftest import chol_params, composed_expected_loglik, named_gradients, tape_nodes
 from numpy.testing import assert_allclose
 from scipy import stats
 
@@ -175,7 +175,7 @@ class TestMetricsLog:
             log.write(0, 1.5, kl=0.25, loglik=-1.25, tv=0.01, lr=2e-3)
             log.write(1, 1.25)
         lines = path.read_text().strip().split("\n")
-        assert lines[0] == "step\tloss\tkl\tloglik\ttv\tlr"
+        assert lines[0] == "step\tloss\tkl\tloglik\ttv\tlr\tstep_ms"
         first = lines[1].split("\t")
         assert first[0] == "0" and float(first[1]) == 1.5 and float(first[5]) == 2e-3
         assert lines[2].split("\t")[2] == "nan"
@@ -183,6 +183,41 @@ class TestMetricsLog:
     def test_none_path_is_noop(self):
         with MetricsLog(None) as log:
             log.write(0, 1.0)  # must not raise
+
+
+class TestStepTimeColumn:
+    """Both stages log each step's wall time as a last column; every other
+    column is the same bytes on a rerun with the same seed."""
+
+    @staticmethod
+    def columns(path):
+        lines = path.read_text().strip().split("\n")
+        assert lines[0] == MetricsLog.HEADER and lines[0].endswith("\tstep_ms")
+        rows = [line.split("\t") for line in lines[1:]]
+        assert all(len(r) == 7 for r in rows)
+        return [r[:-1] for r in rows], np.array([float(r[-1]) for r in rows])
+
+    def check(self, run, tmp_path):
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        run(a)
+        run(b)
+        (rows_a, ms_a), (rows_b, ms_b) = self.columns(a), self.columns(b)
+        assert rows_a == rows_b
+        assert np.all(np.isfinite(ms_a)) and np.all(ms_a > 0) and np.all(ms_b > 0)
+        return rows_a
+
+    def test_pretraining(self, tmp_path, noisy_dataset):
+        tc = TrainingConfig.pretrain_defaults(iterations=5, batch_size=16, seed=3)
+        rows = self.check(lambda path: run_pretraining(NetworkConfig(n_blocks=1, width=8), tc,
+                                                       noisy_dataset, metrics_path=path), tmp_path)
+        assert len(rows) == 5 and all(r[2:5] == ["nan"] * 3 for r in rows)
+
+    def test_finetuning(self, tmp_path, theta16, phantom_vol, proto_m, constants_m):
+        cfg = TrainingConfig.finetune_defaults(iterations=3, batch_size=1, crop_xy=8, n_samples_elbo=1)
+        gated = NetworkConfig(n_blocks=2, width=16, spatial_mode="gated-residual")
+        rows = self.check(lambda path: run_finetuning(theta16, gated, cfg, [phantom_vol], proto_m,
+                                                      constants_m, FWD1, metrics_path=path), tmp_path)
+        assert len(rows) == 3 and all(np.isfinite([float(v) for v in r[1:]]).all() for r in rows)
 
 
 class TestPriorMaps:
@@ -282,6 +317,18 @@ class TestRunPretraining:
         empty = SynthDataset(np.empty((0, 11)), np.empty((0, 2)), np.empty(0))
         with pytest.raises(ValueError, match="empty"):
             run_pretraining(cfg, TrainingConfig.pretrain_defaults(), empty)
+
+    def test_truth_outside_the_box_stops_before_the_first_step(self, tmp_path, noisy_dataset):
+        # every training row's truth is read into logit space once, up front;
+        # the dataset checks its truths when built, so this one is edited after
+        bad = SynthDataset(noisy_dataset.signals, noisy_dataset.truths.copy(), noisy_dataset.snrs)
+        bad.truths[:, 0] = 0.9
+        path = tmp_path / "m.tsv"
+        with pytest.raises(ValueError, match="oef"):
+            run_pretraining(NetworkConfig(n_blocks=1, width=8),
+                            TrainingConfig.pretrain_defaults(iterations=3, batch_size=8), bad,
+                            metrics_path=path)
+        assert not path.exists()
 
     def test_seed_determinism(self, noisy_dataset):
         cfg = NetworkConfig(n_blocks=1, width=8)
@@ -657,7 +704,7 @@ class TestRunFinetuning:
         assert len(lines) == 11
         first = lines[1].split("\t")
         last = lines[-1].split("\t")
-        assert len(first) == 6
+        assert len(first) == 7
         assert_allclose(float(first[5]), cfg.lr, rtol=1e-9)
         assert float(last[5]) < cfg.lr
         # kl, loglik, and tv columns are populated during fine-tuning
@@ -683,7 +730,7 @@ class TestPretrainPrecision:
             w = theta.astype(dtype)
             pred = encoder_forward(w, ad.Tensor(noisy_dataset.signals[rows]))
             loss = pretrain_loss(pred, noisy_dataset.truths[rows])
-            runs[dtype] = float(loss.data), collect_gradients(w, loss)
+            runs[dtype] = float(loss.data), named_gradients(w, loss)
         (loss64, grads64), (loss32, grads32) = runs[np.float64], runs[np.float32]
         assert abs(loss32 - loss64) <= self.LOSS_RTOL * abs(loss64)
         for name, g in grads64.items():
@@ -695,17 +742,16 @@ class TestPretrainPrecision:
         collect, update, average = train.collect_gradients, train.adamw_step, train.swa_update
 
         def collect_spy(weights, loss):
-            grads = collect(weights, loss)
-            step_dtypes.extend(a.dtype for a in (*weights.arrays().values(), *grads.values()))
-            return grads
+            grad = collect(weights, loss)
+            step_dtypes.extend(a.dtype for a in (*weights.arrays().values(), grad))
+            return grad
 
-        def update_spy(weights, state, grads, lr, weight_decay):
-            update_dtypes.extend(a.dtype for d in (weights.arrays(), state.m, state.v, grads)
-                                 for a in d.values())
-            return update(weights, state, grads, lr, weight_decay)
+        def update_spy(weights, state, grad, lr, weight_decay):
+            update_dtypes.extend(a.dtype for a in (weights, state.m, state.v, grad))
+            return update(weights, state, grad, lr, weight_decay)
 
         def average_spy(avg, current, k):
-            average_dtypes.extend(a.dtype for d in (avg, current.arrays()) for a in d.values())
+            average_dtypes.extend(a.dtype for a in (avg, current))
             return average(avg, current, k)
 
         monkeypatch.setattr(train, "collect_gradients", collect_spy)
@@ -714,8 +760,8 @@ class TestPretrainPrecision:
         tc = TrainingConfig.pretrain_defaults(iterations=4, batch_size=8)
         theta = run_pretraining(NetworkConfig(n_blocks=1, width=8), tc, noisy_dataset)
         n = len(theta.tensors)
-        # four steps, the last two averaged
-        assert (len(step_dtypes), len(update_dtypes), len(average_dtypes)) == (4 * 2 * n, 4 * 4 * n, 2 * 2 * n)
+        # four steps, the last two averaged; the optimizer sees flat vectors
+        assert (len(step_dtypes), len(update_dtypes), len(average_dtypes)) == (4 * (n + 1), 4 * 4, 2 * 2)
         assert set(step_dtypes) == {np.dtype(np.float32)}
         assert set(update_dtypes) == set(average_dtypes) == {np.dtype(np.float64)}
         assert all(t.data.dtype == np.float64 for t in theta.tensors.values())
@@ -748,7 +794,7 @@ class TestFinetunePrecision:
         for dtype in (np.float64, np.float32):
             w = psi.astype(dtype)
             loss = elbo_loss(w, vol, priors, proto_m, constants_m, fwd, cfg, np.random.default_rng(1))
-            runs[dtype] = float(loss.data), collect_gradients(w, loss)
+            runs[dtype] = float(loss.data), named_gradients(w, loss)
         (loss64, grads64), (loss32, grads32) = runs[np.float64], runs[np.float32]
         assert abs(loss32 - loss64) <= self.LOSS_RTOL * abs(loss64)
         for name, g in grads64.items():
@@ -761,14 +807,13 @@ class TestFinetunePrecision:
         collect, update = train.collect_gradients, train.adamw_step
 
         def collect_spy(weights, loss):
-            grads = collect(weights, loss)
-            step_dtypes.extend(a.dtype for a in (*weights.arrays().values(), *grads.values()))
-            return grads
+            grad = collect(weights, loss)
+            step_dtypes.extend(a.dtype for a in (*weights.arrays().values(), grad))
+            return grad
 
-        def update_spy(weights, state, grads, lr, weight_decay):
-            update_dtypes.extend(a.dtype for d in (weights.arrays(), state.m, state.v, grads)
-                                 for a in d.values())
-            return update(weights, state, grads, lr, weight_decay)
+        def update_spy(weights, state, grad, lr, weight_decay):
+            update_dtypes.extend(a.dtype for a in (weights, state.m, state.v, grad))
+            return update(weights, state, grad, lr, weight_decay)
 
         monkeypatch.setattr(train, "collect_gradients", collect_spy)
         monkeypatch.setattr(train, "adamw_step", update_spy)
@@ -777,7 +822,8 @@ class TestFinetunePrecision:
         gated = NetworkConfig(n_blocks=2, width=16, spatial_mode="gated-residual")
         psi = run_finetuning(theta16, gated, cfg, [phantom_vol], proto_m, constants_m, FWD1)
         n = len(psi.tensors)
-        assert (len(step_dtypes), len(update_dtypes)) == (2 * 2 * n, 2 * 4 * n)  # two steps
+        # two steps; the optimizer sees flat vectors
+        assert (len(step_dtypes), len(update_dtypes)) == (2 * (n + 1), 2 * 4)
         assert set(step_dtypes) == {np.dtype(np.float32)}
         assert set(update_dtypes) == {np.dtype(np.float64)}
         assert all(t.data.dtype == np.float64 for t in psi.tensors.values())
@@ -927,7 +973,8 @@ class TestLikelihoodNode:
             loss = train._elbo_core(psi, x, mask, prior_mu, prior_params, proto_m, constants_m,
                                     ForwardModelConfig(), cfg, np.random.default_rng(1))[0]
             nodes = tape_nodes(loss)
-            (node,) = [n for n in nodes if len(n._parents) == 5]
+            # the first gated block has five parents too, but a (planes, h, w, width) value
+            (node,) = [n for n in nodes if len(n._parents) == 5 and n.data.shape == shape[:1]]
             mu, *chol, sigma = node._parents
             assert mu.data.shape == shape[:1] + (2,) and sigma.data.shape == shape
             assert all(t.data.shape == shape[:1] for t in chol)
@@ -984,7 +1031,7 @@ class TestFullMaskRows:
                                     ForwardModelConfig(), cfg, np.random.default_rng(1))[0]
             gathers = [n for n in tape_nodes(loss) if any(
                 a.dtype == bool and a.shape == mask.shape for a in held_arrays(n)[1:])]
-            return loss.data.tobytes(), collect_gradients(psi, loss), len(gathers)
+            return loss.data.tobytes(), named_gradients(psi, loss), len(gathers)
 
         loss, grads, gathers = step()
         monkeypatch.setattr(train, "_masked_rows", lambda a, m: a[m])
