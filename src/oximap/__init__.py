@@ -6,10 +6,14 @@ amortized variational training, and map-level analysis tools, all behind
 one CLI (`oximap`).
 
 Results are bit-reproducible for a fixed config and seed at a fixed BLAS
-thread count. Importing the package first pins OpenBLAS, OpenMP and MKL to
-one thread, unless the environment already sets a count; the pin acts only
-if NumPy is not loaded yet, so a program that imports NumPy before oximap
-must set OPENBLAS_NUM_THREADS=1 (or its BLAS's variable) itself.
+thread count, whatever the number of usable CPUs. Importing the package
+first pins OpenBLAS, OpenMP and MKL to one thread, unless the environment
+already sets a count; the pin acts only if NumPy is not loaded yet, so a
+program that imports NumPy before oximap must set OPENBLAS_NUM_THREADS=1
+(or its BLAS's variable) itself. Fine-tuning's gated blocks split their
+array work with one helper thread when two CPUs are usable, each thread at
+the pinned BLAS count, in a way that changes no bit; detached passes
+(prior maps, inference) run on one thread.
 """
 
 import os

@@ -36,6 +36,11 @@ def recording_off():
         _recording.reset(token)
 
 
+def recording() -> bool:
+    """Whether tensors made now on this thread record the graph."""
+    return _recording.get()
+
+
 class Tensor:
     __slots__ = ("data", "grad", "_parents", "_vjp")
 
@@ -222,18 +227,29 @@ def softplus_parts(x, slope=True):
     size of x is made. The slope is None when not asked for or with
     recording off.
     """
+    out = np.empty_like(x)
+    s = np.empty_like(x) if slope and _recording.get() else None
+    softplus_into(x, out, s)
+    return out, s
+
+
+def softplus_into(x, out, slope):
+    """softplus_parts on given buffers: the value into out and, unless slope
+    is None, logistic(x) into slope, both of x's shape and dtype.
+
+    Array code only: it builds no tensor and reads no recording switch, so
+    any thread may run it on its own part of the buffers.
+    """
     # in place, in the output array: a value-only pass allocates nothing
     # else but one chunk
-    out = np.abs(x, out=np.empty_like(x))
+    np.abs(x, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
-    s = None
-    if slope and _recording.get():
-        s = np.maximum(out, x >= 0.0)  # 1 where x >= 0, else exp(x)
-        s /= 1.0 + out
+    if slope is not None:
+        np.maximum(out, x >= 0.0, out=slope)  # 1 where x >= 0, else exp(x)
+        slope /= 1.0 + out
     np.log1p(out, out=out)
     _add_positive_part(np.atleast_1d(out), np.atleast_1d(x))
-    return out, s
 
 
 def _add_positive_part(out, x):

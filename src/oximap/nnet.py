@@ -35,12 +35,27 @@ and fine-tuning steps, prior maps, inference) runs a COMPUTE_DTYPE copy of
 weights kept in float64. The optimizer runs on flat float64 vectors (the
 weights, gradient, moments and SWA average; EncoderWeights.flatten and
 on_flat), and a network and its float32 checkpoint give the same outputs.
+
+A gated block recorded on the tape (a fine-tuning step) uses a second core
+when the process may run on two CPUs (os.sched_getaffinity): one helper
+thread, made on first use, computes half of the node's array work while the
+calling thread computes the other half. The split changes no sum's order,
+so every output and gradient is bit-identical at one or two usable CPUs.
+Each thread's products run at the BLAS thread count, which `import oximap`
+pins to one, so a node uses at most two cores. Detached passes (prior maps,
+inference) and voxelwise blocks (pretraining) stay on the calling thread.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
+from concurrent import futures
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.special import expit
@@ -212,6 +227,49 @@ def _tap_windows(h: int, w: int):
     return taps
 
 
+# the one worker thread that runs half of each gated block node on the
+# tape, made on first use under its lock; a forked child, whose copy of the
+# pool has no live worker, drops it
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _drop_helper():
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_helper)
+
+
+@contextmanager
+def _beside(part):
+    """Run part() on the helper thread while the with-body runs on this one.
+
+    The with-statement ends only once part() has returned, whether or not
+    the body raised, so no write of part's outlives it; an exception of
+    part's is raised then. On one usable CPU, part() runs first, on this
+    thread. part must be array code only: no tensor, no tape op and no
+    recording switch, which is per thread.
+    """
+    global _helper
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        part()
+        yield
+        return
+    with _helper_lock:
+        if _helper is None:
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="oximap-block")
+        future = _helper.submit(part)
+    try:
+        yield
+    finally:
+        futures.wait([future])
+    future.result()
+
+
 def _block(h, t: dict, b: int, cfg: NetworkConfig) -> ad.Tensor:
     """Hidden block b as a single tape node: softplus(h W + b), plus
     g * conv3x3x1(h) on (B, h, w, C) input in gated-residual mode.
@@ -222,6 +280,15 @@ def _block(h, t: dict, b: int, cfg: NetworkConfig) -> ad.Tensor:
     accumulate the conv output and the gate pre-activation (last column)
     together; no zero-padded copy and no (..., 9C) neighbourhood array is
     formed, forward or backward.
+
+    A gated node on the tape runs on two threads (_beside). Forward, each
+    half of the batch planes computes its softplus and tap products into
+    the node's own buffers; the gate and the conv add follow over the
+    whole batch. Backward, the input gradient runs beside the weight
+    gradients; the first block, which has no input gradient, splits its
+    nine tap products. Each sum is formed as on one thread, so the bits do
+    not depend on the number of CPUs. Detached passes and voxelwise blocks
+    run on one thread.
     """
     gated = cfg.spatial_mode == "gated-residual"
     params = [t[f"block{b}.{n}"] for n in (("w", "b", "conv.w", "gate.w", "gate.b") if gated else ("w", "b"))]
@@ -230,23 +297,38 @@ def _block(h, t: dict, b: int, cfg: NetworkConfig) -> ad.Tensor:
     x = h.data if on_tape else h
     n_c, n_f = w.shape
 
-    pre = x @ w
-    pre += bias
+    out = np.empty(x.shape[:-1] + (n_f,), np.result_type(x, w))
     # the gated output adds the conv path, so only there is the softplus
     # slope kept; a voxelwise node rebuilds it from its output in the vjp,
     # logistic(x) = -expm1(-softplus(x)), and holds no second array
-    out, slope = ad.softplus_parts(pre, slope=gated)
-    del pre
+    slope = np.empty_like(out) if gated and ad.recording() else None
     if gated:
-        gate_b = params[4].data
         taps = _tap_windows(*x.shape[1:3])
         tap_w = np.concatenate([params[2].data, params[3].data], axis=1)
-        acc = x @ tap_w[4 * n_c : 5 * n_c]  # the centre tap covers the whole grid
-        for k, (out_ix, src_ix) in enumerate(taps):
-            if k != 4:
-                acc[out_ix] += x[src_ix] @ tap_w[k * n_c : (k + 1) * n_c]
+        acc = np.empty(x.shape[:-1] + (n_f + 1,), out.dtype)
+
+    def forward(planes):
+        x_p = x[planes]
+        pre = x_p @ w
+        pre += bias
+        ad.softplus_into(pre, out[planes], None if slope is None else slope[planes])
+        del pre
+        if gated:
+            acc_p = acc[planes]
+            np.matmul(x_p, tap_w[4 * n_c : 5 * n_c], out=acc_p)  # the centre tap covers the whole grid
+            for k, (out_ix, src_ix) in enumerate(taps):
+                if k != 4:
+                    acc_p[out_ix] += x_p[src_ix] @ tap_w[k * n_c : (k + 1) * n_c]
+
+    if slope is None:
+        forward(slice(None))
+    else:
+        half = len(x) // 2
+        with _beside(partial(forward, slice(0, half))):
+            forward(slice(half, None))
+    if gated:
         conv = acc[..., :n_f]
-        gate_pre = acc[..., n_f] + gate_b[0]
+        gate_pre = acc[..., n_f] + params[4].data[0]
         if cfg.gate_scope == "scalar":
             gate_pre = gate_pre.mean()
         g = expit(gate_pre + cfg.gate_offset)
@@ -255,9 +337,7 @@ def _block(h, t: dict, b: int, cfg: NetworkConfig) -> ad.Tensor:
 
     def vjp(grad):
         d_pre = grad * (slope if gated else -np.expm1(-out))
-        # contiguous transposed weights keep the products on the fast BLAS path
-        dx = d_pre @ np.ascontiguousarray(w.T) if on_tape else None
-        grads = [x.reshape(-1, n_c).T @ d_pre.reshape(-1, n_f), d_pre.reshape(-1, n_f).sum(axis=0)]
+        dx = np.empty(x.shape, np.result_type(d_pre, w)) if on_tape else None
         if gated:
             d_g = np.einsum("...f,...f->...", grad, conv)
             if cfg.gate_scope == "scalar":
@@ -266,13 +346,34 @@ def _block(h, t: dict, b: int, cfg: NetworkConfig) -> ad.Tensor:
             np.multiply(grad, g_col, out=d_acc[..., :n_f])
             d_acc[..., n_f] = d_g * (g * (1.0 - g))
             d_tap_w = np.empty_like(tap_w)
-            for k, (out_ix, src_ix) in enumerate(taps):
-                rows = slice(k * n_c, (k + 1) * n_c)
-                d_win = d_acc[out_ix]
-                if on_tape:
-                    dx[src_ix] += d_win @ np.ascontiguousarray(tap_w[rows].T)
-                d_tap_w[rows] = np.ascontiguousarray(x[src_ix]).reshape(-1, n_c).T @ d_win.reshape(-1, n_f + 1)
-            grads += [d_tap_w[:, :n_f], d_tap_w[:, n_f:], np.array([d_acc[..., n_f].sum()])]
+
+        def input_gradient():
+            # contiguous transposed weights keep the products on the fast BLAS path
+            np.matmul(d_pre, np.ascontiguousarray(w.T), out=dx)
+            if gated:
+                for k, (out_ix, src_ix) in enumerate(taps):
+                    dx[src_ix] += d_acc[out_ix] @ np.ascontiguousarray(tap_w[k * n_c : (k + 1) * n_c].T)
+
+        def tap_gradients(ks):
+            for k in ks:
+                out_ix, src_ix = taps[k]
+                rows = np.ascontiguousarray(x[src_ix]).reshape(-1, n_c)
+                d_tap_w[k * n_c : (k + 1) * n_c] = rows.T @ d_acc[out_ix].reshape(-1, n_f + 1)
+
+        def main_gradients():
+            return [x.reshape(-1, n_c).T @ d_pre.reshape(-1, n_f), d_pre.reshape(-1, n_f).sum(axis=0)]
+
+        if not gated:
+            if on_tape:
+                input_gradient()
+            return ([dx] if on_tape else []) + main_gradients()
+        # the helper takes the input gradient or, in the first block, which
+        # has none, five of the nine tap products
+        helper, own = (input_gradient, range(9)) if on_tape else (partial(tap_gradients, range(5)), range(5, 9))
+        with _beside(helper):
+            grads = main_gradients()
+            tap_gradients(own)
+        grads += [d_tap_w[:, :n_f], d_tap_w[:, n_f:], np.array([d_acc[..., n_f].sum()])]
         return ([dx] if on_tape else []) + grads
 
     return ad.custom(out, ([h] if on_tape else []) + params, vjp)

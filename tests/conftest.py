@@ -1,5 +1,7 @@
 import math
 import os
+from contextlib import contextmanager
+from unittest import mock
 
 # Pin BLAS to one thread before NumPy loads, as `import oximap` does, so the
 # tests run at the documented thread count; a value the environment sets wins.
@@ -118,3 +120,12 @@ def tape_nodes(*outs):
             nodes[id(node)] = node
             stack.extend(node._parents)
     return list(nodes.values())
+
+
+@contextmanager
+def usable_cpus(n):
+    """Let the gated block nodes see n usable CPUs: with one their two
+    halves run one after the other on the calling thread, with two or more
+    on two threads."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n))):
+        yield

@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import named_gradients, tape_nodes
+from conftest import named_gradients, tape_nodes, usable_cpus
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -253,6 +253,15 @@ class TestEncoderForward:
         assert_allclose(d3, (g3 / 0.5) * d0, rtol=1e-9, atol=1e-15)
 
 
+def same_bits(a, b):
+    """Whether two nested lists / dicts of arrays hold the same bytes."""
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_bits(a[k], b[k]) for k in a)
+    return len(a) == len(b) and all(same_bits(x, y) for x, y in zip(a, b))
+
+
 class TestFusedGatedBlock:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -298,7 +307,10 @@ class TestFusedGatedBlock:
             pred = encoder_forward(net, x)
             return pred.mu_l, pred.sigma_l_params, pred.log_sigma_im
 
-        fused = run(pred_tuple)
+        with usable_cpus(1):
+            fused = run(pred_tuple)
+        with usable_cpus(2):
+            assert same_bits(run(pred_tuple), fused)
         oracle = run(lambda x: composed_encoder_forward(net, ad.Tensor(x)))
 
         def close(a, b, what):
@@ -319,7 +331,11 @@ class TestFusedGatedBlock:
             ad.backward(ad.tsum(block(h_t, net.tensors, 0, net.config) * block_cot))
             return h_t.grad
 
-        close(input_gradient(_block), input_gradient(composed_block), "input gradient")
+        with usable_cpus(1):
+            serial = input_gradient(_block)
+        with usable_cpus(2):
+            assert serial.tobytes() == input_gradient(_block).tobytes()
+        close(serial, input_gradient(composed_block), "input gradient")
 
     def test_one_tape_node_per_block_and_no_neighbourhood_arrays(self, monkeypatch):
         # the loss of a fine-tune step records each gated block as one node,
@@ -435,7 +451,10 @@ class TestNodesAgainstComposedOps:
         for b in range(cfg.n_blocks):
             h = rng.normal(0.0, 1.0, shape + (N_T if b == 0 else cfg.width,))
             cot = rng.normal(size=shape + (cfg.width,))
-            fused = run(lambda h_t: _block(h_t, t, b, cfg), h, [cot])
+            with usable_cpus(1):
+                fused = run(lambda h_t: _block(h_t, t, b, cfg), h, [cot])
+            with usable_cpus(2):
+                assert same_bits(run(lambda h_t: _block(h_t, t, b, cfg), h, [cot]), fused)
             oracle = run(lambda h_t: composed_block(h_t, t, b, cfg), h, [cot])
             sizes = term_sizes(net, b, h, cot)
             close(fused[0][0], oracle[0][0], sizes["out"], f"block {b} output")
