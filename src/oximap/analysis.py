@@ -127,10 +127,9 @@ def marginal_std(dist: ScaledLogitNormal) -> np.ndarray:
     time, one array per block built in place, so the working memory does
     not grow with their number.
     """
-    with ad.recording_off():
-        l00, l10, l11, _, _ = cholesky_entries(dist.sigma_l_params)
+    l00, l10, l11 = cholesky_entries(dist.sigma_l_params)
     mu = dist.mu.reshape(-1, 2)
-    scale = np.stack([l00.data, np.hypot(l10, l11.data)], axis=-1).reshape(-1, 2)
+    scale = np.stack([l00, np.hypot(l10, l11)], axis=-1).reshape(-1, 2)
     out = np.empty_like(mu)
     for b in range(0, mu.shape[0], STD_BLOCK):
         blk = slice(b, b + STD_BLOCK)
@@ -184,8 +183,8 @@ def elbo_map(
 
     Analytic KL against the priors (one row per masked voxel, as from
     compute_prior_maps) plus the expected_loglik of n_samples >= 1 draws,
-    the code the training loss runs, here off the tape and given the model
-    signal without partials: a generator seeded like the training loss
+    the code the training loss runs, here given the model signal without
+    partials: a generator seeded like the training loss
     replays its draws, and the masked mean of this map equals minus the
     training loss on the same inputs. `_posterior` passes in the posterior
     infer_maps has already computed, so the encoder runs once.
@@ -195,15 +194,12 @@ def elbo_map(
     if not np.array_equal(priors.mask, vol.mask):
         raise ValueError("priors are not aligned with the volume grid and mask")
     dist, log_sigma = _masked_posterior(weights, vol) if _posterior is None else _posterior
-    m = planes_first(vol.mask)
-    with ad.recording_off():
-        chol = cholesky_entries(dist.sigma_l_params)
-        ll_vox = expected_loglik(
-            planes_first(vol.data)[m], log_sigma, dist.mu, chol,
-            lambda oef, dbv: (normalized_model_signal(oef, dbv, proto, constants, fwd_cfg), None),
-            rng, n_samples,
-        )
-    return _scatter(ll_vox.data - kl_analytic(dist, priors), vol)
+    ll_vox = expected_loglik(
+        planes_first(vol.data)[planes_first(vol.mask)], log_sigma, dist.mu, dist.sigma_l_params,
+        lambda oef, dbv: (normalized_model_signal(oef, dbv, proto, constants, fwd_cfg), None),
+        rng, n_samples,
+    )
+    return _scatter(ll_vox - kl_analytic(dist, priors), vol)
 
 
 def infer_maps(weights: EncoderWeights, vol: Volume4D, cfg: InferenceConfig) -> ParamMaps:

@@ -213,29 +213,20 @@ def logistic(a):
     return Tensor(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
-# elements per pass of softplus_parts's max(x, 0) add
+# elements per pass of softplus_into's max(x, 0) add
 SOFTPLUS_CHUNK = 1 << 15
 
 
-def softplus_parts(x, slope=True):
-    """softplus(x) = log(1 + exp(x)) of a float array, and its slope logistic(x).
+def softplus_into(x, out, slope):
+    """softplus(x) = log(1 + exp(x)) of a float array into out and, unless
+    slope is None, its slope logistic(x) into slope, both of x's shape and
+    dtype.
 
     The value is log1p(exp(-|x|)) + max(x, 0), so large |x| never
     overflows; the slope reuses the same exp(-|x|). The max(x, 0) is added
     everywhere, SOFTPLUS_CHUNK elements at a time: log1p(exp(-|x|)) >= 0,
     so adding its +-0 where x <= 0 changes no bit, and no temporary the
-    size of x is made. The slope is None when not asked for or with
-    recording off.
-    """
-    out = np.empty_like(x)
-    s = np.empty_like(x) if slope and _recording.get() else None
-    softplus_into(x, out, s)
-    return out, s
-
-
-def softplus_into(x, out, slope):
-    """softplus_parts on given buffers: the value into out and, unless slope
-    is None, logistic(x) into slope, both of x's shape and dtype.
+    size of x is made.
 
     Array code only: it builds no tensor and reads no recording switch, so
     any thread may run it on its own part of the buffers.
@@ -268,11 +259,12 @@ def _add_positive_part(out, x):
 
 
 def softplus(a):
-    """log(1 + exp(x)); see softplus_parts. The vjp rebuilds the slope from
+    """log(1 + exp(x)); see softplus_into. The vjp rebuilds the slope from
     the output, logistic(x) = -expm1(-softplus(x)), so the tape holds no
     second array per node."""
     a = as_tensor(a)
-    out, _ = softplus_parts(a.data, slope=False)
+    out = np.empty_like(a.data)
+    softplus_into(a.data, out, None)
     return Tensor(out, (a,), lambda g: (g * -np.expm1(-out),))
 
 

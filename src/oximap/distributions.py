@@ -10,12 +10,13 @@ Two such distributions share the box, so their KL divergence equals the
 Gaussian KL of their bases, which is available in closed form; a Monte
 Carlo estimate is kept as a cross-check.
 
-The box map, the log-density, the Cholesky read-out of the encoder's
-covariance head and the KL each have one body that takes arrays or tape
-tensors: training runs them on the tape, analysis under ad.recording_off();
-on the tape the log-density is one node with a closed-form vjp. The
+The box map, the Cholesky read-out of the encoder's covariance head and the
+KL are array code, shared by training and analysis: the KL body also
+returns its closed-form gradient, which the fine-tune loss's one tape node
+applies. The log-density is one body too, a tape node with a closed-form
+vjp (run with recording off where only its value is read). The
 reparameterized draw and the box map's slope take arrays, in training too,
-where the ELBO's likelihood node carries their gradient.
+where the loss node carries their gradient.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import expit, ndtr, ndtri
 
 from . import autodiff as ad
 
@@ -35,16 +36,11 @@ PARAM_NAMES = ("oef", "dbv")
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def to_box(beta):
-    """The box map PARAM_SCALE * logistic(beta) + PARAM_OFFSET over a
-    trailing (oef, dbv) axis; an array or tape tensor in, a tape tensor out."""
-    return PARAM_SCALE * ad.logistic(beta) + PARAM_OFFSET
-
-
 def forward_transform(beta):
-    """Map logit-space coordinates into the open parameter box (arrays)."""
-    with ad.recording_off():
-        return to_box(np.asarray(beta, dtype=np.float64)).data
+    """The box map PARAM_SCALE * logistic(beta) + PARAM_OFFSET over a
+    trailing (oef, dbv) axis: logit-space coordinates into the open
+    parameter box."""
+    return PARAM_SCALE * expit(np.asarray(beta, dtype=np.float64)) + PARAM_OFFSET
 
 
 def box_slope(y):
@@ -71,17 +67,10 @@ def inverse_transform(y):
 def cholesky_entries(p):
     """Read the Cholesky factor L = [[l00, 0], [l10, l11]] out of the
     encoder's covariance layout p = (log l00, log l11[, l10]) on a trailing
-    axis; a width of 2 means a diagonal factor (l10 = 0).
-
-    p may be an array or a tape tensor. Returns (l00, l10, l11, log l00,
-    log l11); the logs are the entries of p itself, so they stay exact.
-    """
-    log_l00 = p[..., 0]
-    log_l11 = p[..., 1]
-    l00 = ad.exp(log_l00)
-    l11 = ad.exp(log_l11)
+    axis: the arrays (l00, l10, l11). A width of 2 means a diagonal factor,
+    whose l10 is the number 0.0."""
     l10 = p[..., 2] if p.shape[-1] == 3 else 0.0
-    return l00, l10, l11, log_l00, log_l11
+    return np.exp(p[..., 0]), l10, np.exp(p[..., 1])
 
 
 class BoxLogits(NamedTuple):
@@ -169,47 +158,53 @@ class ScaledLogitNormal:
 
     def transform_noise(self, z):
         """Push given standard-normal noise through the reparameterization."""
-        with ad.recording_off():
-            l00, l10, l11, _, _ = cholesky_entries(self.sigma_l_params)
-        return reparameterize(self.mu, l00.data, l10, l11.data, np.asarray(z, dtype=np.float64))
+        l00, l10, l11 = cholesky_entries(self.sigma_l_params)
+        return reparameterize(self.mu, l00, l10, l11, np.asarray(z, dtype=np.float64))
 
 
 def reparameterize(mu, l00, l10, l11, z):
-    """The reparameterized draw y = to_box(mu + L z) on arrays: box
+    """The reparameterized draw y = forward_transform(mu + L z): box
     coordinates (..., 2) of standard-normal noise z (..., 2), with
     L = [[l00, 0], [l10, l11]] given by its entries."""
     beta = np.stack([mu[..., 0] + l00 * z[..., 0], mu[..., 1] + l10 * z[..., 0] + l11 * z[..., 1]], axis=-1)
     return forward_transform(beta)
 
 
-def kl_cholesky(mu_q, l00, l10, l11, log_l00, log_l11, mu_p, p_params):
-    """Closed-form KL(q || p) of two bivariate Gaussians, from q's Cholesky entries.
+def kl_cholesky(mu_q, q, mu_p, p, grad):
+    """Closed-form KL(q || p) of two bivariate Gaussians, one per row, and
+    with grad also its gradients in mu_q and q.
 
-    q has mean mu_q and factor [[l00, 0], [l10, l11]], with the logs of its
-    diagonal passed exactly; p has mean mu_p and factor p_params, an array in
-    the layout of cholesky_entries. q's inputs may be arrays or tape tensors;
-    the result is a tape tensor. Grouped as
-    0.5 * [(m00^2-1-2 log m00) + (m11^2-1-2 log m11) + m10^2 + |w|^2]
-    with M = Lp^-1 Lq and w = Lp^-1 (mu_q - mu_p); each log group is clamped
-    at zero so rounding can never produce a negative KL.
+    Each has a mean and a factor in the layout of cholesky_entries. Grouped
+    as 0.5 * [(m00^2-1-2 log m00) + (m11^2-1-2 log m11) + m10^2 + |w|^2]
+    with M = Lp^-1 Lq and w = Lp^-1 (mu_q - mu_p); each log group is
+    clamped at zero so rounding can never produce a negative KL, and gets
+    zero gradient where it is <= 0. Returns kl, or (kl, d kl / d mu_q,
+    d kl / d q) with the gradients row by row, shaped like mu_q and q.
     """
-    with ad.recording_off():
-        a, b, cc, log_a, log_cc = cholesky_entries(p_params)
+    l00, l10, l11 = cholesky_entries(q)
+    a, b, cc = cholesky_entries(p)
     m00 = l00 / a
     m10 = (l10 - b * m00) / cc
     m11 = l11 / cc
     w0 = (mu_q[..., 0] - mu_p[..., 0]) / a
     w1 = (mu_q[..., 1] - mu_p[..., 1] - b * w0) / cc
-    t00 = ad.clip_min(m00 * m00 - 1.0 - 2.0 * (log_l00 - log_a), 0.0)
-    t11 = ad.clip_min(m11 * m11 - 1.0 - 2.0 * (log_l11 - log_cc), 0.0)
-    return 0.5 * (t00 + t11 + m10 * m10 + w0 * w0 + w1 * w1)
+    x00 = m00 * m00 - 1.0 - 2.0 * (q[..., 0] - p[..., 0])
+    x11 = m11 * m11 - 1.0 - 2.0 * (q[..., 1] - p[..., 1])
+    kl = 0.5 * (np.maximum(x00, 0.0) + np.maximum(x11, 0.0) + m10 * m10 + w0 * w0 + w1 * w1)
+    if not grad:
+        return kl
+    g_w1 = w1 / cc
+    g_m10 = m10 / cc
+    # in the layout's logs d m00 / d log l00 = m00, and so for m11
+    cols = [(m00 * m00 - 1.0) * (x00 > 0.0) - b * g_m10 * m00, (m11 * m11 - 1.0) * (x11 > 0.0)]
+    if q.shape[-1] == 3:
+        cols.append(g_m10)
+    return kl, np.stack([(w0 - b * g_w1) / a, g_w1], axis=-1), np.stack(cols, axis=-1)
 
 
 def kl_analytic(q: ScaledLogitNormal, p: ScaledLogitNormal):
     """Closed-form KL(q || p); exact because the box transform is shared."""
-    with ad.recording_off():
-        l00, l10, l11, log_l00, log_l11 = cholesky_entries(q.sigma_l_params)
-        return kl_cholesky(q.mu, l00, l10, l11, log_l00, log_l11, p.mu, p.sigma_l_params).data
+    return kl_cholesky(q.mu, q.sigma_l_params, p.mu, p.sigma_l_params, False)
 
 
 def kl_monte_carlo(q: ScaledLogitNormal, p: ScaledLogitNormal, rng: np.random.Generator, n: int):

@@ -447,7 +447,9 @@ def collect_gradients(weights: EncoderWeights, loss: ad.Tensor) -> np.ndarray:
     values; a FloatingPointError names a tensor with a non-finite entry.
 
     The weights' gradients from any earlier backward are cleared first, so
-    each call returns this loss's gradient alone.
+    each call returns this loss's gradient alone. Clearing and filling .grad
+    on the weights' tensors makes one EncoderWeights serve one thread at a
+    time: threads that run steps at once need one each (on_flat views).
     """
     ad.zero_grads(weights.tensors.values())
     ad.backward(loss)

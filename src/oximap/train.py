@@ -16,6 +16,12 @@ nnet.COMPUTE_DTYPE (float32) copy of it, made by one cast, whose gradient
 vector is cast back to float64 for the update; the loss past the encoder's
 heads is float64. The prior maps' detached pass runs on such a copy too.
 Each step's wall time goes into the metrics log's step_ms column.
+
+Past the encoder's heads each stage's loss is array code, recorded on the
+tape as one node with a closed-form vjp: the log-density of the truths in
+pretraining, and in fine-tuning the KL, the Monte-Carlo likelihood, the
+masked means and the TV together (_elbo_core). The ELBO map runs the same
+KL and likelihood bodies on their own.
 """
 
 from __future__ import annotations
@@ -33,10 +39,10 @@ from .distributions import (
     box_logits,
     box_slope,
     cholesky_entries,
+    forward_transform,
     kl_cholesky,
     neg_log_density,
     reparameterize,
-    to_box,
 )
 from .nnet import (
     COMPUTE_DTYPE,
@@ -254,98 +260,118 @@ def compute_prior_maps(theta: EncoderWeights, vol: Volume4D) -> PriorMaps:
 # negative ELBO --------------------------------------------------------
 
 
-def expected_loglik(x, log_sigma_im, mu, chol, model, rng, n):
+def expected_loglik(x, log_sigma_im, mu, p, model, rng, n):
     """Mean over n reparameterized draws of the per-voxel diagonal-Gaussian
     log-likelihood of the rows x, summed over tau, given their per-tau log
-    noise levels log_sigma_im (sigma, floored at SIGMA_IM_FLOOR) and mu with
-    the factor chol that cholesky_entries returns.
+    noise levels log_sigma_im (sigma, floored at SIGMA_IM_FLOOR) and the
+    posterior rows mu and p (a factor in the layout of cholesky_entries).
 
-    Each draw runs on arrays, its noise drawn per row, so generators seeded
-    alike replay the same draws. model(oef, dbv) returns a fresh model
-    signal and its partials in oef and dbv, or None for them off the tape.
-    On the tape the result is one node on (mu, l00, l10, l11, sigma) for any
-    n: each draw carries the partials' contraction with the likelihood's
-    gradient through the box map's slope and L z into per-row sums, and
-    adds res^2 - 1 (sigma times its gradient in sigma) into one (rows, taus)
-    array.
+    Each draw's noise is drawn per row, so generators seeded alike replay
+    the same draws. model(oef, dbv) returns a fresh model signal and its
+    partials in oef and dbv, or None for them. The result is ll, one value
+    per row, and with partials also its row gradients in mu, p and
+    log_sigma_im: each draw adds the partials' contraction with the
+    likelihood's gradient, through the box map's slope and L z, into
+    per-row sums, and res^2 - 1 into one (rows, taus) array.
     """
-    sigma = ad.clip_min(ad.exp(log_sigma_im), SIGMA_IM_FLOOR)
-    log_norm = -0.5 * LOG_2PI - np.log(sigma.data)
-    mu_a, l00, l10, l11 = (ad.as_tensor(t).data for t in (mu, *chol[:3]))
+    noise_sd = np.exp(log_sigma_im)
+    sigma = np.maximum(noise_sd, SIGMA_IM_FLOOR)
+    log_norm = -0.5 * LOG_2PI - np.log(sigma)
+    l00, l10, l11 = cholesky_entries(p)
     acc = sums = None
     for _ in range(n):
-        z = rng.standard_normal(mu_a.shape)
-        y = reparameterize(mu_a, l00, l10, l11, z)
+        z = rng.standard_normal(mu.shape)
+        y = reparameterize(mu, l00, l10, l11, z)
         res, parts = model(y[..., 0], y[..., 1])
         np.subtract(x, res, out=res)
-        res /= sigma.data
+        res /= sigma
         q = res * res
         q *= 0.5
         ll = np.subtract(log_norm, q, out=q).sum(axis=-1)
         acc = ll if acc is None else acc + ll
         if parts is not None:
-            np.divide(res, sigma.data, out=q)
+            np.divide(res, sigma, out=q)
             # d ll / d (mu + L z), then its products with z for L's entries
-            c = np.stack([np.einsum("...t,...t->...", q, p) for p in parts], axis=-1) * box_slope(y)
+            c = np.stack([np.einsum("...t,...t->...", q, d) for d in parts], axis=-1) * box_slope(y)
             res *= res
             res -= 1.0
             terms = (c, c[..., :, None] * z[..., None, :], res)
             sums = terms if sums is None else [np.add(t, u, out=t) for t, u in zip(sums, terms)]
         del res, parts, q  # freed before the next draw's model call
-    ll = acc * (1.0 / n)
+    inv = 1.0 / n
+    ll = acc * inv
     if sums is None:
-        return ad.Tensor(ll)
+        return ll
     g_mu, g_l, w = sums
-    w /= sigma.data
-
-    def vjp(g):
-        g = g * (1.0 / n)
-        g_lz = g[..., None, None] * g_l  # a diagonal factor's l10 is the number 0.0: no gradient
-        return (g[..., None] * g_mu, g_lz[..., 0, 0], g_lz[..., 1, 0] if np.ndim(l10) else None,
-                g_lz[..., 1, 1], g[..., None] * w)
-
-    return ad.custom(ll, (mu, *chol[:3], sigma), vjp)
+    # the factor's diagonal through exp, then l10
+    cols = [g_l[..., 0, 0] * l00, g_l[..., 1, 1] * l11]
+    if p.shape[-1] == 3:
+        cols.append(g_l[..., 1, 0])
+    # d ll / d log sigma: the sum of res^2 - 1 where sigma is not floored
+    w *= noise_sd > SIGMA_IM_FLOOR
+    return ll, g_mu * inv, np.stack(cols, axis=-1) * inv, w * inv
 
 
 def _masked_rows(a, mask):
-    """The rows of a (planes, h, w, k) array or tape tensor at mask's voxels,
-    in C order. When every voxel is masked they are a reshape view, so no
-    gather copies them and no vjp scatters their gradient into a zero grid."""
-    if not mask.all():
-        return a[mask]
-    shape = (mask.size, a.shape[-1])
-    return ad.reshape(a, shape) if isinstance(a, ad.Tensor) else a.reshape(shape)
+    """The rows of a (planes, h, w, k) array at mask's voxels, in C order.
+    When every voxel is masked they are a reshape, with no gather."""
+    return a.reshape(mask.size, a.shape[-1]) if mask.all() else a[mask]
 
 
-def _elbo_core(psi, x_arr, mask_arr, prior_mu, prior_params, proto, constants, fwd_cfg, cfg, rng):
-    """Negative-ELBO graph on plane-major arrays (planes, h, w, ...), against
-    the prior rows prior_mu and prior_params of mask_arr's voxels, in order.
+def _grid_rows(rows, mask):
+    """The inverse of _masked_rows: (rows, k) values on mask's grid, zero
+    off the mask."""
+    if mask.all():
+        return rows.reshape(mask.shape + rows.shape[-1:])
+    out = np.zeros(mask.shape + rows.shape[-1:])
+    out[mask] = rows
+    return out
+
+
+def _elbo_core(psi, x_arr, mask_arr, prior_mu, prior_params, proto, constants, fwd_cfg, cfg, tv_lambda, rng):
+    """Negative ELBO plus tv_lambda times the TV of the transformed mean
+    maps, on plane-major arrays (planes, h, w, ...), against the prior rows
+    prior_mu and prior_params of mask_arr's voxels, in order. Returns
+    (loss, kl_mean, loglik_mean, tv), the last three floats.
 
     The encoder runs on the whole grid, since the gated conv reads
-    neighbours; the KL and expected_loglik run on the masked voxels only,
-    taken by _masked_rows on the tape so the gradient flows back.
-
-    Returns (loss, kl_mean, loglik_mean, mean_maps) where mean_maps is the
-    tape tensor of transformed posterior means, shape (planes, h, w, 2).
+    neighbours. Past its heads all is array code, the KL and
+    expected_loglik on the masked voxels only, and the loss is one tape
+    node on the three heads: its vjp applies their closed-form gradients
+    and puts the rows back on the grid.
     """
     n_masked = int(mask_arr.sum())
     if n_masked == 0:
         raise ValueError("batch contains no masked voxels")
     pred = encoder_forward(psi, x_arr)
-    mu_m = _masked_rows(pred.mu_l, mask_arr)
-    chol = cholesky_entries(_masked_rows(pred.sigma_l_params, mask_arr))
-    kl_vox = kl_cholesky(mu_m, *chol, prior_mu, prior_params)
-    ll_vox = expected_loglik(
-        _masked_rows(x_arr, mask_arr), _masked_rows(pred.log_sigma_im, mask_arr), mu_m, chol,
+    heads = (pred.mu_l, pred.sigma_l_params, pred.log_sigma_im)
+    mu_l, p, log_sigma = (t.data for t in heads)
+    mu, q = _masked_rows(mu_l, mask_arr), _masked_rows(p, mask_arr)
+    kl, kl_mu, kl_q = kl_cholesky(mu, q, prior_mu, prior_params, True)
+    ll, ll_mu, ll_q, ll_sigma = expected_loglik(
+        _masked_rows(x_arr, mask_arr), _masked_rows(log_sigma, mask_arr), mu, q,
         lambda oef, dbv: normalized_model_signal_t(oef, dbv, proto, constants, fwd_cfg),
         rng, cfg.n_samples_elbo,
     )
-
     inv = 1.0 / n_masked
-    kl_mean = ad.tsum(kl_vox) * inv
-    ll_mean = ad.tsum(ll_vox) * inv
+    kl_mean = kl.sum() * inv
+    ll_mean = ll.sum() * inv
     loss = kl_mean - ll_mean
-    return loss, kl_mean, ll_mean, to_box(pred.mu_l)
+    box = forward_transform(mu_l)
+    tv, tv_grad = _tv_planes(box, mask_arr)
+    if tv_lambda:
+        loss = loss + tv_lambda * tv
+        tv_grad *= box_slope(box)  # now in the mean logits
+    d_mu, d_q = kl_mu - ll_mu, kl_q - ll_q
+
+    def vjp(g):
+        c = g * inv
+        g_mu = _grid_rows(d_mu * c, mask_arr)
+        if tv_lambda:
+            g_mu += (g * tv_lambda) * tv_grad
+        return g_mu, _grid_rows(d_q * c, mask_arr), _grid_rows(ll_sigma * -c, mask_arr)
+
+    return ad.custom(loss, heads, vjp), float(kl_mean), float(ll_mean), tv
 
 
 def elbo_loss(
@@ -362,8 +388,9 @@ def elbo_loss(
     """Monte-Carlo negative ELBO of a normalized volume (or crop), averaged
     over its masked voxels: mean KL(q || prior) minus the mean over
     n_samples_elbo reparameterized draws of the diagonal-Gaussian signal
-    log-likelihood. Differentiable w.r.t. the network weights. The priors'
-    rows are the batch's masked voxels, as compute_prior_maps gives them.
+    log-likelihood, as one tape node. Differentiable w.r.t. the network
+    weights. The priors' rows are the batch's masked voxels, as
+    compute_prior_maps gives them.
 
     With return_parts, also returns {"kl", "loglik"} as floats; the loss
     equals kl - loglik exactly.
@@ -371,64 +398,56 @@ def elbo_loss(
     if not np.array_equal(priors.mask, batch.mask):
         raise ValueError("priors are not aligned with the batch grid and mask")
     loss, kl_mean, ll_mean, _ = _elbo_core(
-        psi,
-        planes_first(batch.data),
-        planes_first(batch.mask),
-        priors.mu,
-        priors.sigma_l_params,
-        proto,
-        constants,
-        fwd_cfg,
-        cfg,
-        rng,
+        psi, planes_first(batch.data), planes_first(batch.mask), priors.mu, priors.sigma_l_params,
+        proto, constants, fwd_cfg, cfg, 0.0, rng,
     )
     if return_parts:
-        return loss, {"kl": float(kl_mean.data), "loglik": float(ll_mean.data)}
+        return loss, {"kl": kl_mean, "loglik": ll_mean}
     return loss
 
 
 # total variation ------------------------------------------------------
 
 
-def _tv_planes(maps_t, mask=None):
-    """Mean absolute in-plane forward differences of (planes, h, w, c) maps.
+def _tv_planes(maps, mask):
+    """Mean absolute in-plane forward differences of (planes, h, w, c) maps,
+    and its gradient in the maps.
 
     Both difference directions are evaluated on the shared (h-1) x (w-1)
     interior and normalized by planes * (h-1) * (w-1); channels are summed.
-    With a mask, a difference contributes only when both voxels are masked
-    (the normalizer is unchanged, so edge voxels are penalized less).
+    A difference contributes only when both voxels are masked (the
+    normalizer is unchanged, so edge voxels are penalized less); a tied
+    difference gets zero gradient, as |x| at 0.
     """
-    n_planes, h, w = maps_t.data.shape[:3]
+    n_planes, h, w = maps.shape[:3]
+    d_maps = np.zeros(maps.shape)
     if h < 2 or w < 2:
-        return ad.as_tensor(0.0)
-    dx = maps_t[:, :-1, :-1, :] - maps_t[:, 1:, :-1, :]
-    dy = maps_t[:, :-1, :-1, :] - maps_t[:, :-1, 1:, :]
-    adx = ad.absval(dx)
-    ady = ad.absval(dy)
-    if mask is not None:
-        core = mask[:, :-1, :-1]
-        wx = (core & mask[:, 1:, :-1]).astype(np.float64)[..., None]
-        wy = (core & mask[:, :-1, 1:]).astype(np.float64)[..., None]
-        adx = adx * wx
-        ady = ady * wy
+        return 0.0, d_maps
     norm = 1.0 / (n_planes * (h - 1) * (w - 1))
-    return (ad.tsum(adx) + ad.tsum(ady)) * norm
+    core = mask[:, :-1, :-1]
+    wx = (core & mask[:, 1:, :-1]).astype(np.float64)[..., None]
+    wy = (core & mask[:, :-1, 1:]).astype(np.float64)[..., None]
+    dx = maps[:, :-1, :-1] - maps[:, 1:, :-1]
+    dy = maps[:, :-1, :-1] - maps[:, :-1, 1:]
+    tv = float(((np.abs(dx) * wx).sum() + (np.abs(dy) * wy).sum()) * norm)
+    sx, sy = np.sign(dx) * (wx * norm), np.sign(dy) * (wy * norm)
+    d_maps[:, :-1, :-1] += sx + sy
+    d_maps[:, 1:, :-1] -= sx
+    d_maps[:, :-1, 1:] -= sy
+    return tv, d_maps
 
 
 def tv_loss(mean_maps, mask=None):
-    """In-plane total variation of parameter maps on an (h, w, d) grid.
-
-    Accepts (h, w, d) or (h, w, d, channels) arrays or tape tensors; only
-    x/y neighbor differences enter, never z. Returns a tape scalar.
-    """
-    t = ad.as_tensor(mean_maps)
-    if t.data.ndim == 3:
-        t = ad.reshape(t, t.data.shape + (1,))
-    if t.data.ndim != 4:
+    """In-plane total variation of parameter maps on an (h, w, d) grid,
+    (h, w, d) or (h, w, d, channels), as a float; only x/y neighbor
+    differences enter, never z."""
+    maps = np.asarray(mean_maps, dtype=np.float64)
+    if maps.ndim == 3:
+        maps = maps[..., None]
+    if maps.ndim != 4:
         raise ValueError("mean_maps must have shape (h, w, d) or (h, w, d, channels)")
-    t = ad.transpose(t, (2, 0, 1, 3))
-    m = None if mask is None else np.moveaxis(np.asarray(mask, dtype=bool), 2, 0)
-    return _tv_planes(t, m)
+    mask = np.ones(maps.shape[:3], bool) if mask is None else np.asarray(mask, dtype=bool)
+    return _tv_planes(np.moveaxis(maps, 2, 0), np.moveaxis(mask, 2, 0))[0]
 
 
 # fine-tuning ----------------------------------------------------------
@@ -516,12 +535,10 @@ def run_finetuning(
             prior_rows = np.concatenate(prior_crops, axis=0)[mask_arr]
 
             step_psi = psi.on_flat(master.astype(COMPUTE_DTYPE))
-            elbo, kl_mean, ll_mean, mean_maps = _elbo_core(
+            loss, kl_mean, ll_mean, tv = _elbo_core(
                 step_psi, x_arr, mask_arr, prior_rows[:, :2], prior_rows[:, 2:],
-                proto, constants, fwd_cfg, train_cfg, rng,
+                proto, constants, fwd_cfg, train_cfg, train_cfg.tv_lambda, rng,
             )
-            tv = _tv_planes(mean_maps, mask_arr)
-            loss = elbo + train_cfg.tv_lambda * tv if train_cfg.tv_lambda else elbo
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
                 raise RuntimeError(f"non-finite loss at iteration {i}")
@@ -529,12 +546,5 @@ def run_finetuning(
             lr_i = lr_schedule(i, train_cfg.iterations, train_cfg.lr)
             wd_i = lr_schedule(i, train_cfg.iterations, train_cfg.weight_decay)
             adamw_step(master, opt, grad, lr_i, wd_i)
-            log.write(
-                i,
-                loss_val,
-                kl=float(kl_mean.data),
-                loglik=float(ll_mean.data),
-                tv=float(tv.data),
-                lr=lr_i,
-            )
+            log.write(i, loss_val, kl=kl_mean, loglik=ll_mean, tv=tv, lr=lr_i)
     return psi

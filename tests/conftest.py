@@ -21,8 +21,17 @@ from scipy.integrate import quad
 from scipy.special import expit
 
 from oximap import autodiff as ad
-from oximap.distributions import LOG_2PI, PARAM_OFFSET, PARAM_SCALE
-from oximap.nnet import SIGMA_IM_FLOOR, collect_gradients
+from oximap import train
+from oximap.distributions import (
+    LOG_2PI,
+    PARAM_OFFSET,
+    PARAM_SCALE,
+    box_slope,
+    cholesky_entries,
+    forward_transform,
+    reparameterize,
+)
+from oximap.nnet import SIGMA_IM_FLOOR, VoxelPrediction, collect_gradients
 from oximap.physics import AcquisitionProtocol, PhysioConstants, normalized_model_signal_t
 
 settings.register_profile("pkg", deadline=None, max_examples=60, derandomize=True)
@@ -92,7 +101,7 @@ def signal_loglik(x, log_sigma_im):
 
 def composed_expected_loglik(x, log_sigma_im, mu, l00, l10, l11, noise, proto, constants, fwd):
     """The oracle of train.expected_loglik, composed of elementary tape ops:
-    the mean of signal_loglik over the draws to_box(mu + L z), one per
+    the mean of signal_loglik over the draws forward_transform(mu + L z), one per
     standard-normal array z in noise, with L = [[l00, 0], [l10, l11]]."""
     loglik, acc = signal_loglik(x, log_sigma_im), None
     for z in noise:
@@ -103,6 +112,143 @@ def composed_expected_loglik(x, log_sigma_im, mu, l00, l10, l11, noise, proto, c
         term = loglik(model_node(oef, dbv, proto, constants, fwd))
         acc = term if acc is None else acc + term
     return acc * (1.0 / len(noise))
+
+
+def composed_cholesky(p):
+    """The factor's entries (l00, l10, l11) of the layout p as tape ops;
+    a diagonal factor's l10 is the number 0.0."""
+    return ad.exp(p[..., 0]), p[..., 2] if p.shape[-1] == 3 else 0.0, ad.exp(p[..., 1])
+
+
+def composed_kl(mu, p, prior_mu, prior_params):
+    """The oracle of distributions.kl_cholesky's value, row by row, composed
+    of elementary tape ops on (mu, p): the same grouping, each log group
+    through clip_min."""
+    l00, l10, l11 = composed_cholesky(p)
+    a, b, cc = cholesky_entries(prior_params)
+    m00 = l00 / a
+    m10 = (l10 - b * m00) / cc
+    m11 = l11 / cc
+    w0 = (mu[..., 0] - prior_mu[..., 0]) / a
+    w1 = (mu[..., 1] - prior_mu[..., 1] - b * w0) / cc
+    t00 = ad.clip_min(m00 * m00 - 1.0 - 2.0 * (p[..., 0] - prior_params[..., 0]), 0.0)
+    t11 = ad.clip_min(m11 * m11 - 1.0 - 2.0 * (p[..., 1] - prior_params[..., 1]), 0.0)
+    return 0.5 * (t00 + t11 + m10 * m10 + w0 * w0 + w1 * w1)
+
+
+def _tv_weights(mask):
+    """The 0/1 weights of the x and y differences of plane-major maps on
+    the (h-1) x (w-1) interior: 1 where both voxels are masked."""
+    core = mask[:, :-1, :-1]
+    wx = (core & mask[:, 1:, :-1]).astype(np.float64)[..., None]
+    wy = (core & mask[:, :-1, 1:]).astype(np.float64)[..., None]
+    return wx, wy
+
+
+def composed_tv(mu_l, mask):
+    """The oracle of the fine-tune loss's TV, composed of elementary tape
+    ops: the box map, the masked forward differences through absval and
+    their normalized sum."""
+    box = PARAM_SCALE * ad.logistic(mu_l) + PARAM_OFFSET
+    n_planes, h, w = mask.shape
+    wx, wy = _tv_weights(mask)
+    adx = ad.absval(box[:, :-1, :-1, :] - box[:, 1:, :-1, :]) * wx
+    ady = ad.absval(box[:, :-1, :-1, :] - box[:, :-1, 1:, :]) * wy
+    return (ad.tsum(adx) + ad.tsum(ady)) * (1.0 / (n_planes * (h - 1) * (w - 1)))
+
+
+def composed_loss(heads, x, mask, prior_mu, prior_params, noise, model_args, tv_lambda):
+    """The oracle of the fine-tune loss node (train._elbo_core past the
+    encoder), composed of elementary tape ops on the head tensors (mu_l,
+    sigma_l_params, log_sigma_im), each (planes, h, w, k): mean KL minus
+    mean expected log-likelihood over mask's voxels, plus tv_lambda times
+    the TV. noise holds one standard-normal (masked voxels, 2) array per
+    draw."""
+    mu, p, log_sigma = (ad.getitem(t, mask) for t in heads)
+    inv = 1.0 / int(mask.sum())
+    kl = composed_kl(mu, p, prior_mu, prior_params)
+    ll = composed_expected_loglik(x[mask], log_sigma, mu, *composed_cholesky(p), noise, *model_args)
+    loss = ad.tsum(kl) * inv - ad.tsum(ll) * inv
+    return loss + tv_lambda * composed_tv(heads[0], mask) if tv_lambda else loss
+
+
+def loss_node(heads, x, mask, prior_mu, prior_params, model_args, n_draws, tv_lambda, seed):
+    """train._elbo_core on given head tensors (mu_l, sigma_l_params,
+    log_sigma_im) in place of the encoder's, its draws from
+    default_rng(seed): (loss, kl_mean, loglik_mean, tv)."""
+    cfg = train.TrainingConfig.finetune_defaults(n_samples_elbo=n_draws)
+    with mock.patch.object(train, "encoder_forward", lambda psi, x_arr: VoxelPrediction(*heads)):
+        return train._elbo_core(None, x, mask, prior_mu, prior_params, *model_args, cfg, tv_lambda,
+                                np.random.default_rng(seed))
+
+
+def kl_term_sizes(mu, p, prior_mu, prior_params):
+    """Per row, the size of the terms summed into kl_cholesky's gradients in
+    mu and p: the same sums over absolute values, a clamped log group's
+    terms dropped."""
+    l00, l10, l11 = cholesky_entries(p)
+    a, b, cc = cholesky_entries(prior_params)
+    m00 = l00 / a
+    m10 = np.abs((l10 - b * m00) / cc)
+    m11 = l11 / cc
+    w0 = (mu[..., 0] - prior_mu[..., 0]) / a
+    w1 = np.abs((mu[..., 1] - prior_mu[..., 1] - b * w0) / cc)
+    on00 = m00 * m00 - 1.0 - 2.0 * (p[..., 0] - prior_params[..., 0]) > 0.0
+    on11 = m11 * m11 - 1.0 - 2.0 * (p[..., 1] - prior_params[..., 1]) > 0.0
+    b = np.abs(b)
+    size_mu = np.stack([(np.abs(w0) + b * w1 / cc) / a, w1 / cc], axis=-1)
+    cols = [(m00 * m00 + 1.0) * on00 + b * m10 / cc * m00, (m11 * m11 + 1.0) * on11]
+    if p.shape[-1] == 3:
+        cols.append(m10 / cc)
+    return size_mu, np.stack(cols, axis=-1)
+
+
+def loglik_term_sizes(x, log_sigma_im, mu, p, noise, model_args):
+    """Per row, the size of the terms summed into train.expected_loglik's
+    gradients in mu, p and log_sigma_im on the given draws' noise: per draw
+    and tau, |d ll / d s| times the model's partial, through the box map's
+    slope and |z|, and res^2 + 1 for log sigma, meaned over the draws."""
+    noise_sd = np.exp(log_sigma_im)
+    sigma = np.maximum(noise_sd, SIGMA_IM_FLOOR)
+    l00, l10, l11 = cholesky_entries(p)
+    size_mu, size_l, size_ls = 0.0, 0.0, 0.0
+    for z in noise:
+        y = reparameterize(mu, l00, l10, l11, z)
+        s, parts = normalized_model_signal_t(y[..., 0], y[..., 1], *model_args)
+        res = (x - s) / sigma
+        c = np.stack([np.abs(res / sigma * d).sum(axis=-1) for d in parts], axis=-1) * box_slope(y)
+        size_mu = size_mu + c
+        size_l = size_l + c[..., :, None] * np.abs(z)[..., None, :]
+        size_ls = size_ls + (res * res + 1.0) * (noise_sd > SIGMA_IM_FLOOR)
+    cols = [size_l[..., 0, 0] * l00, size_l[..., 1, 1] * l11]
+    if p.shape[-1] == 3:
+        cols.append(size_l[..., 1, 0])
+    n = len(noise)
+    return size_mu / n, np.stack(cols, axis=-1) / n, size_ls / n
+
+
+def loss_term_sizes(heads, x, mask, prior_mu, prior_params, noise, model_args, tv_lambda):
+    """Per element, the size of the terms summed into the loss node's
+    gradients in its three heads (arrays, as composed_loss takes them as
+    tensors): the KL's and every draw's terms over the masked voxels and,
+    with tv_lambda, the TV's differences through the box map's slope."""
+    mu_l, p, log_sigma = heads
+    inv = 1.0 / int(mask.sum())
+    kl_mu, kl_p = kl_term_sizes(mu_l[mask], p[mask], prior_mu, prior_params)
+    ll_mu, ll_p, ll_ls = loglik_term_sizes(x[mask], log_sigma[mask], mu_l[mask], p[mask], noise, model_args)
+    sizes = [np.zeros(h.shape) for h in heads]
+    for size, rows in zip(sizes, (kl_mu + ll_mu, kl_p + ll_p, ll_ls)):
+        size[mask] = rows * inv
+    if tv_lambda:
+        n_planes, h, w = mask.shape
+        wx, wy = _tv_weights(mask)
+        count = np.zeros(mu_l.shape)
+        count[:, :-1, :-1] += wx + wy
+        count[:, 1:, :-1] += wx
+        count[:, :-1, 1:] += wy
+        slope = box_slope(forward_transform(mu_l))
+        sizes[0] += abs(tv_lambda) / (n_planes * (h - 1) * (w - 1)) * count * slope
+    return sizes
 
 
 def named_gradients(weights, loss):

@@ -409,7 +409,7 @@ def test_07_smoothness_sweep():
     tvs = []
     for name in ("psi_lam0", "psi_lam1", "psi_lam5"):
         oef, _ = _point_maps(_shared(name), volA)
-        tvs.append(float(tv_loss(oef, volA.mask).data))
+        tvs.append(tv_loss(oef, volA.mask))
     monotone = tvs[0] >= tvs[1] >= tvs[2]
 
     volB = _shared("volB")

@@ -9,7 +9,15 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from conftest import chol_params, composed_expected_loglik, named_gradients, quad_std
+from conftest import (
+    chol_params,
+    composed_cholesky,
+    composed_expected_loglik,
+    composed_kl,
+    loss_node,
+    loss_term_sizes,
+    quad_std,
+)
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
@@ -28,11 +36,7 @@ from oximap.analysis import (
     region_stats,
     wls_fit,
 )
-from oximap.distributions import (
-    ScaledLogitNormal,
-    forward_transform,
-    kl_cholesky,
-)
+from oximap.distributions import ScaledLogitNormal, cholesky_entries, forward_transform, kl_analytic
 from oximap.nnet import (
     NetworkConfig,
     encoder_forward,
@@ -47,14 +51,15 @@ from oximap.physics import (
     ForwardModelConfig,
     PhysioConstants,
     delta_omega,
+    normalized_model_signal,
 )
 from oximap.synthgen import PRIOR_PRESETS, NoiseProfile, generate_dataset, make_phantom
 from oximap.train import (
     TrainingConfig,
-    _elbo_core,
     compute_prior_maps,
     elbo_loss,
     run_pretraining,
+    tv_loss,
 )
 from oximap.volume import Volume4D, normalize_volume
 
@@ -384,25 +389,23 @@ class TestMarginalStd:
         assert large < 1.1 * small, (small, large)
 
 
-def full_grid_loss(psi, x, mask, prior_mu, prior_params, proto, constants, fwd, n_draws, rng):
-    """Reference negative ELBO: every grid voxel goes through the KL, the
-    draws, the forward model and the composed likelihood, then a 0/1 mask
-    weights the sums. Same generator calls as the training loss: each draw's
-    noise per masked row, and none off the mask."""
-    pred = encoder_forward(psi, ad.Tensor(x))
-    mu, p = pred.mu_l, pred.sigma_l_params
-    q0, q1 = p[..., 0], p[..., 1]
-    l00, l11 = ad.exp(q0), ad.exp(q1)
-    l10 = p[..., 2] if psi.config.covariance_mode == "full" else 0.0
-    kl = kl_cholesky(mu, l00, l10, l11, q0, q1, prior_mu, prior_params)
+def full_grid_loss(heads, x, mask, prior_mu, prior_params, proto, constants, fwd, n_draws, rng):
+    """Reference negative ELBO on the head tensors (mu_l, sigma_l_params,
+    log_sigma_im): every grid voxel goes through the KL, the draws, the
+    forward model and the composed likelihood, then a 0/1 mask weights the
+    sums. Same generator calls as the training loss: each draw's noise per
+    masked row, and none off the mask. Returns the loss and the draws'
+    noise on the masked rows."""
+    mu, p, log_sigma = heads
+    kl = composed_kl(mu, p, prior_mu, prior_params)
     noise = []
     for _ in range(n_draws):
         z = np.zeros(mask.shape + (2,))
         z[mask] = rng.standard_normal((int(mask.sum()), 2))
         noise.append(z)
-    ll = composed_expected_loglik(x, pred.log_sigma_im, mu, l00, l10, l11, noise, proto, constants, fwd)
+    ll = composed_expected_loglik(x, log_sigma, mu, *composed_cholesky(p), noise, proto, constants, fwd)
     w = mask.astype(np.float64) / mask.sum()
-    return ad.tsum(kl * w) - ad.tsum(ll * w)
+    return ad.tsum(kl * w) - ad.tsum(ll * w), [z[mask] for z in noise]
 
 
 GRID = (2, 4, 4)  # planes, h, w
@@ -433,20 +436,22 @@ class TestMaskedOnlyEvaluation:
         prior_chol[..., 1, 0] = rng.normal(0.0, 0.3, GRID)
         prior_chol[..., 1, 1] = np.exp(rng.normal(0.0, 0.3, GRID))
         prior_params = chol_params(prior_chol)
-        fwd = ForwardModelConfig()
-        cfg = TrainingConfig.finetune_defaults(n_samples_elbo=2)
-
-        ad.zero_grads(psi.tensors.values())
-        loss = _elbo_core(psi, x, mask, prior_mu[mask], prior_params[mask], proto_m, constants_m,
-                          fwd, cfg, np.random.default_rng(3))[0]
-        grads = named_gradients(psi, loss)
-        ad.zero_grads(psi.tensors.values())
-        ref = full_grid_loss(psi, x, mask, prior_mu, prior_params, proto_m, constants_m, fwd, 2,
-                             np.random.default_rng(3))
-        ref_grads = named_gradients(psi, ref)
+        args = (proto_m, constants_m, ForwardModelConfig())
+        # the loss node's gradients in the heads; the encoder's vjp maps
+        # them to the weights alike on both sides
+        with ad.recording_off():
+            pred = encoder_forward(psi, ad.Tensor(x))
+        heads = [t.data for t in (pred.mu_l, pred.sigma_l_params, pred.log_sigma_im)]
+        node_heads, ref_heads = ([ad.Tensor(a) for a in heads] for _ in range(2))
+        loss = loss_node(node_heads, x, mask, prior_mu[mask], prior_params[mask], args, 2, 0.0, 3)[0]
+        ref, noise = full_grid_loss(ref_heads, x, mask, prior_mu, prior_params, *args, 2,
+                                    np.random.default_rng(3))
+        ad.backward(loss)
+        ad.backward(ref)
         assert_allclose(loss.data, ref.data, rtol=1e-12)
-        for name, g in ref_grads.items():
-            assert_allclose(grads[name], g, rtol=1e-12, err_msg=name)
+        sizes = loss_term_sizes(heads, x, mask, prior_mu[mask], prior_params[mask], noise, args, 0.0)
+        for got, want, size, name in zip(node_heads, ref_heads, sizes, ("mu", "p", "log sigma")):
+            assert np.all(np.abs(got.grad - want.grad) <= 1e-12 * size), name
 
     @settings(max_examples=10)
     @given(seed=st.integers(0, 2**16))
@@ -549,6 +554,43 @@ class TestDetachedEncoderPasses:
                             constants_m, FWD1, np.random.default_rng(cfg.seed + 1), 3)
         assert np.array_equal(np.isnan(maps.elbo), ~mask)
         assert_allclose(maps.elbo[mask], explicit[mask], rtol=0, atol=1e-12)
+
+
+class TestArrayCodePastTheEncoder:
+    def test_makes_no_tensor(self, proto_m, constants_m, monkeypatch):
+        # the box map, the factor's read-out, the KL, the std maps, the
+        # likelihood without partials and the TV take and give arrays: none
+        # of them builds a tape tensor, even with recording on
+        rng = np.random.default_rng(0)
+        mu = rng.normal(0.0, 1.0, (6, 2))
+        dists = [ScaledLogitNormal(mu, rng.normal(-1.0, 0.3, (6, k))) for k in (2, 3)]
+        x = rng.normal(-0.1, 0.05, (6, proto_m.n_t))
+        log_sigma = rng.normal(np.log(0.03), 0.3, (6, proto_m.n_t))
+        maps = rng.normal(size=(4, 5, 2, 2))
+        made = []
+        init = ad.Tensor.__init__
+
+        def spy(self, *args, **kwargs):
+            made.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ad.Tensor, "__init__", spy)
+        assert ad.recording()
+        forward_transform(mu)
+        for q in dists:
+            cholesky_entries(q.sigma_l_params)
+            marginal_std(q)
+            for p in dists:
+                kl_analytic(q, p)
+            train.expected_loglik(
+                x, log_sigma, q.mu, q.sigma_l_params,
+                lambda oef, dbv: (normalized_model_signal(oef, dbv, proto_m, constants_m, FWD1), None),
+                np.random.default_rng(1), 2,
+            )
+        tv_loss(maps, maps[..., 0] > 0)
+        assert made == []
+        ad.exp(mu)  # the spy sees the tensors a tape op makes
+        assert made
 
 
 class TestWlsFit:

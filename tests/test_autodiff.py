@@ -75,7 +75,7 @@ class TestElementwise:
 
 
 def softplus_reference(x):
-    """softplus_parts's value and slope by their masked formulas."""
+    """softplus_into's value and slope by their masked formulas."""
     e = np.exp(-np.abs(x))
     lg = np.log1p(e)
     return np.where(x > 0, x + lg, lg), np.maximum(e, x >= 0) / (1.0 + e)
@@ -101,20 +101,20 @@ class TestSoftplusParts:
     @pytest.mark.parametrize("slope", [True, False])
     def test_bit_identical_to_the_masked_formula(self, make, dtype, slope, rng):
         x = make(rng).astype(dtype)
-        out, s = ad.softplus_parts(x, slope=slope)
+        out = np.empty_like(x)
+        s = np.empty_like(x) if slope else None
+        ad.softplus_into(x, out, s)
         value, ref_slope = softplus_reference(x)
         assert out.dtype == dtype and out.shape == x.shape
         assert np.ascontiguousarray(out).tobytes() == np.ascontiguousarray(value).tobytes()
         if slope:
             assert np.ascontiguousarray(s).tobytes() == np.ascontiguousarray(ref_slope).tobytes()
-        else:
-            assert s is None
 
     def test_value_pass_allocates_one_output(self, rng):
         x = rng.normal(0.0, 4.0, (4000, 60))
         tracemalloc.start()
         try:
-            ad.softplus_parts(x, slope=False)
+            ad.softplus_into(x, np.empty_like(x), None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

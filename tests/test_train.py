@@ -5,7 +5,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import chol_params, composed_expected_loglik, named_gradients, tape_nodes
+from conftest import (
+    chol_params,
+    composed_cholesky,
+    composed_expected_loglik,
+    composed_kl,
+    composed_loss,
+    composed_tv,
+    loglik_term_sizes,
+    loss_node,
+    loss_term_sizes,
+    named_gradients,
+    tape_nodes,
+)
 from numpy.testing import assert_allclose
 from scipy import stats
 
@@ -15,7 +27,6 @@ from oximap.distributions import (
     PARAM_OFFSET,
     PARAM_SCALE,
     ScaledLogitNormal,
-    cholesky_entries,
     forward_transform,
     inverse_transform,
     kl_monte_carlo,
@@ -34,6 +45,7 @@ from oximap.physics import (
     AcquisitionProtocol,
     ForwardModelConfig,
     PhysioConstants,
+    normalized_model_signal,
     normalized_model_signal_t,
 )
 from oximap.synthgen import (
@@ -546,32 +558,32 @@ class TestElboLoss:
 class TestTvLoss:
     def test_checkerboard_hand_value(self):
         maps = np.array([[0.0, 1.0], [1.0, 0.0]]).reshape(2, 2, 1)
-        assert_allclose(float(tv_loss(maps).data), 2.0, rtol=0, atol=0)
+        assert tv_loss(maps) == 2.0
 
     def test_constant_map_zero(self):
-        assert float(tv_loss(np.full((4, 5, 3), 0.7)).data) == 0.0
+        assert tv_loss(np.full((4, 5, 3), 0.7)) == 0.0
 
     def test_z_only_variation_zero(self):
         maps = np.zeros((4, 4, 3))
         maps[..., 1] = 1.0
         maps[..., 2] = 5.0
-        assert float(tv_loss(maps).data) == 0.0
+        assert tv_loss(maps) == 0.0
 
     def test_channels_sum(self):
         one = np.array([[0.0, 1.0], [1.0, 0.0]]).reshape(2, 2, 1, 1)
         two = np.concatenate([one, one], axis=-1)
-        assert_allclose(float(tv_loss(two).data), 4.0, rtol=0, atol=0)
+        assert tv_loss(two) == 4.0
 
     def test_mask_drops_unpaired_differences(self):
         maps = np.array([[0.0, 1.0], [1.0, 0.0]]).reshape(2, 2, 1)
         mask = np.array([[True, False], [True, False]]).reshape(2, 2, 1)
         # only the x-difference between the two masked voxels survives
-        assert_allclose(float(tv_loss(maps, mask).data), 1.0, rtol=0, atol=0)
+        assert tv_loss(maps, mask) == 1.0
 
     def test_3d_equals_single_channel_4d(self, rng):
         maps = rng.normal(size=(5, 6, 2))
-        a = float(tv_loss(maps).data)
-        b = float(tv_loss(maps[..., None]).data)
+        a = tv_loss(maps)
+        b = tv_loss(maps[..., None])
         assert a == b
 
     def test_bad_rank_errors(self):
@@ -579,10 +591,10 @@ class TestTvLoss:
             tv_loss(np.zeros((3, 3)))
 
     def test_gradient_matches_finite_differences(self, rng):
+        # the gradient the loss node applies, on plane-major maps
         maps = rng.normal(size=(4, 4, 2))  # continuous values: no |x| ties
-        t = ad.Tensor(maps.copy())
-        loss = tv_loss(t)
-        ad.backward(loss)
+        _, grad = train._tv_planes(np.moveaxis(maps, 2, 0)[..., None], np.ones((2, 4, 4), bool))
+        grad = np.moveaxis(grad[..., 0], 0, 2)
         for _ in range(6):
             idx = tuple(rng.integers(s) for s in maps.shape)
             h = 1e-6
@@ -590,11 +602,11 @@ class TestTvLoss:
             up[idx] += h
             dn = maps.copy()
             dn[idx] -= h
-            fd = (float(tv_loss(up).data) - float(tv_loss(dn).data)) / (2 * h)
-            assert_allclose(t.grad[idx], fd, rtol=1e-6, atol=1e-9)
+            fd = (tv_loss(up) - tv_loss(dn)) / (2 * h)
+            assert_allclose(grad[idx], fd, rtol=1e-6, atol=1e-9)
 
     def test_thin_grid_is_zero(self):
-        assert float(tv_loss(np.zeros((1, 5, 2))).data) == 0.0
+        assert tv_loss(np.zeros((1, 5, 2))) == 0.0
 
 
 class TestRunFinetuning:
@@ -663,7 +675,7 @@ class TestRunFinetuning:
             pred = encoder_forward(psi, ad.Tensor(x4))
             mu = prediction_to_distribution(pred, "diagonal").mu
             oef = np.moveaxis(forward_transform(mu)[..., 0], 0, 2)
-            tvs[lam] = float(tv_loss(oef, phantom_vol.mask).data)
+            tvs[lam] = tv_loss(oef, phantom_vol.mask)
         assert tvs[5.0] < tvs[0.0]
 
     @pytest.mark.parametrize("theta_name, vol_name, cov, overrides", [
@@ -852,25 +864,22 @@ def composed_run(x, log_sigma, mu0, p0, noise, model_args, g=None):
     gradients of sum(g * value) in mu, the factor layout and the log noise
     levels."""
     mu, p, ls = ad.Tensor(mu0.copy()), ad.Tensor(p0.copy()), ad.Tensor(log_sigma.copy())
-    ll = composed_expected_loglik(x, ls, mu, *cholesky_entries(p)[:3], noise, *model_args)
+    ll = composed_expected_loglik(x, ls, mu, *composed_cholesky(p), noise, *model_args)
     ad.backward(ad.tsum(ll if g is None else ll * g))
     return ll.data, mu.grad, p.grad, ls.grad
 
 
-def loglik_runs(x, log_sigma, mu0, p0, model_args, n, g=None):
+def loglik_runs(x, log_sigma, mu, p, model_args, n, g=None):
     """expected_loglik and its composed oracle on the same n draws, each as
-    composed_run returns it."""
-    mu, p, ls = ad.Tensor(mu0.copy()), ad.Tensor(p0.copy()), ad.Tensor(log_sigma.copy())
-    chol = cholesky_entries(p)
-    ll = train.expected_loglik(x, ls, mu, chol, lambda o, d: normalized_model_signal_t(o, d, *model_args),
-                               np.random.default_rng(5), n)
-    parents = ll._parents
-    assert [parents[k] for k in (0, 1, 3)] == [mu, chol[0], chol[2]]
-    assert parents[2] is chol[1] or not parents[2]._parents  # a diagonal factor's 0.0
-    ad.backward(ad.tsum(ll if g is None else ll * g))
+    composed_run returns it, and the draws' noise."""
+    ll, *grads = train.expected_loglik(x, log_sigma, mu, p,
+                                       lambda o, d: normalized_model_signal_t(o, d, *model_args),
+                                       np.random.default_rng(5), n)
+    g = np.ones(ll.shape) if g is None else g
     draws = np.random.default_rng(5)
-    noise = [draws.standard_normal(mu0.shape) for _ in range(n)]
-    return (ll.data, mu.grad, p.grad, ls.grad), composed_run(x, log_sigma, mu0, p0, noise, model_args, g)
+    noise = [draws.standard_normal(mu.shape) for _ in range(n)]
+    return ((ll, *(g[:, None] * d for d in grads)), composed_run(x, log_sigma, mu, p, noise, model_args, g),
+            noise)
 
 
 def held_arrays(node):
@@ -897,20 +906,18 @@ def gated_step_inputs(proto, grid, mask=None, width=8):
 
 
 class TestLikelihoodNode:
-    # expected_loglik is one tape node on (mu, l00, l10, l11, sigma) whose
-    # vjp applies the model's partials, the likelihood's gradient, the box
-    # map's slope and L z; the oracle is the same mean over draws composed
-    # of elementary tape ops
+    # expected_loglik's value and its row gradients, which apply the model's
+    # partials, the likelihood's gradient, the box map's slope and L z,
+    # against the same mean over draws composed of elementary tape ops
 
     @pytest.mark.parametrize("fwd", VARIANTS, ids=lambda f: f"{f.variant}-{f.compartments}")
     def test_gradients_match_the_composed_oracle(self, fwd, proto_m, constants_m):
-        # each gradient element is held to 1e-12 of the sum of the draws'
-        # magnitudes, the oracle run one draw at a time: that is |oracle|
-        # for one draw, and for several wherever the draws' terms share a
-        # sign. Where they cancel, two summation orders need not agree to
-        # 1e-12 of the sum: one row's l11 gradient sums -4185, 5124 and -938
-        # (condition 1.1e4), and the node and the oracle differ there by
-        # 2.7e-12 of it
+        # the gradients in mu and the factor are held to 1e-12 of the sum of
+        # the draws' magnitudes, the oracle run one draw at a time: that is
+        # |oracle| for one draw, and for several wherever the draws' terms
+        # share a sign. The log-sigma gradient sums res^2 and -1 per draw,
+        # which cancel near res^2 = 1, so it is held to 1e-12 of the size
+        # of those terms (loglik_term_sizes)
         rng = np.random.default_rng(11)
         x, log_sigma, _, _ = likelihood_inputs(rng, proto_m)
         g = rng.normal(size=x.shape[0])
@@ -918,12 +925,12 @@ class TestLikelihoodNode:
         for cov in ("diagonal", "full"):
             mu, p = posterior_rows(rng, x.shape[0], cov)
             for n in (1, 3):
-                (ll, *grads), (ll_ref, *grads_ref) = loglik_runs(x, log_sigma, mu, p, args, n, g)
+                (ll, *grads), (ll_ref, *grads_ref), noise = loglik_runs(x, log_sigma, mu, p, args, n, g)
                 assert ll.tobytes() == ll_ref.tobytes(), (cov, n)
-                noise = np.random.default_rng(5).standard_normal((n,) + mu.shape)
                 per_draw = [composed_run(x, log_sigma, mu, p, [z], args, g / n)[1:] for z in noise]
+                sizes = loglik_term_sizes(x, log_sigma, mu, p, noise, args)
                 for k, (got, ref) in enumerate(zip(grads, grads_ref)):
-                    scale = sum(np.abs(d[k]) for d in per_draw)
+                    scale = sum(np.abs(d[k]) for d in per_draw) if k < 2 else np.abs(g)[:, None] * sizes[k]
                     worst = np.max(np.abs(got - ref) / np.where(scale > 0, scale, 1.0))
                     assert np.all(np.abs(got - ref) <= 1e-12 * scale), (cov, n, k, worst)
                 floor = np.exp(log_sigma) <= SIGMA_IM_FLOOR
@@ -932,15 +939,16 @@ class TestLikelihoodNode:
     @pytest.mark.parametrize("cov", ["diagonal", "full"])
     def test_expected_loglik_matches_the_composed_draws(self, cov, proto_m, constants_m):
         # three draws: same value bytes, the gradients of mu, the factor and
-        # the noise head within 1e-12
+        # the noise head within 1e-12 of the size of the terms summed into
+        # each (loglik_term_sizes)
         rng = np.random.default_rng(12)
         x, log_sigma, _, _ = likelihood_inputs(rng, proto_m)
         mu, p = posterior_rows(rng, x.shape[0], cov)
-        (ll, *grads), (ll_ref, *grads_ref) = loglik_runs(
-            x, log_sigma, mu, p, (proto_m, constants_m, ForwardModelConfig()), 3)
+        args = (proto_m, constants_m, ForwardModelConfig())
+        (ll, *grads), (ll_ref, *grads_ref), noise = loglik_runs(x, log_sigma, mu, p, args, 3)
         assert ll.tobytes() == ll_ref.tobytes()
-        for got, ref in zip(grads, grads_ref):
-            assert_allclose(got, ref, rtol=1e-12, atol=0)
+        for got, ref, size in zip(grads, grads_ref, loglik_term_sizes(x, log_sigma, mu, p, noise, args)):
+            assert np.all(np.abs(got - ref) <= 1e-12 * size)
 
     @pytest.mark.parametrize("fwd", VARIANTS, ids=lambda f: f"{f.variant}-{f.compartments}")
     def test_nan_oef_stays_in_its_row(self, fwd, proto_m, constants_m):
@@ -960,9 +968,9 @@ class TestLikelihoodNode:
         assert not np.isfinite(runs[1][0].sum())
 
     def test_one_node_on_sigma_for_any_draw_count(self, proto_m, constants_m):
-        # the tape of the step's loss: one node on sigma, the likelihood's,
-        # with parents (mu, l00, l10, l11, sigma), and the same nodes and
-        # the same (masked voxels, taus) arrays held for 1 and 3 draws
+        # the tape of the step's loss: the loss node is the one node on the
+        # noise head, and the same nodes and the same (masked voxels, taus)
+        # arrays are held for 1 and 3 draws
         mask = np.ones((2, 7, 6), bool)
         mask[0, :3, :2] = False
         psi, x, mask, prior_mu, prior_params = gated_step_inputs(proto_m, mask.shape, mask)
@@ -971,14 +979,11 @@ class TestLikelihoodNode:
         for n_draws in (1, 3):
             cfg = TrainingConfig.finetune_defaults(n_samples_elbo=n_draws)
             loss = train._elbo_core(psi, x, mask, prior_mu, prior_params, proto_m, constants_m,
-                                    ForwardModelConfig(), cfg, np.random.default_rng(1))[0]
+                                    ForwardModelConfig(), cfg, cfg.tv_lambda, np.random.default_rng(1))[0]
             nodes = tape_nodes(loss)
-            # the first gated block has five parents too, but a (planes, h, w, width) value
-            (node,) = [n for n in nodes if len(n._parents) == 5 and n.data.shape == shape[:1]]
-            mu, *chol, sigma = node._parents
-            assert mu.data.shape == shape[:1] + (2,) and sigma.data.shape == shape
-            assert all(t.data.shape == shape[:1] for t in chol)
-            assert [n for n in nodes if any(p is sigma for p in n._parents)] == [node]
+            sigma = loss._parents[2]
+            assert sigma.data.shape == mask.shape + (proto_m.n_t,)
+            assert [n for n in nodes if any(p is sigma for p in n._parents)] == [loss]
             held = {id(a) for n in nodes for a in held_arrays(n)
                     if a.shape == shape and a.dtype == np.float64}
             counts[n_draws] = (len(nodes), len(held))
@@ -1000,7 +1005,7 @@ class TestLikelihoodNode:
                 tracemalloc.start()
                 try:
                     loss = train._elbo_core(psi, x, mask, prior_mu, prior_params, proto,
-                                            constants_m, fwd, cfg, np.random.default_rng(1))[0]
+                                            constants_m, fwd, cfg, 0.0, np.random.default_rng(1))[0]
                     collect_gradients(psi, loss)
                     del loss
                     return tracemalloc.get_traced_memory()[1]
@@ -1018,25 +1023,145 @@ class TestLikelihoodNode:
         assert per_tau <= 0.25 and per_row <= 3.0, (per_tau, per_row)
 
 
+def loss_inputs(proto, constants, cov, partial):
+    """Float64 heads (mu_l, sigma_l_params, log_sigma_im) on a (2, 3, 4)
+    plane grid, rows x, a mask (every voxel, or all but three) and prior
+    rows of its voxels. The first masked row's diagonal is its prior's
+    times exp(5e-9): both of its KL log groups round to 0 and are clamped,
+    while m^2 - 1 is 1e-8; voxels (0, 1, 1)
+    and (0, 1, 2) share their mean logits, a tied TV difference; the noise
+    levels of voxel (1, 1, 1) are floored, and its row is the model signal
+    at its mean under a narrow factor, so its residuals stay small."""
+    rng = np.random.default_rng(21)
+    grid, k = (2, 3, 4), 3 if cov == "full" else 2
+    mask = np.ones(grid, bool)
+    if partial:
+        mask[0, 0, :2] = mask[1, 2, 3] = False
+    mu_l = rng.normal(0.0, 0.5, grid + (2,))
+    mu_l[0, 1, 2] = mu_l[0, 1, 1]
+    p = np.concatenate([rng.normal(-1.0, 0.2, grid + (2,)), rng.normal(0.0, 0.3, grid + (k - 2,))], axis=-1)
+    log_sigma = rng.normal(np.log(0.03), 0.3, grid + (proto.n_t,))
+    x = rng.normal(-0.1, 0.05, grid + (proto.n_t,))
+    log_sigma[1, 1, 1] = np.log(SIGMA_IM_FLOOR) - 3.0
+    p[1, 1, 1, :2] = -8.0
+    x[1, 1, 1] = normalized_model_signal(*forward_transform(mu_l[1, 1, 1]), proto, constants, ForwardModelConfig())
+    n = int(mask.sum())
+    prior_mu = rng.normal(0.0, 1.0, (n, 2))
+    prior_params = np.concatenate([rng.normal(-0.8, 0.3, (n, 2)), rng.normal(0.0, 0.3, (n, k - 2))], axis=-1)
+    prior_params[0, :2] = -1.0, -1.1
+    p[tuple(np.argwhere(mask)[0])][:2] = prior_params[0, :2] + 5e-9
+    return (mu_l, p, log_sigma), x, mask, prior_mu, prior_params
+
+
+LOSS_CASES = [(cov, partial, lam) for cov in ("diagonal", "full") for partial in (False, True) for lam in (0.0, 5.0)]
+
+
+def loss_case_id(case):
+    cov, partial, lam = case
+    return f"{cov}-{'partial' if partial else 'full'}-mask-tv{lam:g}"
+
+
+class TestLossNode:
+    # the fine-tune loss past the encoder is one tape node on the three head
+    # slices: its value, its closed-form gradient and its place on the tape
+
+    @pytest.mark.parametrize("case", LOSS_CASES, ids=loss_case_id)
+    def test_gradients_match_central_differences(self, case, proto_m, constants_m):
+        # every element of the three heads, float64, the draws replayed on
+        # both sides; a clamped log group, a tied difference and the floor
+        # have zero slope on both sides of the step, as the node's gradient
+        cov, partial, lam = case
+        heads, x, mask, prior_mu, prior_params = loss_inputs(proto_m, constants_m, cov, partial)
+        args = (proto_m, constants_m, ForwardModelConfig())
+
+        def loss(arrays):
+            tensors = [ad.Tensor(a) for a in arrays]
+            return loss_node(tensors, x, mask, prior_mu, prior_params, args, 2, lam, 3)[0], tensors
+
+        out, tensors = loss(heads)
+        ad.backward(out)
+        for k, (arr, t) in enumerate(zip(heads, tensors)):
+            for ix in np.ndindex(arr.shape):
+                step = 1e-5 * max(1.0, abs(arr[ix]))
+                vals = []
+                for sign in (1.0, -1.0):
+                    shifted = [a.copy() for a in heads]
+                    shifted[k][ix] += sign * step
+                    vals.append(float(loss(shifted)[0].data))
+                fd = (vals[0] - vals[1]) / (2.0 * step)
+                assert abs(fd - t.grad[ix]) <= 1e-6 * max(1.0, abs(t.grad[ix])), (k, ix, fd, t.grad[ix])
+
+    @pytest.mark.parametrize("case", LOSS_CASES, ids=loss_case_id)
+    def test_matches_the_composed_oracle(self, case, proto_m, constants_m):
+        # the value and its parts byte-equal, the gradients within 1e-12 of
+        # the size of the terms summed into each element (loss_term_sizes)
+        cov, partial, lam = case
+        heads, x, mask, prior_mu, prior_params = loss_inputs(proto_m, constants_m, cov, partial)
+        args = (proto_m, constants_m, ForwardModelConfig())
+        node_heads, ref_heads = ([ad.Tensor(a) for a in heads] for _ in range(2))
+        loss, kl_mean, ll_mean, tv = loss_node(node_heads, x, mask, prior_mu, prior_params, args, 3, lam, 4)
+        draws = np.random.default_rng(4)
+        noise = [draws.standard_normal((int(mask.sum()), 2)) for _ in range(3)]
+        ref = composed_loss(ref_heads, x, mask, prior_mu, prior_params, noise, args, lam)
+        assert loss.data.tobytes() == ref.data.tobytes()
+        assert tv == composed_tv(ad.Tensor(heads[0]), mask).data
+        ref_kl = composed_kl(*(ad.Tensor(a[mask]) for a in heads[:2]), prior_mu, prior_params)
+        assert kl_mean == ad.tsum(ref_kl).data * (1.0 / mask.sum())
+        assert loss.data == (kl_mean - ll_mean + lam * tv if lam else kl_mean - ll_mean)
+        ad.backward(loss)
+        ad.backward(ref)
+        sizes = loss_term_sizes(heads, x, mask, prior_mu, prior_params, noise, args, lam)
+        for got, want, size in zip(node_heads, ref_heads, sizes):
+            assert np.all(np.abs(got.grad - want.grad) <= 1e-12 * size)
+        assert not np.any(node_heads[2].grad[1, 1, 1])
+
+    def test_a_finetune_step_records_seven_tape_nodes(self, theta16, phantom_vol, proto_m,
+                                                       constants_m, monkeypatch):
+        # two gated blocks, the heads, their three slices and the loss node;
+        # the parent's composed loss recorded 73
+        seen = []
+
+        def grab(weights, loss):
+            seen.append(loss)
+            return collect_gradients(weights, loss)
+
+        monkeypatch.setattr(train, "collect_gradients", grab)
+        cfg = TrainingConfig.finetune_defaults(iterations=1, batch_size=2, crop_xy=8, n_samples_elbo=2)
+        gated = NetworkConfig(n_blocks=2, width=16, spatial_mode="gated-residual")
+        run_finetuning(theta16, gated, cfg, [phantom_vol], proto_m, constants_m, FWD1)
+        (loss,) = seen
+        inner = [n for n in tape_nodes(loss) if n._parents]
+        assert len(inner) == 7
+        slices = loss._parents
+        assert len(slices) == 3 and len({id(s._parents[0]) for s in slices}) == 1
+
+
 class TestFullMaskRows:
     def test_full_mask_takes_views_with_identical_results(self, proto_m, constants_m,
                                                           monkeypatch):
-        # every voxel masked: the rows are reshape views, and the loss and
-        # gradients are byte-identical to gathering them by the mask
+        # every voxel masked: the rows are a reshape of the grid and back,
+        # views of a contiguous array, and the loss and gradients are
+        # byte-identical to gathering the rows by the mask and scattering
+        # them back
         psi, x, mask, prior_mu, prior_params = gated_step_inputs(proto_m, (3, 6, 5))
         cfg = TrainingConfig.finetune_defaults(n_samples_elbo=2)
+        rows = train._masked_rows(x, mask)
+        assert np.shares_memory(rows, x) and np.shares_memory(train._grid_rows(rows, mask), x)
 
         def step():
             loss = train._elbo_core(psi, x, mask, prior_mu, prior_params, proto_m, constants_m,
-                                    ForwardModelConfig(), cfg, np.random.default_rng(1))[0]
-            gathers = [n for n in tape_nodes(loss) if any(
-                a.dtype == bool and a.shape == mask.shape for a in held_arrays(n)[1:])]
-            return loss.data.tobytes(), named_gradients(psi, loss), len(gathers)
+                                    ForwardModelConfig(), cfg, cfg.tv_lambda, np.random.default_rng(1))[0]
+            return loss.data.tobytes(), named_gradients(psi, loss)
 
-        loss, grads, gathers = step()
+        def scatter(rows, m):
+            out = np.zeros(m.shape + rows.shape[-1:])
+            out[m] = rows
+            return out
+
+        loss, grads = step()
         monkeypatch.setattr(train, "_masked_rows", lambda a, m: a[m])
-        loss_ref, grads_ref, gathers_ref = step()
-        assert gathers == 0 and gathers_ref > 0
+        monkeypatch.setattr(train, "_grid_rows", scatter)
+        loss_ref, grads_ref = step()
         assert loss == loss_ref
         for name, g in grads_ref.items():
             assert grads[name].tobytes() == g.tobytes(), name
