@@ -154,7 +154,7 @@ def _masked_posterior(weights: EncoderWeights, vol: Volume4D):
     with ad.recording_off():
         pred = encoder_forward(weights.astype(COMPUTE_DTYPE), planes_first(vol.data))
     dist = prediction_to_distribution(pred, weights.config.covariance_mode)
-    return ScaledLogitNormal(dist.mu[m], dist.sigma_l_params[m]), pred.log_sigma_im.data[m]
+    return ScaledLogitNormal(dist.mu[m], dist.sigma_l_params[m]), pred.log_sigma_im[m]
 
 
 def _scatter(vals: np.ndarray, vol: Volume4D) -> np.ndarray:

@@ -92,9 +92,6 @@ class Tensor:
     def __pow__(self, p):
         return pow_const(self, p)
 
-    def __getitem__(self, idx):
-        return getitem(self, idx)
-
 
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)

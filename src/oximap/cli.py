@@ -104,6 +104,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_pretrain(args) -> int:
     cfg = _run_config(args)
     dataset = load_dataset(args.dataset)
+    n_t = dataset.signals.shape[1]
+    if n_t != cfg.protocol.n_t:
+        raise ValueError(f"{args.dataset} has {n_t} tau samples but the protocol defines {cfg.protocol.n_t}")
     tr = cfg.pretrain if args.seed is None else dataclasses.replace(cfg.pretrain, seed=args.seed)
     # pretraining fits the voxelwise trunk of the configured network
     net_cfg = dataclasses.replace(cfg.network, spatial_mode="voxelwise")

@@ -10,13 +10,12 @@ Two such distributions share the box, so their KL divergence equals the
 Gaussian KL of their bases, which is available in closed form; a Monte
 Carlo estimate is kept as a cross-check.
 
-The box map, the Cholesky read-out of the encoder's covariance head and the
-KL are array code, shared by training and analysis: the KL body also
-returns its closed-form gradient, which the fine-tune loss's one tape node
-applies. The log-density is one body too, a tape node with a closed-form
-vjp (run with recording off where only its value is read). The
-reparameterized draw and the box map's slope take arrays, in training too,
-where the loss node carries their gradient.
+The box map, the Cholesky read-out of the encoder's covariance head, the
+log-density and the KL are array code, shared by training and analysis:
+the log-density and KL bodies also return their closed-form gradients,
+which each training stage's one loss node applies. The reparameterized
+draw and the box map's slope take arrays, in training too, where the loss
+node carries their gradient.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, ndtr, ndtri
-
-from . import autodiff as ad
 
 PARAM_SCALE = np.array([0.8, 0.3])
 PARAM_OFFSET = np.array([0.05, 0.001])
@@ -87,41 +84,31 @@ def box_logits(y) -> BoxLogits:
     return BoxLogits(inverse_transform(y), np.log(box_slope(y)).sum(axis=-1))
 
 
-def neg_log_density(mu, p, y, *, mean):
+def neg_log_density(mu, p, y, grad):
     """Exact -log q(y) at box coordinates y (..., 2) of the scaled
     logit-normal with logit mean mu and Cholesky factor p in the layout of
-    cholesky_entries; broadcasts over leading axes. With mean, the result
-    is the mean over every leading axis.
+    cholesky_entries, one value per row; broadcasts over leading axes.
 
     y may also be the BoxLogits of the coordinates, computed once for
-    reuse. mu and p may be arrays or tape tensors; the result is one tape
-    node on (mu, p) whose vjp is the closed-form gradient. Raises if y
-    leaves the open box.
+    reuse. Returns nll, or with grad (nll, d nll / d mu, d nll / d p), the
+    gradients row by row, shaped like mu and p. Raises if y leaves the
+    open box.
     """
     beta, log_jac = y if isinstance(y, BoxLogits) else box_logits(y)
-    mu, p = ad.as_tensor(mu), ad.as_tensor(p)
-    m, q = mu.data, p.data
-    full = q.shape[-1] == 3
-    # whitened residuals w = L^-1 (beta - mu), L = [[e^q0, 0], [l10, e^q1]]
-    e0 = np.exp(-q[..., 0])
-    e1 = np.exp(-q[..., 1])
-    w0 = (beta[..., 0] - m[..., 0]) * e0
-    r1 = beta[..., 1] - m[..., 1]
-    w1 = (r1 - q[..., 2] * w0 if full else r1) * e1
-    out = LOG_2PI + q[..., 0] + q[..., 1] + 0.5 * (w0 * w0 + w1 * w1) + log_jac
-    if mean:
-        out = out.sum() * (1.0 / out.size)
-
-    def vjp(g):
-        if mean:
-            g = g * (1.0 / w0.size)
-        # d/dw0 through w0 itself and, on a full factor, through w1
-        a0 = w0 - w1 * q[..., 2] * e1 if full else w0
-        g_mu = np.stack([-a0 * e0, -w1 * e1], axis=-1)
-        cols = [1.0 - a0 * w0, 1.0 - w1 * w1] + ([-w1 * w0 * e1] if full else [])
-        return g[..., None] * g_mu, g[..., None] * np.stack(cols, axis=-1)
-
-    return ad.custom(out, (mu, p), vjp)
+    full = p.shape[-1] == 3
+    # whitened residuals w = L^-1 (beta - mu), L = [[e^p0, 0], [l10, e^p1]]
+    e0 = np.exp(-p[..., 0])
+    e1 = np.exp(-p[..., 1])
+    w0 = (beta[..., 0] - mu[..., 0]) * e0
+    r1 = beta[..., 1] - mu[..., 1]
+    w1 = (r1 - p[..., 2] * w0 if full else r1) * e1
+    nll = LOG_2PI + p[..., 0] + p[..., 1] + 0.5 * (w0 * w0 + w1 * w1) + log_jac
+    if not grad:
+        return nll
+    # d/dw0 through w0 itself and, on a full factor, through w1
+    a0 = w0 - w1 * p[..., 2] * e1 if full else w0
+    cols = [1.0 - a0 * w0, 1.0 - w1 * w1] + ([-w1 * w0 * e1] if full else [])
+    return nll, np.stack([-a0 * e0, -w1 * e1], axis=-1), np.stack(cols, axis=-1)
 
 
 @dataclass
@@ -149,17 +136,12 @@ class ScaledLogitNormal:
 
     def log_prob(self, y):
         """Exact log-density at box coordinates y (broadcast over leading axes)."""
-        with ad.recording_off():
-            return -neg_log_density(self.mu, self.sigma_l_params, y, mean=False).data
+        return -neg_log_density(self.mu, self.sigma_l_params, y, False)
 
     def sample(self, rng: np.random.Generator, n: int):
         """n reparameterized draws f(mu + L z), z standard normal, on a new leading axis."""
-        return self.transform_noise(rng.standard_normal((n,) + self.mu.shape))
-
-    def transform_noise(self, z):
-        """Push given standard-normal noise through the reparameterization."""
-        l00, l10, l11 = cholesky_entries(self.sigma_l_params)
-        return reparameterize(self.mu, l00, l10, l11, np.asarray(z, dtype=np.float64))
+        z = rng.standard_normal((n,) + self.mu.shape)
+        return reparameterize(self.mu, *cholesky_entries(self.sigma_l_params), z)
 
 
 def reparameterize(mu, l00, l10, l11, z):

@@ -23,9 +23,11 @@ the voxelwise one (g = logistic(gate_offset)).
 
 Every block, voxelwise or gated, is one tape node with a hand-written
 vector-Jacobian product (_block), and the three heads are one more
-(_heads), read through one slice per head. The encoder's input is a
-constant: it is gained and cast as an array, and the first block returns
-no input gradient.
+(_heads): one tensor whose columns are the logit means, the covariance
+factor and the per-tau log noise levels. A VoxelPrediction reads the heads
+as array views of those columns; a loss is one node on the whole heads
+tensor. The encoder's input is a constant: it is gained and cast as an
+array, and the first block returns no input gradient.
 
 The hidden blocks and heads compute in the weights' dtype, float32 or
 float64: the gained input is cast to it on the way in and the heads node
@@ -155,15 +157,60 @@ class EncoderWeights:
 
 @dataclass
 class VoxelPrediction:
-    """Per-voxel encoder outputs; leading axes are whatever the input carried."""
+    """Per-voxel encoder outputs; leading axes are whatever the input carried.
 
-    mu_l: ad.Tensor
-    sigma_l_params: ad.Tensor
-    log_sigma_im: ad.Tensor
+    heads is the heads node, (..., 2 + n_cov + n_t): the logit means, the
+    covariance factor (n_cov = 2 or 3 entries) and the per-tau log noise
+    levels side by side. The three properties are read-only array views of
+    those columns; a loss records one node on heads.
+    """
+
+    heads: ad.Tensor
+    n_cov: int
+
+    def _columns(self, start, stop):
+        view = self.heads.data[..., start:stop]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def mu_l(self) -> np.ndarray:
+        return self._columns(0, 2)
+
+    @property
+    def sigma_l_params(self) -> np.ndarray:
+        return self._columns(2, 2 + self.n_cov)
+
+    @property
+    def log_sigma_im(self) -> np.ndarray:
+        return self._columns(2 + self.n_cov, None)
 
 
 def _uniform(rng, shape, limit):
     return rng.uniform(-limit, limit, size=shape)
+
+
+def _weight_shapes(cfg: NetworkConfig, n_t: int) -> dict[str, tuple]:
+    """The name and shape of every tensor of a network of cfg on n_t taus,
+    in the order of EncoderWeights.tensors: the voxelwise blocks and heads,
+    then in gated-residual mode each block's conv and gate."""
+    shapes, c_in = {}, n_t
+    for b in range(cfg.n_blocks):
+        shapes[f"block{b}.w"], shapes[f"block{b}.b"] = (c_in, cfg.width), (cfg.width,)
+        c_in = cfg.width
+    for head, n in (("mu", 2), ("cov", cfg.n_cov_params), ("noise", n_t)):
+        shapes[f"{head}.w"], shapes[f"{head}.b"] = (cfg.width, n), (n,)
+    if cfg.spatial_mode == "gated-residual":
+        c_in = n_t
+        for b in range(cfg.n_blocks):
+            shapes[f"block{b}.conv.w"], shapes[f"block{b}.gate.w"] = (9 * c_in, cfg.width), (9 * c_in, 1)
+            shapes[f"block{b}.gate.b"] = (1,)
+            c_in = cfg.width
+    return shapes
+
+
+# initial biases other than zero
+_INIT_BIASES = {"mu.b": _INIT_MU_BIAS, "noise.b": _INIT_LOG_NOISE}
 
 
 def init_weights(cfg: NetworkConfig, n_t: int, rng: np.random.Generator) -> EncoderWeights:
@@ -172,19 +219,13 @@ def init_weights(cfg: NetworkConfig, n_t: int, rng: np.random.Generator) -> Enco
     if cfg.spatial_mode != "voxelwise":
         raise ValueError("init_weights builds the voxelwise network; use extend_weights after")
     t = {}
-    c_in = n_t
-    for b in range(cfg.n_blocks):
-        limit = np.sqrt(1.0 / c_in)
-        t[f"block{b}.w"] = _uniform(rng, (c_in, cfg.width), limit)
-        t[f"block{b}.b"] = np.zeros(cfg.width)
-        c_in = cfg.width
-    head_limit = np.sqrt(1.0 / cfg.width) / 10.0
-    t["mu.w"] = _uniform(rng, (cfg.width, 2), head_limit)
-    t["mu.b"] = _INIT_MU_BIAS.copy()
-    t["cov.w"] = _uniform(rng, (cfg.width, cfg.n_cov_params), head_limit)
-    t["cov.b"] = np.zeros(cfg.n_cov_params)
-    t["noise.w"] = _uniform(rng, (cfg.width, n_t), head_limit)
-    t["noise.b"] = np.full(n_t, _INIT_LOG_NOISE)
+    for name, shape in _weight_shapes(cfg, n_t).items():
+        if name.endswith(".b"):
+            t[name] = np.full(shape, _INIT_BIASES.get(name, 0.0))
+        else:
+            # fan-in-scaled; the heads' weights start ten times smaller
+            scale = 1.0 if name.startswith("block") else 10.0
+            t[name] = _uniform(rng, shape, np.sqrt(1.0 / shape[0]) / scale)
     return EncoderWeights(cfg, n_t, {k: ad.Tensor(v) for k, v in t.items()})
 
 
@@ -199,13 +240,11 @@ def extend_weights(theta: EncoderWeights, rng: np.random.Generator) -> EncoderWe
         raise ValueError("can only extend a voxelwise network")
     cfg = replace(theta.config, spatial_mode="gated-residual")
     t = {k: w.data.copy() for k, w in theta.tensors.items()}
-    c_in = theta.n_t
-    for b in range(cfg.n_blocks):
-        limit = np.sqrt(1.0 / (9 * c_in)) * _CONV_INIT_SHRINK
-        t[f"block{b}.conv.w"] = _uniform(rng, (9 * c_in, cfg.width), limit)
-        t[f"block{b}.gate.w"] = np.zeros((9 * c_in, 1))
-        t[f"block{b}.gate.b"] = np.zeros(1)
-        c_in = cfg.width
+    for name, shape in _weight_shapes(cfg, theta.n_t).items():
+        if name.endswith(".conv.w"):
+            t[name] = _uniform(rng, shape, np.sqrt(1.0 / shape[0]) * _CONV_INIT_SHRINK)
+        elif name not in t:
+            t[name] = np.zeros(shape)  # the gate starts at zero
     return EncoderWeights(cfg, theta.n_t, {k: ad.Tensor(v) for k, v in t.items()})
 
 
@@ -381,7 +420,7 @@ def _block(h, t: dict, b: int, cfg: NetworkConfig) -> ad.Tensor:
 
 def _heads(h: ad.Tensor, t: dict) -> VoxelPrediction:
     """The three output heads as one tape node: a single product with the
-    heads' weights side by side, cast to float64, then sliced per head.
+    heads' weights side by side, cast to float64.
 
     The vjp works head by head and sums the input's gradient in the order
     mu, cov, noise, so it equals that of three separate affine maps summed
@@ -407,7 +446,7 @@ def _heads(h: ad.Tensor, t: dict) -> VoxelPrediction:
         return [dx, *grads]
 
     node = ad.custom(out.astype(np.float64, copy=False), [h, *params], vjp)
-    return VoxelPrediction(*(node[..., s] for s in spans))
+    return VoxelPrediction(node, n_cov=ws[1].shape[1])
 
 
 def encoder_forward(weights: EncoderWeights, x) -> VoxelPrediction:
@@ -435,10 +474,9 @@ def encoder_forward(weights: EncoderWeights, x) -> VoxelPrediction:
 def prediction_to_distribution(pred: VoxelPrediction, covariance_mode: str) -> ScaledLogitNormal:
     """Detach a prediction into a (batched) ScaledLogitNormal; raises if
     covariance_mode does not match the width of the covariance head."""
-    p = pred.sigma_l_params.data
-    if NetworkConfig(covariance_mode=covariance_mode).n_cov_params != p.shape[-1]:
-        raise ValueError(f"covariance_mode {covariance_mode!r} does not match {p.shape[-1]} covariance parameters")
-    return ScaledLogitNormal(pred.mu_l.data, p)
+    if NetworkConfig(covariance_mode=covariance_mode).n_cov_params != pred.n_cov:
+        raise ValueError(f"covariance_mode {covariance_mode!r} does not match {pred.n_cov} covariance parameters")
+    return ScaledLogitNormal(pred.mu_l, pred.sigma_l_params)
 
 
 def collect_gradients(weights: EncoderWeights, loss: ad.Tensor) -> np.ndarray:
@@ -615,16 +653,13 @@ def load_checkpoint(path) -> EncoderWeights:
         tensors[name] = ad.Tensor(data.reshape(shape).astype(np.float64))
     if offset != len(raw):
         raise CheckpointFormatError(f"checkpoint has {len(raw) - offset} bytes after its tensor table")
-    # the names and shapes a network of this config has, from the code that builds one
-    layout = init_weights(replace(cfg, spatial_mode="voxelwise"), n_t, np.random.default_rng(0))
-    if cfg.spatial_mode == "gated-residual":
-        layout = extend_weights(layout, np.random.default_rng(0))
-    for name in sorted(layout.tensors.keys() | tensors.keys()):
+    layout = _weight_shapes(cfg, n_t)
+    for name in sorted(layout.keys() | tensors.keys()):
         if name not in tensors:
             raise CheckpointFormatError(f"checkpoint lacks tensor {name!r}")
-        if name not in layout.tensors:
+        if name not in layout:
             raise CheckpointFormatError(f"checkpoint tensor {name!r} is not in the network of its config")
-        shape, want = tensors[name].data.shape, layout.tensors[name].data.shape
+        shape, want = tensors[name].data.shape, layout[name]
         if shape != want:
             raise CheckpointFormatError(f"checkpoint tensor {name!r} has shape {shape}, expected {want}")
     return EncoderWeights(cfg, n_t, tensors)

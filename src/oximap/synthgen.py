@@ -285,6 +285,8 @@ def load_dataset(path) -> SynthDataset:
         raise DatasetFormatError(f"bad dataset magic {magic!r}")
     if version != DATASET_VERSION:
         raise DatasetFormatError(f"unsupported dataset version {version}")
+    if n_t < 1:
+        raise DatasetFormatError(f"invalid dataset n_t {n_t}")
     need = _HEADER.size + 4 * (n * n_t + 2 * n + n)
     if len(raw) < need:
         raise DatasetFormatError(f"dataset file truncated: {len(raw)} bytes < {need} expected")

@@ -17,11 +17,12 @@ vector is cast back to float64 for the update; the loss past the encoder's
 heads is float64. The prior maps' detached pass runs on such a copy too.
 Each step's wall time goes into the metrics log's step_ms column.
 
-Past the encoder's heads each stage's loss is array code, recorded on the
-tape as one node with a closed-form vjp: the log-density of the truths in
-pretraining, and in fine-tuning the KL, the Monte-Carlo likelihood, the
-masked means and the TV together (_elbo_core). The ELBO map runs the same
-KL and likelihood bodies on their own.
+Past the encoder's heads each stage's loss is array code that returns its
+value and its closed-form row gradients, recorded on the tape as one node
+on the heads tensor: the mean log-density of the truths in pretraining
+(pretrain_loss), and in fine-tuning the KL, the Monte-Carlo likelihood,
+the masked means and the TV together (_elbo_core). The ELBO map runs the
+same KL and likelihood bodies on their own.
 """
 
 from __future__ import annotations
@@ -174,12 +175,22 @@ class PriorMaps(ScaledLogitNormal):
 
 def pretrain_loss(pred: VoxelPrediction, truth) -> ad.Tensor:
     """Mean negative log-density of the true (oef, dbv) under the prediction,
-    as one tape node.
+    as one tape node on its heads; the noise columns get zero gradient.
 
     `truth` is an array (..., 2) matching the prediction's leading shape,
     or its BoxLogits; values must lie strictly inside the parameter box.
     """
-    return neg_log_density(pred.mu_l, pred.sigma_l_params, truth, mean=True)
+    nll, d_mu, d_p = neg_log_density(pred.mu_l, pred.sigma_l_params, truth, True)
+    inv = 1.0 / nll.size
+
+    def vjp(g):
+        c = (g * inv)[..., None]
+        d_heads = np.zeros(pred.heads.shape)
+        d_heads[..., :2] = c * d_mu
+        d_heads[..., 2 : 2 + pred.n_cov] = c * d_p
+        return (d_heads,)
+
+    return ad.custom(nll.sum() * inv, (pred.heads,), vjp)
 
 
 def run_pretraining(
@@ -337,19 +348,18 @@ def _elbo_core(psi, x_arr, mask_arr, prior_mu, prior_params, proto, constants, f
     The encoder runs on the whole grid, since the gated conv reads
     neighbours. Past its heads all is array code, the KL and
     expected_loglik on the masked voxels only, and the loss is one tape
-    node on the three heads: its vjp applies their closed-form gradients
+    node on the heads tensor: its vjp applies their closed-form gradients
     and puts the rows back on the grid.
     """
     n_masked = int(mask_arr.sum())
     if n_masked == 0:
         raise ValueError("batch contains no masked voxels")
     pred = encoder_forward(psi, x_arr)
-    heads = (pred.mu_l, pred.sigma_l_params, pred.log_sigma_im)
-    mu_l, p, log_sigma = (t.data for t in heads)
-    mu, q = _masked_rows(mu_l, mask_arr), _masked_rows(p, mask_arr)
+    mu_l = pred.mu_l
+    mu, q = _masked_rows(mu_l, mask_arr), _masked_rows(pred.sigma_l_params, mask_arr)
     kl, kl_mu, kl_q = kl_cholesky(mu, q, prior_mu, prior_params, True)
     ll, ll_mu, ll_q, ll_sigma = expected_loglik(
-        _masked_rows(x_arr, mask_arr), _masked_rows(log_sigma, mask_arr), mu, q,
+        _masked_rows(x_arr, mask_arr), _masked_rows(pred.log_sigma_im, mask_arr), mu, q,
         lambda oef, dbv: normalized_model_signal_t(oef, dbv, proto, constants, fwd_cfg),
         rng, cfg.n_samples_elbo,
     )
@@ -366,12 +376,12 @@ def _elbo_core(psi, x_arr, mask_arr, prior_mu, prior_params, proto, constants, f
 
     def vjp(g):
         c = g * inv
-        g_mu = _grid_rows(d_mu * c, mask_arr)
+        d_heads = _grid_rows(np.concatenate([d_mu * c, d_q * c, ll_sigma * -c], axis=-1), mask_arr)
         if tv_lambda:
-            g_mu += (g * tv_lambda) * tv_grad
-        return g_mu, _grid_rows(d_q * c, mask_arr), _grid_rows(ll_sigma * -c, mask_arr)
+            d_heads[..., :2] += (g * tv_lambda) * tv_grad
+        return (d_heads,)
 
-    return ad.custom(loss, heads, vjp), float(kl_mean), float(ll_mean), tv
+    return ad.custom(loss, (pred.heads,), vjp), float(kl_mean), float(ll_mean), tv
 
 
 def elbo_loss(

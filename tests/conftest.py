@@ -99,14 +99,27 @@ def signal_loglik(x, log_sigma_im):
     return loglik
 
 
+def col(t, k):
+    """Column k of a tensor's trailing axis, as a tape slice."""
+    return ad.getitem(t, (..., k))
+
+
+def head_slices(heads, n_cov):
+    """The three heads (mu_l, sigma_l_params, log_sigma_im) of a heads
+    tensor with n_cov covariance columns, as tape slices of its columns:
+    what losses composed of generic tape ops read."""
+    ends = (0, 2, 2 + n_cov, heads.shape[-1])
+    return tuple(ad.getitem(heads, (..., slice(a, e))) for a, e in zip(ends, ends[1:]))
+
+
 def composed_expected_loglik(x, log_sigma_im, mu, l00, l10, l11, noise, proto, constants, fwd):
     """The oracle of train.expected_loglik, composed of elementary tape ops:
     the mean of signal_loglik over the draws forward_transform(mu + L z), one per
     standard-normal array z in noise, with L = [[l00, 0], [l10, l11]]."""
     loglik, acc = signal_loglik(x, log_sigma_im), None
     for z in noise:
-        b0 = mu[..., 0] + l00 * z[..., 0]
-        b1 = mu[..., 1] + l10 * z[..., 0] + l11 * z[..., 1]
+        b0 = col(mu, 0) + l00 * z[..., 0]
+        b1 = col(mu, 1) + l10 * z[..., 0] + l11 * z[..., 1]
         oef = PARAM_SCALE[0] * ad.logistic(b0) + PARAM_OFFSET[0]
         dbv = PARAM_SCALE[1] * ad.logistic(b1) + PARAM_OFFSET[1]
         term = loglik(model_node(oef, dbv, proto, constants, fwd))
@@ -117,7 +130,7 @@ def composed_expected_loglik(x, log_sigma_im, mu, l00, l10, l11, noise, proto, c
 def composed_cholesky(p):
     """The factor's entries (l00, l10, l11) of the layout p as tape ops;
     a diagonal factor's l10 is the number 0.0."""
-    return ad.exp(p[..., 0]), p[..., 2] if p.shape[-1] == 3 else 0.0, ad.exp(p[..., 1])
+    return ad.exp(col(p, 0)), col(p, 2) if p.shape[-1] == 3 else 0.0, ad.exp(col(p, 1))
 
 
 def composed_kl(mu, p, prior_mu, prior_params):
@@ -129,10 +142,10 @@ def composed_kl(mu, p, prior_mu, prior_params):
     m00 = l00 / a
     m10 = (l10 - b * m00) / cc
     m11 = l11 / cc
-    w0 = (mu[..., 0] - prior_mu[..., 0]) / a
-    w1 = (mu[..., 1] - prior_mu[..., 1] - b * w0) / cc
-    t00 = ad.clip_min(m00 * m00 - 1.0 - 2.0 * (p[..., 0] - prior_params[..., 0]), 0.0)
-    t11 = ad.clip_min(m11 * m11 - 1.0 - 2.0 * (p[..., 1] - prior_params[..., 1]), 0.0)
+    w0 = (col(mu, 0) - prior_mu[..., 0]) / a
+    w1 = (col(mu, 1) - prior_mu[..., 1] - b * w0) / cc
+    t00 = ad.clip_min(m00 * m00 - 1.0 - 2.0 * (col(p, 0) - prior_params[..., 0]), 0.0)
+    t11 = ad.clip_min(m11 * m11 - 1.0 - 2.0 * (col(p, 1) - prior_params[..., 1]), 0.0)
     return 0.5 * (t00 + t11 + m10 * m10 + w0 * w0 + w1 * w1)
 
 
@@ -152,8 +165,9 @@ def composed_tv(mu_l, mask):
     box = PARAM_SCALE * ad.logistic(mu_l) + PARAM_OFFSET
     n_planes, h, w = mask.shape
     wx, wy = _tv_weights(mask)
-    adx = ad.absval(box[:, :-1, :-1, :] - box[:, 1:, :-1, :]) * wx
-    ady = ad.absval(box[:, :-1, :-1, :] - box[:, :-1, 1:, :]) * wy
+    core = ad.getitem(box, np.s_[:, :-1, :-1])
+    adx = ad.absval(core - ad.getitem(box, np.s_[:, 1:, :-1])) * wx
+    ady = ad.absval(core - ad.getitem(box, np.s_[:, :-1, 1:])) * wy
     return (ad.tsum(adx) + ad.tsum(ady)) * (1.0 / (n_planes * (h - 1) * (w - 1)))
 
 
@@ -173,11 +187,12 @@ def composed_loss(heads, x, mask, prior_mu, prior_params, noise, model_args, tv_
 
 
 def loss_node(heads, x, mask, prior_mu, prior_params, model_args, n_draws, tv_lambda, seed):
-    """train._elbo_core on given head tensors (mu_l, sigma_l_params,
-    log_sigma_im) in place of the encoder's, its draws from
-    default_rng(seed): (loss, kl_mean, loglik_mean, tv)."""
+    """train._elbo_core on a given heads tensor (planes, h, w, 2 + k + taus)
+    in place of the encoder's, its draws from default_rng(seed): (loss,
+    kl_mean, loglik_mean, tv)."""
     cfg = train.TrainingConfig.finetune_defaults(n_samples_elbo=n_draws)
-    with mock.patch.object(train, "encoder_forward", lambda psi, x_arr: VoxelPrediction(*heads)):
+    pred = VoxelPrediction(heads, heads.shape[-1] - 2 - x.shape[-1])
+    with mock.patch.object(train, "encoder_forward", lambda psi, x_arr: pred):
         return train._elbo_core(None, x, mask, prior_mu, prior_params, *model_args, cfg, tv_lambda,
                                 np.random.default_rng(seed))
 

@@ -14,6 +14,7 @@ from conftest import (
     composed_cholesky,
     composed_expected_loglik,
     composed_kl,
+    head_slices,
     loss_node,
     loss_term_sizes,
     quad_std,
@@ -36,7 +37,13 @@ from oximap.analysis import (
     region_stats,
     wls_fit,
 )
-from oximap.distributions import ScaledLogitNormal, cholesky_entries, forward_transform, kl_analytic
+from oximap.distributions import (
+    ScaledLogitNormal,
+    cholesky_entries,
+    forward_transform,
+    kl_analytic,
+    neg_log_density,
+)
 from oximap.nnet import (
     NetworkConfig,
     encoder_forward,
@@ -441,17 +448,19 @@ class TestMaskedOnlyEvaluation:
         # them to the weights alike on both sides
         with ad.recording_off():
             pred = encoder_forward(psi, ad.Tensor(x))
-        heads = [t.data for t in (pred.mu_l, pred.sigma_l_params, pred.log_sigma_im)]
-        node_heads, ref_heads = ([ad.Tensor(a) for a in heads] for _ in range(2))
+        node_heads, ref_heads = ad.Tensor(pred.heads.data), ad.Tensor(pred.heads.data)
         loss = loss_node(node_heads, x, mask, prior_mu[mask], prior_params[mask], args, 2, 0.0, 3)[0]
-        ref, noise = full_grid_loss(ref_heads, x, mask, prior_mu, prior_params, *args, 2,
-                                    np.random.default_rng(3))
+        ref, noise = full_grid_loss(head_slices(ref_heads, pred.n_cov), x, mask, prior_mu, prior_params,
+                                    *args, 2, np.random.default_rng(3))
         ad.backward(loss)
         ad.backward(ref)
         assert_allclose(loss.data, ref.data, rtol=1e-12)
+        heads = (pred.mu_l, pred.sigma_l_params, pred.log_sigma_im)
         sizes = loss_term_sizes(heads, x, mask, prior_mu[mask], prior_params[mask], noise, args, 0.0)
-        for got, want, size, name in zip(node_heads, ref_heads, sizes, ("mu", "p", "log sigma")):
-            assert np.all(np.abs(got.grad - want.grad) <= 1e-12 * size), name
+        ends = np.cumsum([0] + [h.shape[-1] for h in heads])
+        for a, e, size, name in zip(ends, ends[1:], sizes, ("mu", "p", "log sigma")):
+            got, want = node_heads.grad[..., a:e], ref_heads.grad[..., a:e]
+            assert np.all(np.abs(got - want) <= 1e-12 * size), name
 
     @settings(max_examples=10)
     @given(seed=st.integers(0, 2**16))
@@ -524,8 +533,7 @@ class TestDetachedEncoderPasses:
         names = [name for name, _ in preds]
         assert names.count("oximap.train") == 3 and names.count("oximap.analysis") == 1
         for name, pred in preds:
-            for t in (pred.mu_l, pred.sigma_l_params, pred.log_sigma_im):
-                assert t._parents == (), name
+            assert pred.heads._parents == (), name
 
 
     def test_voxelwise_network_without_priors_runs_the_encoder_once(
@@ -558,15 +566,17 @@ class TestDetachedEncoderPasses:
 
 class TestArrayCodePastTheEncoder:
     def test_makes_no_tensor(self, proto_m, constants_m, monkeypatch):
-        # the box map, the factor's read-out, the KL, the std maps, the
-        # likelihood without partials and the TV take and give arrays: none
-        # of them builds a tape tensor, even with recording on
+        # the box map, the factor's read-out, the log-density with and
+        # without its gradients, the KL, the std maps, the likelihood
+        # without partials and the TV take and give arrays: none of them
+        # builds a tape tensor, even with recording on
         rng = np.random.default_rng(0)
         mu = rng.normal(0.0, 1.0, (6, 2))
         dists = [ScaledLogitNormal(mu, rng.normal(-1.0, 0.3, (6, k))) for k in (2, 3)]
         x = rng.normal(-0.1, 0.05, (6, proto_m.n_t))
         log_sigma = rng.normal(np.log(0.03), 0.3, (6, proto_m.n_t))
         maps = rng.normal(size=(4, 5, 2, 2))
+        y = forward_transform(rng.normal(0.0, 1.0, (6, 2)))
         made = []
         init = ad.Tensor.__init__
 
@@ -579,6 +589,8 @@ class TestArrayCodePastTheEncoder:
         forward_transform(mu)
         for q in dists:
             cholesky_entries(q.sigma_l_params)
+            q.log_prob(y)
+            neg_log_density(q.mu, q.sigma_l_params, y, True)
             marginal_std(q)
             for p in dists:
                 kl_analytic(q, p)

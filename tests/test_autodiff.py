@@ -148,7 +148,7 @@ class TestBroadcasting:
 class TestShapeOps:
     def test_reshape_getitem(self, rng):
         x = rng.normal(size=(2, 6))
-        check_gradient(lambda t: ad.tsum(ad.reshape(t, (3, 4))[1:, :2]), x)
+        check_gradient(lambda t: ad.tsum(ad.getitem(ad.reshape(t, (3, 4)), (slice(1, None), slice(None, 2)))), x)
 
     def test_concat_and_split_adjoint(self, rng):
         a = rng.normal(size=(2, 3))

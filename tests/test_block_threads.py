@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from conftest import usable_cpus
+from conftest import head_slices, usable_cpus
 
 from oximap import autodiff as ad
 from oximap import nnet, train
@@ -91,7 +91,8 @@ def small_gated(seed=0):
 def gated_step(net, x):
     """One encoder forward and backward on the tape: the flat gradient."""
     pred = encoder_forward(net, x)
-    loss = ad.tsum(pred.mu_l * pred.mu_l) + ad.tsum(pred.log_sigma_im)
+    mu_l, _, log_sigma_im = head_slices(pred.heads, pred.n_cov)
+    loss = ad.tsum(mu_l * mu_l) + ad.tsum(log_sigma_im)
     return collect_gradients(net, loss)
 
 

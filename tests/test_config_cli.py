@@ -29,7 +29,7 @@ from oximap.config import (
 from oximap.nifti import read_nifti, read_voxel_size, write_nifti
 from oximap.nnet import load_checkpoint, save_checkpoint
 from oximap.physics import AcquisitionProtocol
-from oximap.synthgen import PRIOR_PRESETS, load_dataset
+from oximap.synthgen import PRIOR_PRESETS, SynthDataset, load_dataset, save_dataset
 from oximap.train import TrainingConfig
 from oximap.volume import Volume4D
 
@@ -456,6 +456,21 @@ class TestCliErrors:
         ])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("n_t", [0, 7])
+    def test_pretrain_rejects_a_dataset_off_the_protocol(self, tmp_path, capsys, n_t):
+        # rows of no taus, or of 7 under the default 11-tau protocol: a
+        # one-line error naming both counts, and no checkpoint
+        ds, out, cfg = tmp_path / "d.dset", tmp_path / "w.ckpt", tmp_path / "run.yaml"
+        rng = np.random.default_rng(0)
+        save_dataset(SynthDataset(rng.normal(-0.1, 0.05, (20, n_t)), np.tile([0.4, 0.025], (20, 1)),
+                                  np.full(20, 60.0)), ds)
+        cfg.write_text(yaml.safe_dump({"pretrain": {"iterations": 2, "batch_size": 8, "lr": 1e-3}}))
+        rc = cli_dispatch(["pretrain", "--config", str(cfg), "--dataset", str(ds), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error:") and err.count("\n") == 1, err
+        assert ("n_t 0" if n_t == 0 else "has 7 tau samples but the protocol defines 11") in err
+        assert not out.exists()
 
     def test_missing_config_exits_1(self, tmp_path, capsys):
         rc = cli_dispatch([

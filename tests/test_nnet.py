@@ -1,10 +1,11 @@
 """Encoder network, optimizer, and checkpoint tests against hand-computed oracles."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import named_gradients, tape_nodes, usable_cpus
+from conftest import head_slices, named_gradients, tape_nodes, usable_cpus
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -17,6 +18,7 @@ from oximap.nnet import (
     _block,
     _heads,
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     INPUT_GAIN,
     AdamWState,
     CheckpointFormatError,
@@ -57,7 +59,7 @@ def _neighborhood(x):
     """Stack the 9 in-plane 3x3 neighbours along channels: (B, h, w, C) -> (B, h, w, 9C)."""
     _, h, w, _ = x.data.shape
     padded = ad.pad_xy(x, 1)
-    return ad.concat([padded[:, i : i + h, j : j + w, :] for i in range(3) for j in range(3)], axis=-1)
+    return ad.concat([ad.getitem(padded, np.s_[:, i : i + h, j : j + w]) for i in range(3) for j in range(3)], axis=-1)
 
 
 def composed_block(h, t, b, cfg):
@@ -73,6 +75,11 @@ def composed_block(h, t, b, cfg):
         gate_pre = ad.tmean(gate_pre)
     g = ad.logistic(gate_pre + cfg.gate_offset)
     return out + g * conv
+
+
+def heads_of(pred):
+    """A prediction's three heads as tape slices of its heads tensor."""
+    return head_slices(pred.heads, pred.n_cov)
 
 
 def composed_heads(h, t):
@@ -168,9 +175,9 @@ class TestEncoderForward:
         pred = encoder_forward(w, ad.Tensor(x))
         h = numpy_softplus((INPUT_GAIN * x) @ tensors["block0.w"] + tensors["block0.b"])
         h = numpy_softplus(h @ tensors["block1.w"] + tensors["block1.b"])
-        assert_allclose(pred.mu_l.data, h @ tensors["mu.w"] + tensors["mu.b"], atol=1e-6)
-        assert_allclose(pred.sigma_l_params.data, h @ tensors["cov.w"] + tensors["cov.b"], atol=1e-6)
-        assert_allclose(pred.log_sigma_im.data, h @ tensors["noise.w"] + tensors["noise.b"], atol=1e-6)
+        assert_allclose(pred.mu_l, h @ tensors["mu.w"] + tensors["mu.b"], atol=1e-6)
+        assert_allclose(pred.sigma_l_params, h @ tensors["cov.w"] + tensors["cov.b"], atol=1e-6)
+        assert_allclose(pred.log_sigma_im, h @ tensors["noise.w"] + tensors["noise.b"], atol=1e-6)
 
     def test_voxelwise_permutation_equivariance(self, rng):
         w = small_net()
@@ -178,16 +185,16 @@ class TestEncoderForward:
         perm = rng.permutation(20)
         out = encoder_forward(w, ad.Tensor(x))
         out_p = encoder_forward(w, ad.Tensor(x[perm]))
-        assert_allclose(out_p.mu_l.data, out.mu_l.data[perm], rtol=0, atol=0)
-        assert_allclose(out_p.log_sigma_im.data, out.log_sigma_im.data[perm], rtol=0, atol=0)
+        assert_allclose(out_p.mu_l, out.mu_l[perm], rtol=0, atol=0)
+        assert_allclose(out_p.log_sigma_im, out.log_sigma_im[perm], rtol=0, atol=0)
 
     def test_voxelwise_locality(self, rng):
         w = small_net()
         x = rng.normal(-0.1, 0.05, (10, N_T))
-        base = encoder_forward(w, ad.Tensor(x)).mu_l.data
+        base = encoder_forward(w, ad.Tensor(x)).mu_l
         x2 = x.copy()
         x2[3] += 1.0
-        bumped = encoder_forward(w, ad.Tensor(x2)).mu_l.data
+        bumped = encoder_forward(w, ad.Tensor(x2)).mu_l
         changed = np.any(bumped != base, axis=-1)
         assert changed[3] and not changed[np.arange(10) != 3].any()
 
@@ -219,14 +226,14 @@ class TestEncoderForward:
             covariance_mode=w.config.covariance_mode,
         )
         plain = encoder_forward(EncoderWeights(voxelwise, w.n_t, w.tensors), ad.Tensor(x.reshape(-1, N_T)))
-        assert_allclose(gated.mu_l.data.reshape(-1, 2), plain.mu_l.data, rtol=0, atol=1e-300)
+        assert_allclose(gated.mu_l.reshape(-1, 2), plain.mu_l, rtol=0, atol=1e-300)
 
     def test_fresh_extension_stays_near_voxelwise(self, rng):
         base = small_net(width=16, seed=5)
         ext = extend_weights(base, np.random.default_rng(6))
         x = rng.normal(-0.1, 0.05, (2, 6, 6, N_T))
-        mu_base = encoder_forward(base, ad.Tensor(x.reshape(-1, N_T))).mu_l.data
-        mu_ext = encoder_forward(ext, ad.Tensor(x)).mu_l.data.reshape(-1, 2)
+        mu_base = encoder_forward(base, ad.Tensor(x.reshape(-1, N_T))).mu_l
+        mu_ext = encoder_forward(ext, ad.Tensor(x)).mu_l.reshape(-1, 2)
         rel = np.abs(mu_ext - mu_base) / np.abs(mu_base)
         assert rel.max() < 0.05
 
@@ -243,7 +250,7 @@ class TestEncoderForward:
                 covariance_mode=w.config.covariance_mode, gate_offset=offset,
                 gate_scope=w.config.gate_scope,
             )
-            return encoder_forward(EncoderWeights(cfg, w.n_t, w.tensors), ad.Tensor(x)).mu_l.data
+            return encoder_forward(EncoderWeights(cfg, w.n_t, w.tensors), ad.Tensor(x)).mu_l
 
         mlp = mu_at(-1e9)
         d3 = mu_at(-3.0) - mlp
@@ -304,8 +311,7 @@ class TestFusedGatedBlock:
             return [o.data for o in outs], grads
 
         def pred_tuple(x):
-            pred = encoder_forward(net, x)
-            return pred.mu_l, pred.sigma_l_params, pred.log_sigma_im
+            return heads_of(encoder_forward(net, x))
 
         with usable_cpus(1):
             fused = run(pred_tuple)
@@ -465,8 +471,7 @@ class TestNodesAgainstComposedOps:
 
         h = rng.normal(0.0, 1.0, shape + (cfg.width,))
         cots = [rng.normal(size=shape + (n,)) for n in (2, cfg.n_cov_params, N_T)]
-        pred = lambda h_t: (lambda p: (p.mu_l, p.sigma_l_params, p.log_sigma_im))(_heads(h_t, t))
-        fused = run(pred, h, cots)
+        fused = run(lambda h_t: heads_of(_heads(h_t, t)), h, cots)
         oracle = run(lambda h_t: composed_heads(h_t, t), h, cots)
         h_abs, rows = np.abs(h), np.abs(h).reshape(-1, cfg.width)
         dx_size = 0.0
@@ -481,8 +486,8 @@ class TestNodesAgainstComposedOps:
     @pytest.mark.parametrize("cov", ["diagonal", "full"])
     @pytest.mark.parametrize("n_blocks", [1, 2])
     def test_pretraining_loss_records_one_node_per_layer(self, cov, n_blocks, monkeypatch):
-        # a pretraining step's loss: one node per block, the heads node, the
-        # head slices it reads and the loss node, on the weights as leaves
+        # a pretraining step's loss: one node per block, the heads node and
+        # the loss node on it, on the weights as leaves
         rng = np.random.default_rng(2)
         y = np.column_stack([rng.uniform(0.2, 0.6, 40), rng.uniform(0.01, 0.1, 40)])
         ds = SynthDataset(rng.normal(-0.1, 0.05, (40, N_T)), y, np.full(40, 60.0))
@@ -500,10 +505,8 @@ class TestNodesAgainstComposedOps:
         leaves = [n for n in nodes if not n._parents]
         assert {id(n) for n in leaves} == {id(v) for v in theta.tensors.values()}
         inner = [n for n in nodes if n._parents]
-        assert len(inner) == n_blocks + 4
-        slices = loss._parents
-        assert len(slices) == 2 and all(len(s._parents) == 1 for s in slices)
-        (heads,) = {id(s._parents[0]): s._parents[0] for s in slices}.values()
+        assert len(inner) == n_blocks + 2
+        (heads,) = loss._parents
         assert heads._parents[1:] == tuple(theta.tensors[f"{n}.{p}"] for n in ("mu", "cov", "noise")
                                            for p in ("w", "b"))
         h = heads._parents[0]
@@ -519,8 +522,7 @@ class TestEncoderDtype:
     def test_float64_weights_keep_every_node_float64(self, spatial, rng):
         net = small_net(spatial)
         x = ad.Tensor(rng.normal(-0.1, 0.05, (2, 4, 3, N_T)))
-        pred = encoder_forward(net, x)
-        outs = (pred.mu_l, pred.sigma_l_params, pred.log_sigma_im)
+        outs = heads_of(encoder_forward(net, x))
         assert all(n.data.dtype == np.float64 for n in tape_nodes(*outs))
         grad = collect_gradients(net, sum(ad.tsum(o) for o in outs))
         assert grad.dtype == np.float64
@@ -533,8 +535,7 @@ class TestEncoderDtype:
             gate_w = net.tensors[f"block{b}.gate.w"].data
             gate_w[:] = rng.normal(0.0, 0.3, gate_w.shape)
         x = ad.Tensor(rng.normal(-0.1, 0.05, (2, 4, 3, N_T)))
-        pred = encoder_forward(net, x)
-        outs = (pred.mu_l, pred.sigma_l_params, pred.log_sigma_im)
+        outs = heads_of(encoder_forward(net, x))
         assert all(o.data.dtype == np.float64 for o in outs)
         nodes = tape_nodes(*outs)
         for b in range(base.n_blocks):
@@ -565,8 +566,8 @@ class TestPredictionToDistribution:
         x = rng.normal(-0.1, 0.05, (6, N_T))
         pred = encoder_forward(w, ad.Tensor(x))
         dist = prediction_to_distribution(pred, "diagonal")
-        assert np.array_equal(dist.mu, pred.mu_l.data)
-        assert np.array_equal(dist.sigma_l_params, pred.sigma_l_params.data)
+        assert np.array_equal(dist.mu, pred.mu_l)
+        assert np.array_equal(dist.sigma_l_params, pred.sigma_l_params)
         assert dist.sigma_l_params.shape == (6, 2)
 
     def test_full(self, rng):
@@ -574,7 +575,7 @@ class TestPredictionToDistribution:
         x = rng.normal(-0.1, 0.05, (6, N_T))
         pred = encoder_forward(w, ad.Tensor(x))
         dist = prediction_to_distribution(pred, "full")
-        assert np.array_equal(dist.sigma_l_params, pred.sigma_l_params.data)
+        assert np.array_equal(dist.sigma_l_params, pred.sigma_l_params)
         assert dist.sigma_l_params.shape == (6, 3)
 
     def test_mode_must_match_the_covariance_head(self, rng):
@@ -592,8 +593,7 @@ class TestGradients:
     def test_zero_adjoint_gives_zero_gradients(self, rng):
         w = small_net()
         x = rng.normal(-0.1, 0.05, (4, N_T))
-        pred = encoder_forward(w, ad.Tensor(x))
-        total = ad.tsum(pred.mu_l) + ad.tsum(pred.sigma_l_params) + ad.tsum(pred.log_sigma_im)
+        total = sum(ad.tsum(o) for o in heads_of(encoder_forward(w, ad.Tensor(x))))
         ad.backward(total * 0.0)
         for name, t in w.tensors.items():
             assert np.all(t.grad == 0.0), name
@@ -603,10 +603,10 @@ class TestGradients:
         # the first backward left on them
         w = small_net()
         x = rng.normal(-0.1, 0.05, (4, N_T))
-        first = named_gradients(w, ad.tsum(encoder_forward(w, ad.Tensor(x)).mu_l))
-        second = named_gradients(w, ad.tsum(encoder_forward(w, ad.Tensor(x)).log_sigma_im))
+        first = named_gradients(w, ad.tsum(heads_of(encoder_forward(w, ad.Tensor(x)))[0]))
+        second = named_gradients(w, ad.tsum(heads_of(encoder_forward(w, ad.Tensor(x)))[2]))
         fresh = w.astype(np.float64)
-        ref = named_gradients(fresh, ad.tsum(encoder_forward(fresh, ad.Tensor(x)).log_sigma_im))
+        ref = named_gradients(fresh, ad.tsum(heads_of(encoder_forward(fresh, ad.Tensor(x)))[2]))
         assert np.all(first["mu.b"] == len(x))  # one per row of the summed mu_l
         for name in w.tensors:
             assert np.array_equal(second[name], ref[name]), name
@@ -879,6 +879,22 @@ class TestCheckpoint:
         save_checkpoint(w, path)
         with pytest.raises(CheckpointFormatError, match=message):
             load_checkpoint(path)
+
+    def test_header_only_file_fails_before_any_weights_exist(self, tmp_path):
+        # a 40-byte file whose header declares 3 blocks of width 3000 and no
+        # tensors: its table is checked against the layout the header
+        # implies before any weights are drawn, so the work follows the
+        # file's size and not the declared width
+        path = tmp_path / "head.ckpt"
+        path.write_bytes(_CKPT_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 3, 3000, 0, 0, 0, -3.0, 11, 0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointFormatError, match="lacks tensor 'block0.b'"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, peak
 
     def test_magic_value(self):
         assert CHECKPOINT_MAGIC == b"OXINNET1"

@@ -418,7 +418,7 @@ def _normalized_oracle_t(oef_t, dbv_t, proto, c, cfg):
         return _tissue_log_t(oef_t, dbv_t, proto, c, cfg)
     log_total = ad.log(_total_signal_t(oef_t, dbv_t, proto, c, cfg))
     se = proto.se_index
-    return log_total - log_total[..., se : se + 1]
+    return log_total - ad.getitem(log_total, (..., slice(se, se + 1)))
 
 
 VARIANTS = [ForwardModelConfig(variant=v, compartments=n) for v in ("full", "asymptotic") for n in (1, 2)]

@@ -330,5 +330,13 @@ class TestDatasetContainer:
         with pytest.raises(DatasetFormatError, match="4 bytes after"):
             load_dataset(path)
 
+    def test_error_zero_taus(self, tmp_path):
+        # rows of no tau samples cannot be trained on: the loader rejects
+        # them as a checkpoint's n_t of 0 is rejected
+        path = tmp_path / "no_taus.bin"
+        save_dataset(SynthDataset(np.zeros((3, 0)), np.tile([0.4, 0.025], (3, 1)), np.full(3, 60.0)), path)
+        with pytest.raises(DatasetFormatError, match="n_t 0"):
+            load_dataset(path)
+
     def test_magic_value(self):
         assert DATASET_MAGIC == b"OXIDSET1"

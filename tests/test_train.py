@@ -12,6 +12,7 @@ from conftest import (
     composed_kl,
     composed_loss,
     composed_tv,
+    head_slices,
     loglik_term_sizes,
     loss_node,
     loss_term_sizes,
@@ -281,6 +282,30 @@ class TestPretrainLoss:
         dist = prediction_to_distribution(pred, mode)
         assert_allclose(float(loss.data), -dist.log_prob(y).mean(), rtol=1e-10)
 
+    @pytest.mark.parametrize("mode", ["diagonal", "full"])
+    def test_node_gradient_by_central_differences(self, mode, rng):
+        # every column of a float64 heads tensor: the mean, the covariance
+        # factor and the noise levels, which the loss does not read and
+        # whose gradient is zero
+        k, n, n_t = (3 if mode == "full" else 2), 5, 4
+        heads = np.concatenate([rng.normal(0.0, 1.0, (n, 2)), rng.normal(-0.5, 0.4, (n, 2)),
+                                rng.normal(0.0, 0.5, (n, k - 2)), rng.normal(-3.0, 0.5, (n, n_t))], axis=-1)
+        y = np.column_stack([rng.uniform(0.2, 0.6, n), rng.uniform(0.01, 0.1, n)])
+        loss = lambda a: pretrain_loss(VoxelPrediction(ad.Tensor(a), k), y)
+        out = loss(heads)
+        ad.backward(out)
+        (node,) = out._parents
+        assert not node.grad[:, 2 + k :].any()
+        for ix in np.ndindex(heads.shape):
+            step = 1e-6 * max(1.0, abs(heads[ix]))
+            vals = []
+            for sign in (1.0, -1.0):
+                shifted = heads.copy()
+                shifted[ix] += sign * step
+                vals.append(float(loss(shifted).data))
+            fd = (vals[0] - vals[1]) / (2.0 * step)
+            assert abs(fd - node.grad[ix]) <= 1e-7 * max(1.0, abs(node.grad[ix])), (ix, fd, node.grad[ix])
+
     def test_tissue_params_scalar(self):
         w = const_net(5, [0.1, -2.0], [-0.5, -0.7], -3.0)
         pred = encoder_forward(w, ad.Tensor(np.zeros(5)))
@@ -300,8 +325,9 @@ class TestPretrainLoss:
         x = rng.normal(-0.1, 0.05, (16, 11))
         y = np.column_stack([rng.uniform(0.2, 0.6, 16), rng.uniform(0.01, 0.1, 16)])
         pred = encoder_forward(w, ad.Tensor(x))
-        p3 = np.concatenate([pred.sigma_l_params.data, np.zeros((16, 1))], axis=-1)
-        pred_full = VoxelPrediction(pred.mu_l, ad.Tensor(p3), pred.log_sigma_im)
+        heads = pred.heads.data
+        full = np.concatenate([heads[:, :4], np.zeros((16, 1)), heads[:, 4:]], axis=-1)
+        pred_full = VoxelPrediction(ad.Tensor(full), 3)
         a = pretrain_loss(pred, y)
         b = pretrain_loss(pred_full, y)
         assert_allclose(float(a.data), float(b.data), rtol=0, atol=1e-14)
@@ -312,9 +338,7 @@ class TestPretrainLoss:
         sigma = np.array([-1.0, -1.0])
 
         def loss_at(shift):
-            pred = VoxelPrediction(
-                ad.Tensor(beta + shift), ad.Tensor(sigma), ad.Tensor(np.zeros(1))
-            )
+            pred = VoxelPrediction(ad.Tensor(np.concatenate([beta + shift, sigma, np.zeros(1)])), 2)
             return float(pretrain_loss(pred, truth).data)
 
         center = loss_at(np.zeros(2))
@@ -424,8 +448,8 @@ class TestComputePriorMaps:
         # the priors come from a float32 copy of the network
         with ad.recording_off():
             pred = encoder_forward(theta16.astype(np.float32), ad.Tensor(data[1, 1, 0][None]))
-        assert np.array_equal(pm.mu, pred.mu_l.data)
-        assert np.array_equal(pm.sigma_l_params, pred.sigma_l_params.data)
+        assert np.array_equal(pm.mu, pred.mu_l)
+        assert np.array_equal(pm.sigma_l_params, pred.sigma_l_params)
         empty = compute_prior_maps(theta16, Volume4D(data, np.zeros_like(mask)))
         assert empty.mu.shape == (0, 2) and empty.sigma_l_params.shape == (0, 2)
 
@@ -969,7 +993,7 @@ class TestLikelihoodNode:
 
     def test_one_node_on_sigma_for_any_draw_count(self, proto_m, constants_m):
         # the tape of the step's loss: the loss node is the one node on the
-        # noise head, and the same nodes and the same (masked voxels, taus)
+        # heads, and the same nodes and the same (masked voxels, taus)
         # arrays are held for 1 and 3 draws
         mask = np.ones((2, 7, 6), bool)
         mask[0, :3, :2] = False
@@ -981,9 +1005,9 @@ class TestLikelihoodNode:
             loss = train._elbo_core(psi, x, mask, prior_mu, prior_params, proto_m, constants_m,
                                     ForwardModelConfig(), cfg, cfg.tv_lambda, np.random.default_rng(1))[0]
             nodes = tape_nodes(loss)
-            sigma = loss._parents[2]
-            assert sigma.data.shape == mask.shape + (proto_m.n_t,)
-            assert [n for n in nodes if any(p is sigma for p in n._parents)] == [loss]
+            (heads,) = loss._parents
+            assert heads.data.shape == mask.shape + (2 + 3 + proto_m.n_t,)
+            assert [n for n in nodes if any(p is heads for p in n._parents)] == [loss]
             held = {id(a) for n in nodes for a in held_arrays(n)
                     if a.shape == shape and a.dtype == np.float64}
             counts[n_draws] = (len(nodes), len(held))
@@ -1024,14 +1048,15 @@ class TestLikelihoodNode:
 
 
 def loss_inputs(proto, constants, cov, partial):
-    """Float64 heads (mu_l, sigma_l_params, log_sigma_im) on a (2, 3, 4)
-    plane grid, rows x, a mask (every voxel, or all but three) and prior
-    rows of its voxels. The first masked row's diagonal is its prior's
-    times exp(5e-9): both of its KL log groups round to 0 and are clamped,
-    while m^2 - 1 is 1e-8; voxels (0, 1, 1)
-    and (0, 1, 2) share their mean logits, a tied TV difference; the noise
-    levels of voxel (1, 1, 1) are floored, and its row is the model signal
-    at its mean under a narrow factor, so its residuals stay small."""
+    """Float64 heads (mu_l, sigma_l_params, log_sigma_im side by side, as
+    the encoder's heads tensor holds them) on a (2, 3, 4) plane grid, rows
+    x, a mask (every voxel, or all but three) and prior rows of its voxels.
+    The first masked row's diagonal is its prior's times exp(5e-9): both of
+    its KL log groups round to 0 and are clamped, while m^2 - 1 is 1e-8;
+    voxels (0, 1, 1) and (0, 1, 2) share their mean logits, a tied TV
+    difference; the noise levels of voxel (1, 1, 1) are floored, and its
+    row is the model signal at its mean under a narrow factor, so its
+    residuals stay small."""
     rng = np.random.default_rng(21)
     grid, k = (2, 3, 4), 3 if cov == "full" else 2
     mask = np.ones(grid, bool)
@@ -1050,7 +1075,7 @@ def loss_inputs(proto, constants, cov, partial):
     prior_params = np.concatenate([rng.normal(-0.8, 0.3, (n, 2)), rng.normal(0.0, 0.3, (n, k - 2))], axis=-1)
     prior_params[0, :2] = -1.0, -1.1
     p[tuple(np.argwhere(mask)[0])][:2] = prior_params[0, :2] + 5e-9
-    return (mu_l, p, log_sigma), x, mask, prior_mu, prior_params
+    return np.concatenate([mu_l, p, log_sigma], axis=-1), x, mask, prior_mu, prior_params
 
 
 LOSS_CASES = [(cov, partial, lam) for cov in ("diagonal", "full") for partial in (False, True) for lam in (0.0, 5.0)]
@@ -1062,34 +1087,31 @@ def loss_case_id(case):
 
 
 class TestLossNode:
-    # the fine-tune loss past the encoder is one tape node on the three head
-    # slices: its value, its closed-form gradient and its place on the tape
+    # the fine-tune loss past the encoder is one tape node on the heads
+    # tensor: its value, its closed-form gradient and its place on the tape
 
     @pytest.mark.parametrize("case", LOSS_CASES, ids=loss_case_id)
     def test_gradients_match_central_differences(self, case, proto_m, constants_m):
-        # every element of the three heads, float64, the draws replayed on
-        # both sides; a clamped log group, a tied difference and the floor
-        # have zero slope on both sides of the step, as the node's gradient
+        # every element of the heads, float64, the draws replayed on both
+        # sides; a clamped log group, a tied difference and the floor have
+        # zero slope on both sides of the step, as the node's gradient
         cov, partial, lam = case
         heads, x, mask, prior_mu, prior_params = loss_inputs(proto_m, constants_m, cov, partial)
         args = (proto_m, constants_m, ForwardModelConfig())
+        loss = lambda a: loss_node(ad.Tensor(a), x, mask, prior_mu, prior_params, args, 2, lam, 3)[0]
 
-        def loss(arrays):
-            tensors = [ad.Tensor(a) for a in arrays]
-            return loss_node(tensors, x, mask, prior_mu, prior_params, args, 2, lam, 3)[0], tensors
-
-        out, tensors = loss(heads)
+        out = loss(heads)
         ad.backward(out)
-        for k, (arr, t) in enumerate(zip(heads, tensors)):
-            for ix in np.ndindex(arr.shape):
-                step = 1e-5 * max(1.0, abs(arr[ix]))
-                vals = []
-                for sign in (1.0, -1.0):
-                    shifted = [a.copy() for a in heads]
-                    shifted[k][ix] += sign * step
-                    vals.append(float(loss(shifted)[0].data))
-                fd = (vals[0] - vals[1]) / (2.0 * step)
-                assert abs(fd - t.grad[ix]) <= 1e-6 * max(1.0, abs(t.grad[ix])), (k, ix, fd, t.grad[ix])
+        grad = out._parents[0].grad
+        for ix in np.ndindex(heads.shape):
+            step = 1e-5 * max(1.0, abs(heads[ix]))
+            vals = []
+            for sign in (1.0, -1.0):
+                shifted = heads.copy()
+                shifted[ix] += sign * step
+                vals.append(float(loss(shifted).data))
+            fd = (vals[0] - vals[1]) / (2.0 * step)
+            assert abs(fd - grad[ix]) <= 1e-6 * max(1.0, abs(grad[ix])), (ix, fd, grad[ix])
 
     @pytest.mark.parametrize("case", LOSS_CASES, ids=loss_case_id)
     def test_matches_the_composed_oracle(self, case, proto_m, constants_m):
@@ -1097,28 +1119,28 @@ class TestLossNode:
         # the size of the terms summed into each element (loss_term_sizes)
         cov, partial, lam = case
         heads, x, mask, prior_mu, prior_params = loss_inputs(proto_m, constants_m, cov, partial)
+        n_cov = 3 if cov == "full" else 2
         args = (proto_m, constants_m, ForwardModelConfig())
-        node_heads, ref_heads = ([ad.Tensor(a) for a in heads] for _ in range(2))
+        node_heads, ref_heads = ad.Tensor(heads), ad.Tensor(heads)
         loss, kl_mean, ll_mean, tv = loss_node(node_heads, x, mask, prior_mu, prior_params, args, 3, lam, 4)
         draws = np.random.default_rng(4)
         noise = [draws.standard_normal((int(mask.sum()), 2)) for _ in range(3)]
-        ref = composed_loss(ref_heads, x, mask, prior_mu, prior_params, noise, args, lam)
+        ref = composed_loss(head_slices(ref_heads, n_cov), x, mask, prior_mu, prior_params, noise, args, lam)
         assert loss.data.tobytes() == ref.data.tobytes()
-        assert tv == composed_tv(ad.Tensor(heads[0]), mask).data
-        ref_kl = composed_kl(*(ad.Tensor(a[mask]) for a in heads[:2]), prior_mu, prior_params)
+        parts = np.split(heads, [2, 2 + n_cov], axis=-1)
+        assert tv == composed_tv(ad.Tensor(parts[0]), mask).data
+        ref_kl = composed_kl(*(ad.Tensor(a[mask]) for a in parts[:2]), prior_mu, prior_params)
         assert kl_mean == ad.tsum(ref_kl).data * (1.0 / mask.sum())
         assert loss.data == (kl_mean - ll_mean + lam * tv if lam else kl_mean - ll_mean)
         ad.backward(loss)
         ad.backward(ref)
-        sizes = loss_term_sizes(heads, x, mask, prior_mu, prior_params, noise, args, lam)
-        for got, want, size in zip(node_heads, ref_heads, sizes):
-            assert np.all(np.abs(got.grad - want.grad) <= 1e-12 * size)
-        assert not np.any(node_heads[2].grad[1, 1, 1])
+        size = np.concatenate(loss_term_sizes(parts, x, mask, prior_mu, prior_params, noise, args, lam), axis=-1)
+        assert np.all(np.abs(node_heads.grad - ref_heads.grad) <= 1e-12 * size)
+        assert not np.any(node_heads.grad[1, 1, 1, 2 + n_cov :])
 
-    def test_a_finetune_step_records_seven_tape_nodes(self, theta16, phantom_vol, proto_m,
-                                                       constants_m, monkeypatch):
-        # two gated blocks, the heads, their three slices and the loss node;
-        # the parent's composed loss recorded 73
+    def test_a_finetune_step_records_four_tape_nodes(self, theta16, phantom_vol, proto_m,
+                                                      constants_m, monkeypatch):
+        # two gated blocks, the heads and the loss node on them
         seen = []
 
         def grab(weights, loss):
@@ -1131,9 +1153,9 @@ class TestLossNode:
         run_finetuning(theta16, gated, cfg, [phantom_vol], proto_m, constants_m, FWD1)
         (loss,) = seen
         inner = [n for n in tape_nodes(loss) if n._parents]
-        assert len(inner) == 7
-        slices = loss._parents
-        assert len(slices) == 3 and len({id(s._parents[0]) for s in slices}) == 1
+        assert len(inner) == 4
+        (heads,) = loss._parents
+        assert heads.data.shape[-1] == 2 + 2 + proto_m.n_t
 
 
 class TestFullMaskRows:
