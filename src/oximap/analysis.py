@@ -27,7 +27,7 @@ from .physics import (
     normalized_model_signal,
     r2_prime,
 )
-from .train import PriorMaps, compute_prior_maps, expected_loglik
+from .train import ROW_BLOCK, PriorMaps, compute_prior_maps, expected_loglik
 from .volume import DEFAULT_VOXEL_SIZE_MM, Volume4D, planes_first
 
 MAP_SOURCES = ("wls", "synth", "vi", "vi+tv")
@@ -105,11 +105,10 @@ class InferenceConfig:
 
 
 # marginal_std's rule: trapezoid nodes z = k/8, |k| <= 64, with normalised
-# standard-normal weights, applied to STD_BLOCK voxels at a time
+# standard-normal weights, applied to ROW_BLOCK voxels at a time
 _STD_NODES = np.arange(-64, 65) / 8.0
 _STD_WEIGHTS = np.exp(-0.5 * _STD_NODES**2)
 _STD_WEIGHTS /= _STD_WEIGHTS.sum()
-STD_BLOCK = 4096
 
 
 def marginal_std(dist: ScaledLogitNormal) -> np.ndarray:
@@ -123,7 +122,7 @@ def marginal_std(dist: ScaledLogitNormal) -> np.ndarray:
     [-8, 8] and logit stds up to 8). The rule runs on the tanh form of the
     logistic, logistic(b) = (1 + tanh(b / 2)) / 2: the box map's offset and
     the 1/2 shift drop out of a centred moment, and its scale times 1/2
-    multiplies the std once at the end. The voxels are taken STD_BLOCK at a
+    multiplies the std once at the end. The voxels are taken ROW_BLOCK at a
     time, one array per block built in place, so the working memory does
     not grow with their number.
     """
@@ -131,8 +130,8 @@ def marginal_std(dist: ScaledLogitNormal) -> np.ndarray:
     mu = dist.mu.reshape(-1, 2)
     scale = np.stack([l00, np.hypot(l10, l11)], axis=-1).reshape(-1, 2)
     out = np.empty_like(mu)
-    for b in range(0, mu.shape[0], STD_BLOCK):
-        blk = slice(b, b + STD_BLOCK)
+    for b in range(0, mu.shape[0], ROW_BLOCK):
+        blk = slice(b, b + ROW_BLOCK)
         # (voxel, component, node): the nodes run along contiguous rows, so
         # the weighted sums are matrix-vector products
         y = (0.5 * scale[blk, :, None]) * _STD_NODES

@@ -210,49 +210,58 @@ def logistic(a):
     return Tensor(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
-# elements per pass of softplus_into's max(x, 0) add
+# elements per piece of softplus_into and softplus_slope_into
 SOFTPLUS_CHUNK = 1 << 15
 
 
-def softplus_into(x, out, slope):
-    """softplus(x) = log(1 + exp(x)) of a float array into out and, unless
-    slope is None, its slope logistic(x) into slope, both of x's shape and
-    dtype.
+def _chunks(x, out):
+    """Matching views of x and out (same shape) of about SOFTPLUS_CHUNK
+    elements each: row blocks of the leading axis, a row longer than a chunk
+    split the same way. The pieces are views, so what is written to them
+    lands in out whatever its layout."""
+    x, out = np.atleast_1d(x), np.atleast_1d(out)
+    row = x[0].size if len(x) else 0
+    if row > SOFTPLUS_CHUNK:
+        for pair in zip(x, out):
+            yield from _chunks(*pair)
+        return
+    step = SOFTPLUS_CHUNK // max(row, 1)
+    for b in range(0, len(x), step):
+        yield x[b : b + step], out[b : b + step]
+
+
+def softplus_into(x, out):
+    """softplus(x) = log(1 + exp(x)) of a float array into out, of x's shape
+    and dtype; out may be x itself.
 
     The value is log1p(exp(-|x|)) + max(x, 0), so large |x| never
-    overflows; the slope reuses the same exp(-|x|). The max(x, 0) is added
-    everywhere, SOFTPLUS_CHUNK elements at a time: log1p(exp(-|x|)) >= 0,
-    so adding its +-0 where x <= 0 changes no bit, and no temporary the
-    size of x is made.
+    overflows. It is formed SOFTPLUS_CHUNK elements at a time, so no
+    temporary the size of x is made and x may be overwritten in place.
 
     Array code only: it builds no tensor and reads no recording switch, so
     any thread may run it on its own part of the buffers.
     """
-    # in place, in the output array: a value-only pass allocates nothing
-    # else but one chunk
-    np.abs(x, out=out)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    if slope is not None:
-        np.maximum(out, x >= 0.0, out=slope)  # 1 where x >= 0, else exp(x)
-        slope /= 1.0 + out
-    np.log1p(out, out=out)
-    _add_positive_part(np.atleast_1d(out), np.atleast_1d(x))
+    for xc, oc in _chunks(x, out):
+        t = np.abs(xc)
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        np.log1p(t, out=t)
+        np.maximum(xc, 0.0, out=oc)
+        np.add(t, oc, out=oc)  # log1p(...) the first operand, as a NaN's bits come from it
+        del t  # freed before the next piece's
 
 
-def _add_positive_part(out, x):
-    """out += max(x, 0) over row blocks of the leading axis of about
-    SOFTPLUS_CHUNK elements; the blocks are views, so the sums land in out
-    whatever its layout. A row longer than a chunk is split the same way."""
-    row = x[0].size if len(x) else 0
-    if row > SOFTPLUS_CHUNK:
-        for o, xr in zip(out, x):
-            _add_positive_part(o, xr)
-        return
-    step = SOFTPLUS_CHUNK // max(row, 1)
-    for b in range(0, len(x), step):
-        o = out[b : b + step]
-        o += np.maximum(x[b : b + step], 0.0)
+def softplus_slope_into(x, out):
+    """softplus's slope logistic(x) = max(exp(-|x|), [x >= 0]) / (1 +
+    exp(-|x|)) of a float array into out, in pieces as softplus_into; out
+    may be x itself. Array code only, like softplus_into."""
+    for xc, oc in _chunks(x, out):
+        e = np.abs(xc)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        np.maximum(e, xc >= 0.0, out=oc)  # 1 where x >= 0, else exp(x)
+        oc /= 1.0 + e
+        del e
 
 
 def softplus(a):
@@ -261,7 +270,7 @@ def softplus(a):
     second array per node."""
     a = as_tensor(a)
     out = np.empty_like(a.data)
-    softplus_into(a.data, out, None)
+    softplus_into(a.data, out)
     return Tensor(out, (a,), lambda g: (g * -np.expm1(-out),))
 
 

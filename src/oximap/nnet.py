@@ -27,7 +27,11 @@ vector-Jacobian product (_block), and the three heads are one more
 factor and the per-tau log noise levels. A VoxelPrediction reads the heads
 as array views of those columns; a loss is one node on the whole heads
 tensor. The encoder's input is a constant: it is gained and cast as an
-array, and the first block returns no input gradient.
+array, and the first block returns no input gradient. A block node keeps
+its output and, when gated, its tap sums; its vjp rebuilds the softplus
+slope (a gated block from its input by the forward's own products, a
+voxelwise one from its output), so no pre-activation or slope array stays
+on the tape.
 
 The hidden blocks and heads compute in the weights' dtype, float32 or
 float64: the gained input is cast to it on the way in and the heads node
@@ -320,14 +324,22 @@ def _block(h, t: dict, b: int, cfg: NetworkConfig) -> ad.Tensor:
     together; no zero-padded copy and no (..., 9C) neighbourhood array is
     formed, forward or backward.
 
+    Every path writes the pre-activation h W + b straight into the output
+    buffer and applies softplus there in place, so no pre-activation array
+    is made. The node keeps its output and, when gated, the tap sums acc
+    (conv output and gate pre-activation); the vjp of a gated node rebuilds
+    the softplus slope from h with the forward's own products, and a
+    voxelwise node's from its output, logistic(x) = -expm1(-softplus(x)).
+
     A gated node on the tape runs on two threads (_beside). Forward, each
     half of the batch planes computes its softplus and tap products into
     the node's own buffers; the gate and the conv add follow over the
-    whole batch. Backward, the input gradient runs beside the weight
-    gradients; the first block, which has no input gradient, splits its
-    nine tap products. Each sum is formed as on one thread, so the bits do
-    not depend on the number of CPUs. Detached passes and voxelwise blocks
-    run on one thread.
+    whole batch. Backward, the slope and the pre-activation's gradient run
+    beside the gate's gradient and the first tap product, then the input
+    gradient beside the weight gradients; the first block, which has no
+    input gradient, splits its remaining tap products. Each sum is formed
+    as on one thread, so the bits do not depend on the number of CPUs.
+    Detached passes and voxelwise blocks run on one thread.
     """
     gated = cfg.spatial_mode == "gated-residual"
     params = [t[f"block{b}.{n}"] for n in (("w", "b", "conv.w", "gate.w", "gate.b") if gated else ("w", "b"))]
@@ -337,34 +349,33 @@ def _block(h, t: dict, b: int, cfg: NetworkConfig) -> ad.Tensor:
     n_c, n_f = w.shape
 
     out = np.empty(x.shape[:-1] + (n_f,), np.result_type(x, w))
-    # the gated output adds the conv path, so only there is the softplus
-    # slope kept; a voxelwise node rebuilds it from its output in the vjp,
-    # logistic(x) = -expm1(-softplus(x)), and holds no second array
-    slope = np.empty_like(out) if gated and ad.recording() else None
+    split = gated and ad.recording()
+    halves = (slice(0, len(x) // 2), slice(len(x) // 2, None)) if split else (slice(None),)
     if gated:
         taps = _tap_windows(*x.shape[1:3])
         tap_w = np.concatenate([params[2].data, params[3].data], axis=1)
         acc = np.empty(x.shape[:-1] + (n_f + 1,), out.dtype)
 
+    def pre_into(buf, planes):
+        """h W + b of the planes into buf[planes]."""
+        np.matmul(x[planes], w, out=buf[planes])
+        buf[planes] += bias
+
     def forward(planes):
-        x_p = x[planes]
-        pre = x_p @ w
-        pre += bias
-        ad.softplus_into(pre, out[planes], None if slope is None else slope[planes])
-        del pre
+        pre_into(out, planes)
+        ad.softplus_into(out[planes], out[planes])
         if gated:
-            acc_p = acc[planes]
+            x_p, acc_p = x[planes], acc[planes]
             np.matmul(x_p, tap_w[4 * n_c : 5 * n_c], out=acc_p)  # the centre tap covers the whole grid
             for k, (out_ix, src_ix) in enumerate(taps):
                 if k != 4:
                     acc_p[out_ix] += x_p[src_ix] @ tap_w[k * n_c : (k + 1) * n_c]
 
-    if slope is None:
+    if not split:
         forward(slice(None))
     else:
-        half = len(x) // 2
-        with _beside(partial(forward, slice(0, half))):
-            forward(slice(half, None))
+        with _beside(partial(forward, halves[0])):
+            forward(halves[1])
     if gated:
         conv = acc[..., :n_f]
         gate_pre = acc[..., n_f] + params[4].data[0]
@@ -375,16 +386,16 @@ def _block(h, t: dict, b: int, cfg: NetworkConfig) -> ad.Tensor:
         out += g_col * conv
 
     def vjp(grad):
-        d_pre = grad * (slope if gated else -np.expm1(-out))
+        d_pre = np.empty_like(out) if gated else grad * -np.expm1(-out)
         dx = np.empty(x.shape, np.result_type(d_pre, w)) if on_tape else None
-        if gated:
-            d_g = np.einsum("...f,...f->...", grad, conv)
-            if cfg.gate_scope == "scalar":
-                d_g = d_g.sum() / d_g.size  # the mean spreads one gate's gradient evenly
-            d_acc = np.empty_like(acc)
-            np.multiply(grad, g_col, out=d_acc[..., :n_f])
-            d_acc[..., n_f] = d_g * (g * (1.0 - g))
-            d_tap_w = np.empty_like(tap_w)
+
+        def pre_gradient():
+            # the softplus slope, rebuilt in place from the forward's own
+            # products (the same halves), times grad
+            for planes in halves:
+                pre_into(d_pre, planes)
+            ad.softplus_slope_into(d_pre, d_pre)
+            np.multiply(grad, d_pre, out=d_pre)
 
         def input_gradient():
             # contiguous transposed weights keep the products on the fast BLAS path
@@ -406,9 +417,20 @@ def _block(h, t: dict, b: int, cfg: NetworkConfig) -> ad.Tensor:
             if on_tape:
                 input_gradient()
             return ([dx] if on_tape else []) + main_gradients()
-        # the helper takes the input gradient or, in the first block, which
-        # has none, five of the nine tap products
-        helper, own = (input_gradient, range(9)) if on_tape else (partial(tap_gradients, range(5)), range(5, 9))
+        # the helper rebuilds d_pre while this thread forms d_acc, the
+        # gate's gradient, and the first tap product, which reads d_acc only
+        with _beside(pre_gradient):
+            d_g = np.einsum("...f,...f->...", grad, conv)
+            if cfg.gate_scope == "scalar":
+                d_g = d_g.sum() / d_g.size  # the mean spreads one gate's gradient evenly
+            d_acc = np.empty_like(acc)
+            np.multiply(grad, g_col, out=d_acc[..., :n_f])
+            d_acc[..., n_f] = d_g * (g * (1.0 - g))
+            d_tap_w = np.empty_like(tap_w)
+            tap_gradients(range(1))
+        # then the helper takes the input gradient or, in the first block,
+        # which has none, four of the remaining eight tap products
+        helper, own = (input_gradient, range(1, 9)) if on_tape else (partial(tap_gradients, range(1, 5)), range(5, 9))
         with _beside(helper):
             grads = main_gradients()
             tap_gradients(own)

@@ -58,7 +58,6 @@ from .nnet import (
     extend_weights,
     init_weights,
     lr_schedule,
-    prediction_to_distribution,
     swa_update,
 )
 from .physics import (
@@ -239,6 +238,7 @@ def run_pretraining(
             if not np.isfinite(loss_val):
                 raise RuntimeError(f"non-finite loss at iteration {i}")
             grad = collect_gradients(step_theta, loss).astype(np.float64)
+            del pred, loss  # the step's tape, freed before the next step records its own
             adamw_step(master, opt, grad, train_cfg.lr, train_cfg.weight_decay)
             if (i + 1) > train_cfg.iterations // 2:
                 swa_count += 1
@@ -255,17 +255,31 @@ def run_pretraining(
 # adaptive priors ------------------------------------------------------
 
 
+# rows per block of a detached voxelwise pass: the prior maps' encoder and
+# analysis.marginal_std take this many voxels at a time, so their working
+# memory does not grow with the volume
+ROW_BLOCK = 4096
+
+
 def compute_prior_maps(theta: EncoderWeights, vol: Volume4D) -> PriorMaps:
     """Frozen-network priors of a volume's masked voxels, one row each in
     planes_first(vol.mask) order; an empty mask gives zero rows. The
-    encoder runs on a COMPUTE_DTYPE copy of theta."""
+    encoder runs on a COMPUTE_DTYPE copy of theta, on at most ROW_BLOCK
+    masked rows of one plane at a time."""
     if theta.config.spatial_mode != "voxelwise":
         raise ValueError("prior maps require a voxelwise (pretrained) network")
-    rows = planes_first(vol.data)[planes_first(vol.mask)]
+    net = theta.astype(COMPUTE_DTYPE)
+    n_dist = 2 + theta.config.n_cov_params  # the mean and covariance columns of the heads
+    rows_out = np.empty((int(vol.mask.sum()), n_dist))
+    start = 0
     with ad.recording_off():
-        pred = encoder_forward(theta.astype(COMPUTE_DTYPE), rows)
-    dist = prediction_to_distribution(pred, theta.config.covariance_mode)
-    return PriorMaps(dist.mu, dist.sigma_l_params, vol.mask.copy())
+        for p in range(vol.grid_shape[2]):
+            rows = vol.data[:, :, p][vol.mask[:, :, p]]
+            for b in range(0, len(rows), ROW_BLOCK):
+                heads = encoder_forward(net, rows[b : b + ROW_BLOCK]).heads.data
+                rows_out[start : start + len(heads)] = heads[:, :n_dist]
+                start += len(heads)
+    return PriorMaps(rows_out[:, :2], rows_out[:, 2:], vol.mask.copy())
 
 
 # negative ELBO --------------------------------------------------------
@@ -553,6 +567,7 @@ def run_finetuning(
             if not np.isfinite(loss_val):
                 raise RuntimeError(f"non-finite loss at iteration {i}")
             grad = collect_gradients(step_psi, loss).astype(np.float64)
+            del loss  # the step's tape, freed before the next step records its own
             lr_i = lr_schedule(i, train_cfg.iterations, train_cfg.lr)
             wd_i = lr_schedule(i, train_cfg.iterations, train_cfg.weight_decay)
             adamw_step(master, opt, grad, lr_i, wd_i)

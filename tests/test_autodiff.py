@@ -75,16 +75,33 @@ class TestElementwise:
 
 
 def softplus_reference(x):
-    """softplus_into's value and slope by their masked formulas."""
+    """softplus's value and slope by their masked formulas."""
     e = np.exp(-np.abs(x))
     lg = np.log1p(e)
     return np.where(x > 0, x + lg, lg), np.maximum(e, x >= 0) / (1.0 + e)
+
+
+def whole_array_slope(x):
+    """The slope as softplus_into formed it beside the value, on the whole
+    array at once: exp(-|x|) in the output buffer, then max(e, [x >= 0]) /
+    (1 + e)."""
+    e = np.empty_like(x)
+    np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    slope = np.empty_like(x)
+    np.maximum(e, x >= 0.0, out=slope)
+    slope /= 1.0 + e
+    return slope
 
 
 SOFTPLUS_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-30, -1e-30, 88.0, -104.0, 710.0, -745.0]
 
 
 class TestSoftplusParts:
+    """softplus_into (the value) and softplus_slope_into (the slope), out of
+    place and in place, whatever the layout."""
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
         "make",
@@ -101,25 +118,51 @@ class TestSoftplusParts:
     @pytest.mark.parametrize("slope", [True, False])
     def test_bit_identical_to_the_masked_formula(self, make, dtype, slope, rng):
         x = make(rng).astype(dtype)
+        body = ad.softplus_slope_into if slope else ad.softplus_into
+        want = softplus_reference(x)[1 if slope else 0]
         out = np.empty_like(x)
-        s = np.empty_like(x) if slope else None
-        ad.softplus_into(x, out, s)
-        value, ref_slope = softplus_reference(x)
+        body(x, out)
         assert out.dtype == dtype and out.shape == x.shape
-        assert np.ascontiguousarray(out).tobytes() == np.ascontiguousarray(value).tobytes()
-        if slope:
-            assert np.ascontiguousarray(s).tobytes() == np.ascontiguousarray(ref_slope).tobytes()
+        assert np.ascontiguousarray(out).tobytes() == np.ascontiguousarray(want).tobytes()
+        # in place, over the argument itself
+        inplace = x.copy()
+        body(inplace, inplace)
+        assert np.ascontiguousarray(inplace).tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_slope_equals_the_whole_array_slope(self, dtype):
+        x = np.array([0.0, -0.0, 1e-30, -1e-30, 1e-8, -1e-8, 20.0, -20.0, 90.0, -90.0, np.nan], dtype)
+        x = np.concatenate([x, -x[-1:]])  # NaN of either sign
+        got = np.empty_like(x)
+        ad.softplus_slope_into(x, got)
+        assert got.tobytes() == whole_array_slope(x).tobytes()
+        ad.softplus_slope_into(x, x)
+        assert x.tobytes() == got.tobytes()
 
     def test_value_pass_allocates_one_output(self, rng):
         x = rng.normal(0.0, 4.0, (4000, 60))
         tracemalloc.start()
         try:
-            ad.softplus_into(x, np.empty_like(x), None)
+            ad.softplus_into(x, np.empty_like(x))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the output plus one chunk of max(x, 0); an x-sized temporary would double it
+        # the output plus one chunk's temporary; an x-sized temporary would double it
         assert peak <= 1.25 * x.nbytes, (peak, x.nbytes)
+
+    @pytest.mark.parametrize("slope", [True, False])
+    def test_an_in_place_pass_allocates_one_chunk(self, rng, slope):
+        x = rng.normal(0.0, 4.0, (4000, 60))
+        body = ad.softplus_slope_into if slope else ad.softplus_into
+        tracemalloc.start()
+        try:
+            body(x, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one chunk's exp(-|x|) (and, for the slope, its [x >= 0] and 1 + e)
+        chunk = ad.SOFTPLUS_CHUNK * x.itemsize
+        assert peak <= (2.25 if slope else 1.25) * chunk, (peak, chunk)
 
 
 class TestBroadcasting:

@@ -53,15 +53,20 @@ def finetune(scope, cov, n_planes, tmp_path):
 
 @pytest.fixture()
 def softplus_threads(monkeypatch):
-    """The threads that ran softplus_into, which both halves of a gated
-    forward call."""
-    seen, original = set(), ad.softplus_into
+    """The threads that ran each softplus body: softplus_into, which both
+    halves of a gated forward call, and softplus_slope_into, which a gated
+    vjp's helper part calls."""
+    seen = {"softplus_into": set(), "softplus_slope_into": set()}
 
-    def spy(*args):
-        seen.add(threading.get_ident())
-        return original(*args)
+    def spy(name, original):
+        def call(*args):
+            seen[name].add(threading.get_ident())
+            return original(*args)
 
-    monkeypatch.setattr(ad, "softplus_into", spy)
+        return call
+
+    for name in seen:
+        monkeypatch.setattr(ad, name, spy(name, getattr(ad, name)))
     return seen
 
 
@@ -69,12 +74,14 @@ def softplus_threads(monkeypatch):
 @pytest.mark.parametrize("cov", ["diagonal", "full"])
 @pytest.mark.parametrize("scope", ["scalar", "voxelwise"])
 def test_finetuning_gives_the_same_bits_on_one_or_two_threads(scope, cov, n_planes, tmp_path, softplus_threads):
+    me = threading.get_ident()
     with usable_cpus(1):
         one = finetune(scope, cov, n_planes, tmp_path)
-    assert softplus_threads == {threading.get_ident()}
+    assert softplus_threads == {"softplus_into": {me}, "softplus_slope_into": {me}}
     with usable_cpus(2):
         two = finetune(scope, cov, n_planes, tmp_path)
-    assert len(softplus_threads) == 2
+    assert len(softplus_threads["softplus_into"]) == 2
+    assert len(softplus_threads["softplus_slope_into"] - {me}) == 1
     assert one[1][0].startswith("step\t") and len(one[1]) == 4
     assert two == one
 
@@ -196,7 +203,8 @@ def test_the_helper_runs_array_code_only(monkeypatch, tmp_path, softplus_threads
     with usable_cpus(2):
         finetune("scalar", "full", 3, tmp_path)
     me = threading.get_ident()
-    assert len(softplus_threads) == 2
+    assert len(softplus_threads["softplus_into"]) == 2
+    assert len(softplus_threads["softplus_slope_into"] - {me}) == 1
     assert {f"oximap.{n}" for n in ("autodiff.custom", "train.encoder_forward", "train.collect_gradients")} <= calls.keys()
     assert {name: threads for name, threads in calls.items() if threads != {me}} == {}
     assert switch == {me}
@@ -242,6 +250,28 @@ def test_an_error_in_the_calling_half_waits_for_the_helper(monkeypatch):
     with usable_cpus(2), pytest.raises(FloatingPointError, match="calling half"):
         nnet._block(h, net.tensors, 1, net.config)
     # the node raised only once the helper's writes were done
+    assert ended == [True]
+
+
+def test_an_error_in_the_helper_part_of_a_gradient_is_raised_after_it_ends(monkeypatch):
+    # the helper rebuilds the softplus slope while the calling thread forms
+    # the gate's gradient
+    net, h = block_inputs()
+    caller, ended = threading.get_ident(), []
+    original = ad.softplus_slope_into
+
+    def failing(*args):
+        original(*args)
+        if threading.get_ident() != caller:
+            time.sleep(0.05)
+            ended.append(True)
+            raise FloatingPointError("helper part")
+
+    monkeypatch.setattr(ad, "softplus_slope_into", failing)
+    with usable_cpus(2):
+        node = nnet._block(h, net.tensors, 1, net.config)
+        with pytest.raises(FloatingPointError, match="helper part"):
+            node._vjp(np.ones_like(node.data))
     assert ended == [True]
 
 

@@ -9,9 +9,10 @@ from conftest import head_slices, named_gradients, tape_nodes, usable_cpus
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import expit
 
 from oximap import autodiff as ad
-from oximap import train
+from oximap import nnet, train
 from oximap.distributions import inverse_transform
 from oximap.nnet import (
     _CKPT_HEAD,
@@ -385,6 +386,110 @@ class TestFusedGatedBlock:
                 if isinstance(a, np.ndarray) and a.ndim:
                     assert a.shape[-1] not in wide, a.shape
                     assert a.ndim < 3 or a.shape[1:3] != padded, a.shape
+
+
+def stored_slope_block(x, t, b, cfg, grad):
+    """Gated block b's gradients for cotangent grad on one thread, with the
+    softplus slope stored beside the value from one pre-activation array,
+    max(e, [pre >= 0]) / (1 + e) with e = exp(-|pre|), as the node kept it
+    before its vjp rebuilt it. The products are the node's own; the list
+    is in the node's parent order, without the input's gradient for the
+    first block (x an array)."""
+    w, bias, conv_w, gate_w, gate_b = (t[f"block{b}.{n}"].data for n in ("w", "b", "conv.w", "gate.w", "gate.b"))
+    on_tape = isinstance(x, ad.Tensor)
+    x = x.data if on_tape else x
+    n_c, n_f = w.shape
+    pre = x @ w
+    pre += bias
+    e = np.exp(-np.abs(pre))
+    slope = np.maximum(e, pre >= 0.0) / (1.0 + e)
+    taps = nnet._tap_windows(*x.shape[1:3])
+    tap_w = np.concatenate([conv_w, gate_w], axis=1)
+    acc = x @ tap_w[4 * n_c : 5 * n_c]
+    for k, (out_ix, src_ix) in enumerate(taps):
+        if k != 4:
+            acc[out_ix] += x[src_ix] @ tap_w[k * n_c : (k + 1) * n_c]
+    conv, gate_pre = acc[..., :n_f], acc[..., n_f] + gate_b[0]
+    if cfg.gate_scope == "scalar":
+        gate_pre = gate_pre.mean()
+    g = expit(gate_pre + cfg.gate_offset)
+    g_col = g if cfg.gate_scope == "scalar" else g[..., None]
+
+    d_pre = grad * slope
+    d_g = np.einsum("...f,...f->...", grad, conv)
+    if cfg.gate_scope == "scalar":
+        d_g = d_g.sum() / d_g.size
+    d_acc = np.empty_like(acc)
+    d_acc[..., :n_f] = grad * g_col
+    d_acc[..., n_f] = d_g * (g * (1.0 - g))
+    grads = []
+    if on_tape:
+        dx = d_pre @ np.ascontiguousarray(w.T)
+        for k, (out_ix, src_ix) in enumerate(taps):
+            dx[src_ix] += d_acc[out_ix] @ np.ascontiguousarray(tap_w[k * n_c : (k + 1) * n_c].T)
+        grads.append(dx)
+    d_tap_w = np.empty_like(tap_w)
+    for k, (out_ix, src_ix) in enumerate(taps):
+        rows = np.ascontiguousarray(x[src_ix]).reshape(-1, n_c)
+        d_tap_w[k * n_c : (k + 1) * n_c] = rows.T @ d_acc[out_ix].reshape(-1, n_f + 1)
+    rows = x.reshape(-1, n_c)
+    return grads + [
+        rows.T @ d_pre.reshape(-1, n_f), d_pre.reshape(-1, n_f).sum(axis=0),
+        d_tap_w[:, :n_f], d_tap_w[:, n_f:], np.array([d_acc[..., n_f].sum()]),
+    ]
+
+
+class TestGatedBlockRecompute:
+    """A recorded gated block keeps its output and tap sums only; its vjp
+    rebuilds the softplus slope from the input with the forward's own
+    products, bit for bit."""
+
+    @staticmethod
+    def gated_net(scope, seed=0, width=12):
+        rng = np.random.default_rng(seed)
+        net = extend_weights(init_weights(NetworkConfig(width=width, gate_scope=scope), N_T, rng), rng)
+        for b in range(net.config.n_blocks):
+            for name in ("gate.w", "gate.b"):
+                a = net.tensors[f"block{b}.{name}"].data
+                a[:] = rng.normal(0.0, 0.3, a.shape)
+        return net.astype(np.float32)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("b", [0, 1])
+    @pytest.mark.parametrize("scope", ["scalar", "voxelwise"])
+    def test_gradients_equal_the_stored_slope_oracle(self, scope, b, cpus):
+        net = self.gated_net(scope)
+        rng = np.random.default_rng(7)
+        shape = (5, 7, 6)  # an odd plane count: the halves differ in size
+        if b == 0:
+            h = (INPUT_GAIN * rng.normal(-0.1, 0.05, shape + (N_T,))).astype(np.float32)
+        else:
+            h = ad.Tensor(rng.normal(0.0, 1.0, shape + (net.config.width,)).astype(np.float32))
+        grad = rng.normal(0.0, 1.0, shape + (net.config.width,)).astype(np.float32)
+        with usable_cpus(cpus):
+            node = _block(h, net.tensors, b, net.config)
+            got = node._vjp(grad)
+        assert same_bits(list(got), stored_slope_block(h, net.tensors, b, net.config, grad))
+
+    @pytest.mark.parametrize("scope", ["scalar", "voxelwise"])
+    def test_a_recorded_pass_keeps_each_blocks_output_and_tap_sums(self, scope):
+        net = self.gated_net(scope, width=32)
+        x = np.random.default_rng(8).normal(-0.1, 0.05, (6, 24, 24, N_T))
+        tracemalloc.start()
+        try:
+            pred = encoder_forward(net, x)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        n, width, n_blocks = x[..., 0].size, net.config.width, net.config.n_blocks
+        # per block, the float32 output and tap sums (conv output and gate
+        # pre-activation); then the float64 heads
+        kept = n_blocks * n * (2 * width + 1) * 4 + pred.heads.data.nbytes
+        # the slack: the gained float32 input, which the first block's
+        # gradient reads, each block's float32 gates, and 64 KB of weights
+        # and objects; a stored slope would add n * width * 4 bytes a block
+        slack = n * N_T * 4 + n_blocks * n * 4 + (1 << 16)
+        assert live <= kept + slack, (live, kept, slack)
 
 
 def term_sizes(net, b, h, cot):

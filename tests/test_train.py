@@ -466,6 +466,71 @@ class TestComputePriorMaps:
         with pytest.raises(ValueError, match="voxelwise"):
             compute_prior_maps(gated, phantom_vol)
 
+    def test_the_row_block_moves_no_bit(self, theta16, monkeypatch):
+        mask = np.ones((40, 40, 2), bool)
+        mask[3:20, 5:9, 1] = False
+        vol = Volume4D(np.random.default_rng(2).normal(-0.1, 0.05, mask.shape + (11,)), mask)
+        want = compute_prior_maps(theta16, vol)
+        for block in (1000, 1601, 37):
+            monkeypatch.setattr(train, "ROW_BLOCK", block)
+            got = compute_prior_maps(theta16, vol)
+            assert got.mu.tobytes() == want.mu.tobytes()
+            assert got.sigma_l_params.tobytes() == want.sigma_l_params.tobytes()
+
+    def test_memory_does_not_grow_with_the_planes(self):
+        theta = init_weights(NetworkConfig(width=60), 11, np.random.default_rng(0))
+
+        def working_memory(n_planes):
+            vol = Volume4D(np.random.default_rng(1).normal(-0.1, 0.05, (96, 96, n_planes, 11)))
+            tracemalloc.start()
+            try:
+                priors = compute_prior_maps(theta, vol)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert priors.mu.shape == (96 * 96 * n_planes, 2)
+            return peak - held
+
+        # above the result, which holds 33 bytes a voxel, the pass holds one
+        # plane's masked rows and one ROW_BLOCK-row encoder pass; gathering
+        # every row at once would grow it fourfold
+        small, large = working_memory(2), working_memory(8)
+        assert large < 1.1 * small, (small, large)
+
+
+class TestStepMemory:
+    """Both training loops free a step's tape before the next step records
+    its own, so their peak does not grow with the number of steps."""
+
+    @staticmethod
+    def peak(run, n):
+        tracemalloc.start()
+        try:
+            run(n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_finetuning(self, theta16, phantom_vol, proto_m, constants_m):
+        gated = NetworkConfig(n_blocks=2, width=16, spatial_mode="gated-residual")
+
+        def run(n):
+            cfg = TrainingConfig.finetune_defaults(iterations=n, batch_size=4, crop_xy=8)
+            run_finetuning(theta16, gated, cfg, [phantom_vol], proto_m, constants_m, FWD1)
+
+        run(1)  # a warm-up, so that no first-use cost is in either peak
+        one, three = self.peak(run, 1), self.peak(run, 3)
+        assert three <= 1.1 * one, (one, three)
+
+    def test_pretraining(self, noisy_dataset):
+        def run(n):
+            cfg = TrainingConfig.pretrain_defaults(iterations=n, batch_size=512)
+            run_pretraining(NetworkConfig(width=60), cfg, noisy_dataset)
+
+        run(1)
+        one, three = self.peak(run, 1), self.peak(run, 3)
+        assert three <= 1.1 * one, (one, three)
+
 
 class TestElboLoss:
     def test_decomposes_into_kl_minus_loglik(self, theta16, phantom_vol, phantom_priors,
